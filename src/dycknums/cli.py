@@ -15,18 +15,22 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
-from .errors import CacheCorrupt, DyckError
+from .errors import CacheCorrupt, DyckError, UsageError
 from .levels import (
     DEFAULT_SCAN_BOUND,
     DEFAULT_STRUCTURAL_BOUND,
+    _balance_ok,
+    _stream_array,
     level_index,
     level_scan,
+    level_size,
     level_structural,
-    stream_terms,
+    mersenne,
 )
-from .patterns import verify_eq1, verify_eq2
 from .report import RECORD_HEADER, Counterexample, VerificationOutcome
 
 CACHE_ENV_VAR = "DYCKNUMS_CACHE_DIR"
@@ -41,6 +45,19 @@ STANDARD_SEQUENCES = (
 )
 
 
+# Terms are formatted this many at a time, so output never holds the
+# strings of a whole level at once.
+_CHUNK = 1 << 16
+
+
+def _chunks(terms):
+    """(start index, list of Python ints) for each chunk of an array or
+    tuple of terms."""
+    for start in range(0, len(terms), _CHUNK):
+        chunk = terms[start:start + _CHUNK]
+        yield start, chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+
+
 # -- cache files -------------------------------------------------------------
 
 
@@ -48,16 +65,17 @@ def _cache_path(cache_dir: str, kind: str, n: int) -> Path:
     return Path(cache_dir) / f"{kind}_{n}.txt"
 
 
-def write_cache_entry(cache_dir: str, kind: str, n: int, terms: tuple[int, ...]) -> Path:
+def write_cache_entry(cache_dir: str, kind: str, n: int, terms) -> Path:
     """Write one '# kind n count' header plus one term per line, via a
     temp file so a crash never leaves a partial entry."""
     path = _cache_path(cache_dir, kind, n)
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = f"# {kind} {n} {len(terms)}\n" + "\n".join(str(t) for t in terms) + "\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(body)
+            handle.write(f"# {kind} {n} {len(terms)}\n")
+            for _, chunk in _chunks(terms):
+                handle.write("\n".join(map(str, chunk)) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,39 +85,64 @@ def write_cache_entry(cache_dir: str, kind: str, n: int, terms: tuple[int, ...])
 
 
 def read_cache_entry(cache_dir: str, kind: str, n: int) -> tuple[int, ...] | None:
-    """Return the cached terms, None when absent, CacheCorrupt when the
-    header disagrees with the body."""
+    """Return the cached terms, None when absent.  Raise CacheCorrupt
+    unless the entry holds exactly the terms of the level or core its
+    header names: the right count, strictly ascending, inside the
+    level interval (up to the core top for a core), and each a member."""
     path = _cache_path(cache_dir, kind, n)
     if not path.is_file():
         return None
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("# "):
+    # Bytes split and parse faster than text, and int() accepts them.
+    lines = path.read_bytes().splitlines()
+    header = lines[0].decode(errors="replace") if lines else ""
+    if not header.startswith("# "):
         raise CacheCorrupt(f"{path}: missing header")
-    fields = lines[0][2:].split()
+    fields = header[2:].split()
     if len(fields) != 3 or fields[0] != kind or fields[1] != str(n):
-        raise CacheCorrupt(f"{path}: header does not match ({lines[0]!r})")
-    terms = tuple(int(v) for v in lines[1:])
-    if len(terms) != int(fields[2]):
+        raise CacheCorrupt(f"{path}: header does not match ({header!r})")
+    try:
+        terms = tuple(map(int, lines[1:]))
+        arr = np.array(terms, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise CacheCorrupt(f"{path}: a line is not a 64-bit integer") from None
+    if fields[2] != str(len(terms)):
         raise CacheCorrupt(f"{path}: header count {fields[2]} != {len(terms)} lines")
+    if kind == "level":
+        size, top = level_size(n), mersenne(n)
+    else:
+        size, top = cores.core_size(n), cores.core_top(n)
+    if len(terms) != size:
+        raise CacheCorrupt(f"{path}: {len(terms)} terms, but {kind} {n} has {size}")
+    if not (
+        arr[0] > mersenne(n - 1)
+        and arr[-1] <= top
+        and bool(np.all(np.diff(arr) > 0))
+        and bool(_balance_ok(arr, n).all())
+    ):
+        raise CacheCorrupt(f"{path}: not the ascending terms of {kind} {n}")
     return terms
 
 
 # -- command implementations -------------------------------------------------
 
 
-def _emit_terms(kind: str, n: int, terms: tuple[int, ...], fmt: str) -> None:
+def _emit_terms(kind: str, n: int, terms, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "text":
-        print(" ".join(str(t) for t in terms))
+        for start, chunk in _chunks(terms):
+            out.write((" " if start else "") + " ".join(map(str, chunk)))
+        out.write("\n")
     else:
-        print("kind\tn\tindex\tterm")
-        for i, t in enumerate(terms, start=1):
-            print(f"{kind}\t{n}\t{i}\t{t}")
+        out.write("kind\tn\tindex\tterm\n")
+        prefix = f"{kind}\t{n}\t"
+        for start, chunk in _chunks(terms):
+            out.write("".join(f"{prefix}{i}\t{t}\n" for i, t in enumerate(chunk, start + 1)))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count is not None:
         kind, n = "stream", args.count
-        terms = stream_terms(args.count)
+        terms = _stream_array(args.count)
     else:
         kind, n = ("level", args.level) if args.level is not None else ("core", args.core)
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
@@ -108,9 +151,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         terms = read_cache_entry(cache_dir, kind, n) if cache_dir else None
         if terms is None:
             terms = (
-                level_structural(n, args.structural_bound).terms
+                level_structural(n, args.structural_bound).arr
                 if kind == "level"
-                else cores.core(n).terms
+                else cores.core(n).arr
             )
             if cache_dir:
                 write_cache_entry(cache_dir, kind, n, terms)
@@ -120,17 +163,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_gen_check(kind: str, n: int, terms: tuple[int, ...], scan_bound: int) -> int:
+def _run_gen_check(kind: str, n: int, terms, scan_bound: int) -> int:
     if kind == "stream":
         print("check: not applicable to --count output", file=sys.stderr)
         return 0
     if n > scan_bound:
         print(f"check: skipped, {n} exceeds scan bound {scan_bound}", file=sys.stderr)
         return 0
-    scanned = level_scan(n, scan_bound).terms
+    scanned = level_scan(n, scan_bound).arr
     if kind == "core":
-        scanned = tuple(t for t in scanned if t <= cores.core_top(n))
-    if terms != scanned:
+        scanned = scanned[: np.searchsorted(scanned, cores.core_top(n), side="right")]
+    if not np.array_equal(terms, scanned):
         print(f"check: {kind} {n} disagrees with the scan oracle", file=sys.stderr)
         return 1
     print(f"check: {kind} {n} matches the scan oracle", file=sys.stderr)
@@ -210,24 +253,36 @@ def _oeis_outcomes(args: argparse.Namespace, ids: tuple[str, ...]) -> list[Verif
     return outcomes
 
 
+def _planned_checks(selector: str, max_n: int) -> list[tuple[str, int]]:
+    """The level checks a selector runs, rejected up front when a single
+    check selects no level or when any would build a level above the
+    structural bound."""
+    names = conjectures.CHECKS if selector == "all" else (selector,)
+    plan = conjectures.planned_checks(names, max_n)
+    if not plan and selector != "all":
+        raise UsageError(f"verify {selector} --max-n {max_n} selects no level")
+    top = conjectures.highest_level(plan)
+    if top > DEFAULT_STRUCTURAL_BOUND:
+        raise UsageError(
+            f"verify {selector} --max-n {max_n} needs level {top}, above the "
+            f"structural bound {DEFAULT_STRUCTURAL_BOUND}"
+        )
+    return plan
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n
     selector = args.selector
     outcomes: list[VerificationOutcome] = []
     if selector == "all":
+        _planned_checks(selector, max_n)
         outcomes.extend(conjectures.run_all(max_n))
         outcomes.append(_appendix_outcome())
         outcomes.extend(_oeis_outcomes(args, STANDARD_SEQUENCES))
-    elif selector == "eq1":
-        outcomes.extend(verify_eq1(n) for n in range(5, max_n + 1, 2))
-    elif selector == "eq2":
-        outcomes.extend(verify_eq2(n) for n in range(6, max_n + 1, 2))
-    elif selector == "prop12":
-        outcomes.extend(conjectures.check_prop12(n) for n in range(6, max_n + 1, 2))
-    elif selector == "conj16":
-        outcomes.extend(conjectures.check_conj16(n) for n in range(8, max_n + 1, 2))
-    elif selector == "conj18":
-        outcomes.extend(conjectures.check_conj18(n) for n in range(12, max_n + 1, 2))
+    elif selector in conjectures.CHECKS:
+        outcomes.extend(
+            conjectures.CHECKS[name][0](n) for name, n in _planned_checks(selector, max_n)
+        )
     elif selector == "sizes":
         outcomes.extend(conjectures.size_identity_checks(30))
     elif selector == "appendix":
@@ -259,6 +314,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("value must be positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dycknums",
@@ -268,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="print terms of the sequence, a level, or a core")
     what = gen.add_mutually_exclusive_group(required=True)
-    what.add_argument("--count", type=_nonnegative_int, help="first N terms")
+    what.add_argument("--count", type=_positive_int, help="first N terms")
     what.add_argument("--level", type=_nonnegative_int, help="all terms of level N")
     what.add_argument("--core", type=_nonnegative_int, help="all terms of the N-core")
     gen.add_argument("--format", choices=("text", "records"), default="text")
@@ -315,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (DyckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

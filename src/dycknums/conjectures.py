@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .cores import core, core_size, rejected_terms, subsegments
+from .cores import core, core_size, rejected_terms
 from .errors import PatternError
 from .levels import (
     _balance_ok,
@@ -93,8 +93,8 @@ def check_conj16(n: int) -> VerificationOutcome:
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
     t0 = time.perf_counter()
-    base = core(n).terms
-    segs = subsegments(core(n + 2))
+    base = core(n).arr
+    segs = core(n + 2).segments
     for seg_index, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
         actual = segs[seg_index]
         if len(actual) != core_size(n):
@@ -107,17 +107,16 @@ def check_conj16(n: int) -> VerificationOutcome:
                 ),
                 time.perf_counter() - t0,
             )
-        expected = tuple(t + offset for t in base)
-        if expected != actual:
-            out = first_mismatch("conj16", n, expected, actual)
+        out = first_mismatch("conj16", n, base + offset, actual)
+        if not out.passed:
             return VerificationOutcome(
                 "conj16", n, False, out.detail, time.perf_counter() - t0
             )
     return VerificationOutcome("conj16", n, True, None, time.perf_counter() - t0)
 
 
-def _top_subsegment(n: int) -> tuple[int, ...]:
-    return subsegments(core(n))[3]
+def _top_subsegment(n: int) -> np.ndarray:
+    return core(n).segments[3]
 
 
 def check_conj18(n: int) -> VerificationOutcome:
@@ -130,9 +129,9 @@ def check_conj18(n: int) -> VerificationOutcome:
     top = mersenne(n - 1) + (1 << (n - 3))
     actual = _top_subsegment(n)
     try:
-        low = copy_at(Pattern(core(n - 4).terms), top - 3 * (1 << (n - 7)))
+        low = copy_at(Pattern(core(n - 4).arr), top - 3 * (1 << (n - 7)))
         high = power(copy_at(Pattern(_top_subsegment(n - 2)), top), 3)
-        built = join(low, high).terms
+        built = join(low, high).arr
     except PatternError as exc:
         return VerificationOutcome(
             "conj18", n, False,
@@ -239,24 +238,37 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
     return outcomes
 
 
+# Every level-parameterized check: name -> (checker, first n, offset
+# from n to the highest level the check at n builds).  Each runs at
+# every second n from its first.  The checkers look the check functions
+# up when called, so a wrapper rebound over a module function (as
+# perfbench/spans.py does) sees every call.
+CHECKS = {
+    "eq1": (lambda n: verify_eq1(n), 5, 0),
+    "eq2": (lambda n: verify_eq2(n), 6, 0),
+    "prop12": (lambda n: check_prop12(n), 6, 2),
+    "conj16": (lambda n: check_conj16(n), 8, 2),
+    "conj18": (lambda n: check_conj18(n), 12, 0),
+    "rejection": (lambda n: check_catalan_rejection(n), 6, -2),
+}
+
+
+def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
+    """The (check name, n) pairs the named checks run at up to max_n."""
+    return [(name, n) for name in names for n in range(CHECKS[name][1], max_n + 1, 2)]
+
+
+def highest_level(plan: list[tuple[str, int]]) -> int:
+    """The highest level a plan of checks builds (0 for an empty plan)."""
+    return max((n + CHECKS[name][2] for name, n in plan), default=0)
+
+
 def run_all(max_n: int) -> list[VerificationOutcome]:
     """Every level-parameterized check at every applicable n <= max_n,
     ordered by (check name, n).  Size identities run once."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    outcomes: list[VerificationOutcome] = []
-    for n in range(5, max_n + 1, 2):
-        outcomes.append(verify_eq1(n))
-    for n in range(6, max_n + 1, 2):
-        outcomes.append(verify_eq2(n))
-    for n in range(6, max_n + 1, 2):
-        outcomes.append(check_prop12(n))
-    for n in range(8, max_n + 1, 2):
-        outcomes.append(check_conj16(n))
-    for n in range(12, max_n + 1, 2):
-        outcomes.append(check_conj18(n))
-    for n in range(6, max_n + 1, 2):
-        outcomes.append(check_catalan_rejection(n))
+    outcomes = [CHECKS[name][0](n) for name, n in planned_checks(CHECKS, max_n)]
     if max_n >= 6:
         outcomes.extend(size_identity_checks(min(max_n, 30)))
     outcomes.sort(key=lambda o: (o.name, o.n))

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dyck_core import dyck_pred, dynamics, is_dyck_number
 from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
+    TermArray,
     _dynamics_array,
     _level_array,
     level_size,
@@ -72,24 +74,26 @@ def fragment_image(t: int, fragment: Fragment, n: int) -> int | None:
     return image
 
 
-@dataclass(frozen=True)
-class Core:
+@dataclass(frozen=True, eq=False)
+class Core(TermArray):
     """Initial segment of an even level up to M_{n-1} + 2**(n-3).
 
-    `subsegments` holds the 4-way split by value intervals of length
-    2**(n-5); it is None below n = 10 where the split is undefined.
+    `segments` holds the 4-way split by value intervals of length
+    2**(n-5) as views of `arr`; it is None below n = 10 where the split
+    is undefined.
     """
 
     n: int
-    terms: tuple[int, ...]
+    arr: np.ndarray
     top: int
-    subsegments: tuple[tuple[int, ...], ...] | None
+    segments: tuple[np.ndarray, ...] | None
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
+    @cached_property
+    def subsegments(self) -> tuple[tuple[int, ...], ...] | None:
+        """The segments as tuples of Python ints."""
+        if self.segments is None:
+            return None
+        return tuple(tuple(seg.tolist()) for seg in self.segments)
 
 
 def core_top(n: int) -> int:
@@ -99,25 +103,29 @@ def core_top(n: int) -> int:
     return mersenne(n - 1) + (1 << (n - 3))
 
 
+_core_cache: dict[int, Core] = {}
+
+
 def core(n: int) -> Core:
     """The n-core: the leading block of the even-level construction,
     equal to the surviving 00-fragment images of level n-2."""
+    cached = _core_cache.get(n)
+    if cached is not None:
+        return cached
     top = core_top(n)
-    arr = _level_array(n)
-    cut = int(np.searchsorted(arr, top, side="right"))
-    terms = tuple(int(v) for v in arr[:cut])
-    assert terms and terms[-1] == top, "core must end at its senior term"
-    subsegments = None
+    level = _level_array(n)
+    arr = level[: int(np.searchsorted(level, top, side="right"))]
+    assert arr.size and arr[-1] == top, "core must end at its senior term"
+    segments = None
     if n >= 10:
+        # Every core term lies above M_{n-1} = top - 4 * quarter, so
+        # the three inner bounds split the core into the four intervals.
         quarter = 1 << (n - 5)
-        bounds = [top - 3 * quarter, top - 2 * quarter, top - quarter, top]
-        groups: list[tuple[int, ...]] = []
-        lo = top - 4 * quarter
-        for hi in bounds:
-            groups.append(tuple(t for t in terms if lo < t <= hi))
-            lo = hi
-        subsegments = tuple(groups)
-    return Core(n=n, terms=terms, top=top, subsegments=subsegments)
+        inner = [top - 3 * quarter, top - 2 * quarter, top - quarter]
+        segments = tuple(np.split(arr, np.searchsorted(arr, inner, side="right")))
+    result = Core(n=n, arr=arr, top=top, segments=segments)
+    _core_cache[n] = result
+    return result
 
 
 def core_size(n: int) -> int:
@@ -138,7 +146,7 @@ def rejected_terms(n: int) -> tuple[int, ...]:
         raise DomainError("cores exist for even n >= 6")
     src = _source_level(n)
     mask = _dynamics_array(src, n - 2) < 4
-    return tuple(int(v) for v in src[mask])
+    return tuple(src[mask].tolist())
 
 
 def subsegments(c: Core) -> tuple[tuple[int, ...], ...]:
@@ -153,10 +161,7 @@ def core_subsequence(max_n: int) -> tuple[int, ...]:
     """Concatenation of the cores of levels 6, 8, ..., max_n."""
     if max_n < 6 or max_n % 2:
         raise DomainError("max_n must be an even integer >= 6")
-    out: list[int] = []
-    for n in range(6, max_n + 1, 2):
-        out.extend(core(n).terms)
-    return tuple(out)
+    return tuple(np.concatenate([core(n).arr for n in range(6, max_n + 1, 2)]).tolist())
 
 
 # -- decomposition ----------------------------------------------------------
@@ -195,7 +200,7 @@ class PatternLibrary:
         shape = NamedShape(
             name=name,
             source=pattern,
-            offsets=tuple(pattern.top - t for t in reversed(pattern.terms)),
+            offsets=pattern.shape[::-1],
             span=pattern_len(pattern),
         )
         self._shapes[name] = shape
@@ -226,20 +231,19 @@ def standard_library(max_core: int = 10) -> PatternLibrary:
     even k in [12, max_core] the k-core with its first and top
     subsegments."""
     lib = PatternLibrary()
-    lib.register("π4", make_pattern(level_structural(4).terms))
-    lib.register("π6", make_pattern(level_structural(6).terms))
+    lib.register("π4", make_pattern(level_structural(4).arr))
+    lib.register("π6", make_pattern(level_structural(6).arr))
     if max_core >= 6:
-        lib.register("μ6", make_pattern(core(6).terms))
+        lib.register("μ6", make_pattern(core(6).arr))
     if max_core >= 8:
-        lib.register("μ8", make_pattern(core(8).terms))
+        lib.register("μ8", make_pattern(core(8).arr))
     if max_core >= 10:
-        lib.register("μ10", make_pattern(core(10).terms))
+        lib.register("μ10", make_pattern(core(10).arr))
     for k in range(12, max_core + 1, 2):
         c = core(k)
-        segs = subsegments(c)
-        lib.register(f"μ{k}/1", make_pattern(segs[0]))
-        lib.register(f"μ{k}/4", make_pattern(segs[3]))
-        lib.register(f"μ{k}", make_pattern(c.terms))
+        lib.register(f"μ{k}/1", make_pattern(c.segments[0]))
+        lib.register(f"μ{k}/4", make_pattern(c.segments[3]))
+        lib.register(f"μ{k}", make_pattern(c.arr))
     return lib
 
 

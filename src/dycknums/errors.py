@@ -68,4 +68,8 @@ class NoOverlap(DyckError):
 
 
 class CacheCorrupt(DyckError):
-    """A local cache file does not match its own header."""
+    """A local cache file does not hold the terms its header names."""
+
+
+class UsageError(DyckError):
+    """Command-line arguments select no work or exceed a bound."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,18 +30,40 @@ _BASE_LEVELS = {1: (1,), 2: (3,), 3: (5, 7), 4: (11, 13, 15)}
 _array_cache: dict[int, np.ndarray] = {}
 
 
-@dataclass(frozen=True)
-class Level:
-    """One level: its index n and the ascending tuple of terms."""
+class TermArray:
+    """Base of the term containers: one read-only ascending ndarray
+    `arr` (int64, or exact Python ints above the int64 range), with
+    `terms` as a tuple view built on first use."""
 
-    n: int
-    terms: tuple[int, ...]
+    arr: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.arr.flags.writeable = False
+
+    @cached_property
+    def terms(self) -> tuple[int, ...]:
+        """The terms as a tuple of Python ints."""
+        return tuple(self.arr.tolist())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.arr)
 
     def __iter__(self):
         return iter(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and np.array_equal(self.arr, other.arr)
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+
+@dataclass(frozen=True, eq=False)
+class Level(TermArray):
+    """One level: its index n and the ascending array of terms."""
+
+    n: int
+    arr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,12 +101,15 @@ def level_size(n: int) -> int:
 
 def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     """Vectorized membership test: True where every suffix of the low
-    `nbits` bits keeps a nonnegative ones-minus-zeros balance."""
-    bal = np.zeros(values.shape, dtype=np.int64)
+    `nbits` bits keeps a nonnegative ones-minus-zeros balance.
+
+    A suffix of odd length k has odd balance, so it is nonnegative
+    exactly when at least (k + 1) / 2 of its bits are ones; a suffix of
+    even length adds one bit to an odd one whose balance is then at
+    least 1.  Checking the odd lengths therefore suffices."""
     ok = np.ones(values.shape, dtype=bool)
-    for k in range(nbits):
-        bal += ((values >> k) & 1) * 2 - 1
-        ok &= bal >= 0
+    for k in range(1, nbits + 1, 2):
+        ok &= np.bitwise_count(values & ((1 << k) - 1)) >= (k + 1) // 2
     return ok
 
 
@@ -106,7 +132,7 @@ def level_scan(n: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> Level:
         raise ValueError("n must be >= 1")
     if n > scan_bound:
         raise BoundError(f"level {n} exceeds the scan bound {scan_bound}")
-    return Level(n, tuple(int(v) for v in _scan_array(n)))
+    return Level(n, _scan_array(n))
 
 
 def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
@@ -140,6 +166,7 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
         ])
     if not bool(np.all(arr[1:] > arr[:-1])):
         raise AssertionError(f"level {n} construction is not strictly ascending")
+    arr.flags.writeable = False
     _array_cache[n] = arr
     return arr
 
@@ -147,7 +174,7 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
 def level_structural(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> Level:
     """Rebuild level n from the base levels 1..4 by the shifted-copy
     (odd n) and fragment-image (even n) recursions."""
-    return Level(n, tuple(int(v) for v in _level_array(n, structural_bound)))
+    return Level(n, _level_array(n, structural_bound))
 
 
 def central_terms(n: int) -> CentralTerms:
@@ -179,4 +206,4 @@ def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) 
 def stream_terms(count: int) -> tuple[int, ...]:
     """First `count` terms of the sequence, starting at 0, produced
     level by level from the structural generator."""
-    return tuple(int(v) for v in _stream_array(count))
+    return tuple(_stream_array(count).tolist())

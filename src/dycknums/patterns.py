@@ -1,6 +1,6 @@
 """Pattern algebra over contiguous runs of sequence terms.
 
-A pattern is an ascending tuple of adjacent terms sharing one binary
+A pattern is an ascending array of adjacent terms sharing one binary
 length.  Patterns are copied by a constant shift, joined end to end when
 sequence-adjacent, and raised to powers (a chain of copies each shifted
 down by the pattern length).  The two structural identities verified
@@ -27,7 +27,14 @@ from .errors import (
     NotMember,
     PatternError,
 )
-from .levels import _balance_ok, level_structural, mersenne
+from .levels import (
+    DEFAULT_STRUCTURAL_BOUND,
+    TermArray,
+    _balance_ok,
+    _level_array,
+    level_structural,
+    mersenne,
+)
 from .report import Counterexample, VerificationOutcome, first_mismatch
 
 # Above this value the int64 vector path could overflow; fall back to
@@ -35,37 +42,30 @@ from .report import Counterexample, VerificationOutcome, first_mismatch
 _VECTOR_LIMIT = 1 << 62
 
 
-@dataclass(frozen=True)
-class Pattern:
+@dataclass(frozen=True, eq=False)
+class Pattern(TermArray):
     """Ascending contiguous run of terms of one binary length.
 
     Build through `make_pattern`, which validates membership,
     contiguity and the single-level requirement; direct construction is
-    reserved for tuples already known to be valid runs.
+    reserved for arrays already known to be valid runs.
     """
 
-    terms: tuple[int, ...]
+    arr: np.ndarray
 
     @property
     def top(self) -> int:
         """The senior term."""
-        return self.terms[-1]
+        return int(self.arr[-1])
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Offsets of each term below the senior term."""
-        top = self.top
-        return tuple(top - t for t in self.terms)
+        return tuple((self.arr[-1] - self.arr).tolist())
 
     @property
     def level(self) -> int:
         return self.top.bit_length()
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _members_between(lo: int, hi: int) -> list[int]:
     members: list[int] = []
     if hi < _VECTOR_LIMIT:
         for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
-            start = max(lo, (1 << (nbits - 1)) + 1) | 1
+            start = max(lo, 1 << (nbits - 1)) | 1
             stop = min(hi, (1 << nbits) - 1)
             if start > stop:
                 continue
@@ -105,52 +105,93 @@ def _members_between(lo: int, hi: int) -> list[int]:
     return members
 
 
-def _validate_run(terms: tuple[int, ...]) -> None:
-    """Raise unless terms is an ascending contiguous run of members."""
-    if not terms:
-        raise ValueError("a pattern needs at least one term")
-    if any(b <= a for a, b in zip(terms, terms[1:])):
-        raise ValueError("terms must be strictly ascending")
-    if terms[0] < 0:
-        raise ValueError("terms must be nonnegative")
-    actual = _members_between(terms[0], terms[-1])
-    if list(terms) != actual:
-        missing = [t for t in terms if not is_dyck_number(t)]
+def _run_array(values) -> np.ndarray:
+    """A copy of the given terms: int64 when they fit, exact Python ints
+    (object dtype) otherwise."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values.copy()
+    exact = [int(v) for v in values]
+    try:
+        return np.array(exact, dtype=np.int64)
+    except OverflowError:
+        return np.array(exact, dtype=object)
+
+
+def _check_by_levels(arr: np.ndarray, lo: int, hi: int) -> None:
+    """Membership by the vector predicate on the run's own terms, one
+    binary length at a time; contiguity by comparing the run with the
+    slice of each structural level that lies in [lo, hi]."""
+    member = [np.ones(1, dtype=bool)] if lo == 0 else []
+    expected = [np.zeros(1, dtype=np.int64)] if lo == 0 else []
+    for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
+        i, j = np.searchsorted(arr, [1 << (nbits - 1), 1 << nbits])
+        member.append(_balance_ok(arr[i:j], nbits))
+        level = _level_array(nbits)
+        i, j = np.searchsorted(level, lo), np.searchsorted(level, hi, side="right")
+        expected.append(level[i:j])
+    member = np.concatenate(member)
+    if not bool(member.all()):
+        raise NotMember(f"{int(arr[np.argmin(member)])} is not a term of the sequence")
+    if not np.array_equal(arr, np.concatenate(expected)):
+        raise NotContiguous(f"run {lo}..{hi} skips intermediate terms")
+
+
+def _check_by_scan(run: list[int]) -> None:
+    """Exact check by rescanning every candidate between the run's
+    ends, for runs beyond the structural levels."""
+    if run != _members_between(run[0], run[-1]):
+        missing = [t for t in run if not is_dyck_number(t)]
         if missing:
             raise NotMember(f"{missing[0]} is not a term of the sequence")
-        raise NotContiguous(
-            f"run {terms[0]}..{terms[-1]} skips intermediate terms"
-        )
-    if terms[0].bit_length() != terms[-1].bit_length():
+        raise NotContiguous(f"run {run[0]}..{run[-1]} skips intermediate terms")
+
+
+def _validate_run(arr: np.ndarray) -> None:
+    """Raise unless arr is an ascending contiguous run of members."""
+    if arr.size == 0:
+        raise ValueError("a pattern needs at least one term")
+    if bool(np.any(np.diff(arr) <= 0)):
+        raise ValueError("terms must be strictly ascending")
+    lo, hi = int(arr[0]), int(arr[-1])
+    if lo < 0:
+        raise ValueError("terms must be nonnegative")
+    if hi.bit_length() <= DEFAULT_STRUCTURAL_BOUND:
+        _check_by_levels(arr, lo, hi)
+    else:
+        _check_by_scan(arr.tolist())
+    if lo.bit_length() != hi.bit_length():
         raise MixedLevels(
-            f"terms span binary lengths {terms[0].bit_length()}"
-            f"..{terms[-1].bit_length()}"
+            f"terms span binary lengths {lo.bit_length()}..{hi.bit_length()}"
         )
 
 
-def make_pattern(terms: tuple[int, ...] | list[int]) -> Pattern:
-    """Validate a tuple of terms as a pattern."""
-    run = tuple(int(t) for t in terms)
-    _validate_run(run)
-    return Pattern(run)
+def make_pattern(terms) -> Pattern:
+    """Validate a sequence or array of terms as a pattern."""
+    arr = _run_array(terms)
+    _validate_run(arr)
+    return Pattern(arr)
 
 
 def pattern_len(p: Pattern) -> int:
     """Numeric span of a pattern: top minus the predecessor of its
     first term.  For a whole level this is 2**(n-1)."""
-    if p.terms[0] == 0:
+    first = int(p.arr[0])
+    if first == 0:
         raise DomainError("length is undefined for a pattern starting at 0")
-    return p.top - dyck_pred(p.terms[0])
+    return p.top - dyck_pred(first)
 
 
 def _shifted(p: Pattern, new_top: int) -> Pattern:
-    """The tuple of p shifted so its senior term lands on new_top,
-    validated as a run.  Allows shifts in either direction; new_top ==
-    p.top returns p unchanged."""
+    """p shifted so its senior term lands on new_top, validated as a
+    run.  Allows shifts in either direction; new_top == p.top returns p
+    unchanged."""
     if new_top == p.top:
         return p
     delta = new_top - p.top
-    shifted = tuple(t + delta for t in p.terms)
+    if max(new_top, p.top) < _VECTOR_LIMIT:
+        shifted = p.arr + delta
+    else:
+        shifted = _run_array([t + delta for t in p.arr.tolist()])
     if shifted[0] < 0:
         raise InvalidCopy(f"no copy of the pattern exists at top {new_top}")
     try:
@@ -178,13 +219,14 @@ def offset_of(p: Pattern, q: Pattern) -> int:
     of the first terms shift by the same amount)."""
     if len(p) != len(q):
         raise NotACopy("patterns differ in cardinality")
-    if q.terms[0] <= p.top:
+    p_first, q_first = int(p.arr[0]), int(q.arr[0])
+    if q_first <= p.top:
         raise NotACopy("a copy must lie strictly above the source pattern")
     delta = q.top - p.top
-    if any(y - x != delta for x, y in zip(p.terms, q.terms)):
+    if not bool(np.all(q.arr - p.arr == delta)):
         raise NotACopy("term-wise offsets are not constant")
     try:
-        if dyck_pred(q.terms[0]) - dyck_pred(p.terms[0]) != delta:
+        if dyck_pred(q_first) - dyck_pred(p_first) != delta:
             raise NotACopy("the copy does not preserve the pattern span")
     except DomainError as exc:
         raise NotACopy("offset undefined for patterns starting at 0") from exc
@@ -193,11 +235,10 @@ def offset_of(p: Pattern, q: Pattern) -> int:
 
 def join(x: Pattern, y: Pattern) -> Pattern:
     """Concatenate two sequence-adjacent patterns into one."""
-    if dyck_pred(y.terms[0]) != x.top:
-        raise NotAdjacent(
-            f"{x.top} does not immediately precede {y.terms[0]}"
-        )
-    return make_pattern(x.terms + y.terms)
+    y_first = int(y.arr[0])
+    if dyck_pred(y_first) != x.top:
+        raise NotAdjacent(f"{x.top} does not immediately precede {y_first}")
+    return make_pattern(np.concatenate([x.arr, y.arr]))
 
 
 def power(p: Pattern, k: int) -> Pattern:
@@ -206,10 +247,7 @@ def power(p: Pattern, k: int) -> Pattern:
     if k < 2:
         raise ValueError("power requires k >= 2")
     span = pattern_len(p)
-    combined: list[int] = []
-    for j in range(k - 1, -1, -1):
-        delta = j * span
-        combined.extend(t - delta for t in p.terms)
+    combined = np.concatenate([p.arr - j * span for j in range(k - 1, -1, -1)])
     try:
         return make_pattern(combined)
     except (NotMember, PatternError) as exc:
@@ -226,7 +264,7 @@ def lift_copy(p: Pattern) -> Pattern:
 
 def level_pattern(n: int) -> Pattern:
     """Whole level n viewed as a pattern."""
-    return Pattern(level_structural(n).terms)
+    return Pattern(level_structural(n).arr)
 
 
 def verify_eq1(n: int) -> VerificationOutcome:
@@ -235,14 +273,14 @@ def verify_eq1(n: int) -> VerificationOutcome:
     if n < 5 or n % 2 == 0:
         raise ValueError("the doubling identity applies to odd n >= 5")
     t0 = time.perf_counter()
-    expected = level_structural(n).terms
+    expected = level_structural(n).arr
     try:
         built = power(copy_at(level_pattern(n - 1), mersenne(n)), 2)
     except PatternError as exc:
         return VerificationOutcome(
             "eq1", n, False, _construction_failure(exc), time.perf_counter() - t0
         )
-    return first_mismatch("eq1", n, expected, built.terms, time.perf_counter() - t0)
+    return first_mismatch("eq1", n, expected, built.arr, time.perf_counter() - t0)
 
 
 def verify_eq2(n: int) -> VerificationOutcome:
@@ -253,15 +291,15 @@ def verify_eq2(n: int) -> VerificationOutcome:
         raise ValueError("the tail identity applies to even n >= 6")
     t0 = time.perf_counter()
     core_top = mersenne(n - 1) + (1 << (n - 3))
-    terms = level_structural(n).terms
-    expected = tuple(t for t in terms if t > core_top)
+    terms = level_structural(n).arr
+    expected = terms[np.searchsorted(terms, core_top, side="right"):]
     try:
         built = power(copy_at(level_pattern(n - 2), mersenne(n)), 3)
     except PatternError as exc:
         return VerificationOutcome(
             "eq2", n, False, _construction_failure(exc), time.perf_counter() - t0
         )
-    return first_mismatch("eq2", n, expected, built.terms, time.perf_counter() - t0)
+    return first_mismatch("eq2", n, expected, built.arr, time.perf_counter() - t0)
 
 
 def _construction_failure(exc: Exception) -> Counterexample:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -59,17 +61,27 @@ class VerificationOutcome:
 RECORD_HEADER = "name\tn\tpassed\tterm\texpected\tactual\telapsed_s"
 
 
+def _as_list(terms) -> list[int]:
+    return terms.tolist() if isinstance(terms, np.ndarray) else list(terms)
+
+
 def first_mismatch(
     name: str,
     n: int,
-    expected: tuple[int, ...],
-    actual: tuple[int, ...],
+    expected,
+    actual,
     elapsed: float = 0.0,
 ) -> VerificationOutcome:
-    """Compare two term tuples and package the result, reporting the
-    first position where they disagree (including a length mismatch)."""
-    if expected == actual:
+    """Compare two runs of terms (arrays or tuples) and package the
+    result, reporting the first position where they disagree (including
+    a length mismatch)."""
+    if isinstance(expected, np.ndarray) and isinstance(actual, np.ndarray):
+        same = np.array_equal(expected, actual)
+    else:
+        same = tuple(expected) == tuple(actual)
+    if same:
         return VerificationOutcome(name, n, True, None, elapsed)
+    expected, actual = _as_list(expected), _as_list(actual)
     for i, (e, a) in enumerate(zip(expected, actual)):
         if e != a:
             return VerificationOutcome(

@@ -206,3 +206,69 @@ def test_cache_dir_env_variable(tmp_path, monkeypatch, capsys):
     code, out2, _ = run(capsys, "gen", "--level", "5", "--no-cache")
     assert code == 0 and out2 == out
     assert not (tmp_path / "nowhere").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "eq1", "--max-n", "3"),
+        ("verify", "conj18", "--max-n", "10", "--format", "records"),
+    ],
+)
+def test_verify_empty_selection_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "selects no level" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,level",
+    [
+        (("verify", "all", "--max-n", "40", "--offline"), 42),
+        (("verify", "all", "--max-n", "30", "--offline"), 32),
+        (("verify", "eq1", "--max-n", "31"), 31),
+    ],
+)
+def test_verify_max_n_beyond_structural_bound_is_usage_error(capsys, argv, level):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs level {level}" in captured.err
+
+
+def test_gen_count_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--count", "0"])
+    assert exc.value.code == 2
+
+
+def test_forged_cache_entry_exits_nonzero(tmp_path, capsys):
+    # self-consistent header and body, but 2 is not a term and level 6
+    # has ten terms
+    (tmp_path / "level_6.txt").write_text("# level 6 2\n1\n2\n")
+    code, out, err = run(capsys, "gen", "--level", "6", "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "# core 8 5\n143\n151\nx\n157\n159\n",       # not an integer
+        "# core 8 5\n143\n151\n155\n157\n99999999999999999999\n",  # beyond int64
+        "# core 8 4\n143\n151\n155\n157\n",          # count is not core_size(8)
+        "# core 8 5\n143\n155\n151\n157\n159\n",     # not ascending
+        "# core 8 5\n143\n151\n153\n157\n159\n",     # 153 is not a term
+        "# core 8 5\n151\n155\n157\n159\n175\n",     # 175 lies above the core top
+        "# core 8 5\n127\n151\n155\n157\n159\n",     # 127 belongs to level 7
+    ],
+)
+def test_cache_entry_validated_on_read(tmp_path, body):
+    (tmp_path / "core_8.txt").write_text(body)
+    with pytest.raises(CacheCorrupt):
+        read_cache_entry(str(tmp_path), "core", 8)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dycknums.dyck_core import is_dyck_number
 from dycknums.errors import BoundError, DomainError, NotMember
@@ -162,3 +164,28 @@ def test_memory_guard_refuses_huge_levels():
     # level 32 would hold more than 2**28 terms
     with pytest.raises(BoundError):
         level_structural(32, structural_bound=40)
+
+
+@st.composite
+def codes_near_members(draw):
+    """(value, nbits): a member of level nbits built bit by bit from the
+    low end (a forced 1 whenever the balance below is 0), with one bit
+    then possibly flipped."""
+    nbits = draw(st.integers(min_value=1, max_value=62))
+    value, balance = 0, 0
+    for i in range(nbits - 1):
+        bit = 1 if balance == 0 else draw(st.integers(min_value=0, max_value=1))
+        value |= bit << i
+        balance += 1 if bit else -1
+    value |= 1 << (nbits - 1)
+    if nbits > 1 and draw(st.booleans()):
+        value ^= 1 << draw(st.integers(min_value=0, max_value=nbits - 2))
+    return value, nbits
+
+
+@given(st.lists(codes_near_members(), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_vector_predicate_agrees_with_scalar(cases):
+    for value, nbits in cases:
+        vector = _balance_ok(np.array([value], dtype=np.int64), nbits)[0]
+        assert bool(vector) == is_dyck_number(value), (value, nbits)

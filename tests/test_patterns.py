@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dycknums import patterns
+from dycknums.dyck_core import is_dyck_number
 from dycknums.errors import (
     DomainError,
     InvalidCopy,
@@ -10,9 +12,11 @@ from dycknums.errors import (
     NotAdjacent,
     NotContiguous,
     NotMember,
+    PatternError,
 )
 from dycknums.levels import level_structural, mersenne
 from dycknums.patterns import (
+    _members_between,
     copy_at,
     join,
     level_pattern,
@@ -191,3 +195,76 @@ def test_copy_relation_packaging():
     assert rel.source is p4 and rel.target.top == 63
     with pytest.raises(NotACopy):
         copy_relation(p4, make_pattern((19, 21, 23, 27, 29, 31)))
+
+
+def scan_verdict(terms):
+    """The error class a run earns by rescanning every candidate
+    between its ends with the scan oracle; None for a valid run."""
+    if any(b <= a for a, b in zip(terms, terms[1:])) or terms[0] < 0:
+        return ValueError
+    if list(terms) != _members_between(terms[0], terms[-1]):
+        if all(is_dyck_number(t) for t in terms):
+            return NotContiguous
+        return NotMember
+    if terms[0].bit_length() != terms[-1].bit_length():
+        return MixedLevels
+    return None
+
+
+@st.composite
+def perturbed_level_slices(draw):
+    """A slice of a level n <= 14, then possibly one perturbation: drop
+    an interior term, shift one term by 2 either way, or extend the run
+    across the boundary with the level above or below."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    level = level_structural(n).terms
+    i = draw(st.integers(min_value=0, max_value=len(level) - 1))
+    j = draw(st.integers(min_value=i + 1, max_value=len(level)))
+    run = list(level[i:j])
+    kind = draw(st.sampled_from(("slice", "drop", "shift", "extend_up", "extend_down")))
+    if kind == "drop" and len(run) >= 3:
+        del run[draw(st.integers(min_value=1, max_value=len(run) - 2))]
+    elif kind == "shift":
+        k = draw(st.integers(min_value=0, max_value=len(run) - 1))
+        run[k] += draw(st.sampled_from((-2, 2)))
+    elif kind == "extend_up":
+        above = level_structural(n + 1).terms
+        run += above[: draw(st.integers(min_value=1, max_value=3))]
+    elif kind == "extend_down":
+        below = level_structural(n - 1).terms if n > 1 else (0,)
+        run = list(below[-draw(st.integers(min_value=1, max_value=len(below))):]) + run
+    return tuple(run)
+
+
+@given(perturbed_level_slices())
+@example((1,))  # level 1 starts at 1 itself, not at 2**0 + 1
+@example((0, 1))
+@settings(max_examples=300, deadline=None)
+def test_structural_validation_agrees_with_scan_oracle(terms):
+    expected = scan_verdict(terms)
+    try:
+        p = make_pattern(terms)
+    except (ValueError, PatternError, NotMember) as exc:
+        assert type(exc) is expected, (terms, exc)
+    else:
+        assert expected is None, terms
+        assert p.terms == terms
+
+
+def test_runs_beyond_the_vector_limit_validate_by_exact_scan(monkeypatch):
+    def no_levels(*args, **kwargs):
+        raise AssertionError("no level array exists this high")
+
+    monkeypatch.setattr(patterns, "_level_array", no_levels)
+    for n in (63, 64, 80):
+        top = mersenne(n)
+        assert top >= 1 << 62
+        assert make_pattern((top,)).terms == (top,)
+        triplet = make_pattern((top - 4, top - 2, top))
+        assert triplet.terms == (top - 4, top - 2, top)
+        assert lift_copy(triplet).terms == tuple(t + (1 << n) for t in triplet.terms)
+        with pytest.raises(NotContiguous):
+            make_pattern((top - 4, top))
+        with pytest.raises(NotMember):
+            make_pattern((top - 6, top - 4))  # ...11001 dips below zero
+    assert make_pattern((mersenne(64),)).arr.dtype == object
