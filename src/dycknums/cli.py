@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 domain or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
-import tempfile
 import time
 from importlib import resources
 from pathlib import Path
@@ -20,6 +20,7 @@ import numpy as np
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
 from .errors import CacheCorrupt, DyckError, UsageError
+from .files import write_atomic
 from .levels import (
     DEFAULT_SCAN_BOUND,
     DEFAULT_STRUCTURAL_BOUND,
@@ -66,21 +67,11 @@ def _cache_path(cache_dir: str, kind: str, n: int) -> Path:
 
 
 def write_cache_entry(cache_dir: str, kind: str, n: int, terms) -> Path:
-    """Write one '# kind n count' header plus one term per line, via a
-    temp file so a crash never leaves a partial entry."""
+    """Write one '# kind n count' header plus one term per line,
+    atomically."""
     path = _cache_path(cache_dir, kind, n)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(f"# {kind} {n} {len(terms)}\n")
-            for _, chunk in _chunks(terms):
-                handle.write("\n".join(map(str, chunk)) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    body = ("\n".join(map(str, chunk)) + "\n" for _, chunk in _chunks(terms))
+    write_atomic(path, itertools.chain([f"# {kind} {n} {len(terms)}\n"], body))
     return path
 
 

@@ -45,28 +45,73 @@ def dynamics(v: int) -> int:
     return 2 * v.bit_count() - v.bit_length()
 
 
+def _lowest_flip(t: int, bit: str, slack: int) -> tuple[int, int]:
+    """The one pass over the bits of t > 0, top bit first, behind
+    `dyck_succ` (bit "0", slack -2) and `dyck_pred` (bit "1", slack 2).
+
+    With L = t.bit_length() and R(k) the balance (ones minus zeros) of
+    bits k..L-1, the suffix of bits 0..k-1 has balance R(0) - R(k): t is
+    a term iff no R(k) exceeds R(0), else NotMember is raised.  Flipping
+    bit p of t moves the balance of bits p..k-1 by -slack, so with a
+    fill F in bits 0..p-1 the result is a term iff F has no negative
+    suffix and bal(F) >= max_{k>p} R(k) - R(p) + slack, the bound.  A
+    p-bit fill has balance at most p: p is feasible iff bound <= p.
+
+    Returns (p, bound) for the lowest feasible p holding `bit`, or
+    (L, 0) when there is none.
+    """
+    code = bin(t)[2:]
+    k = len(code)
+    p, bound = k, 0
+    r = hi = 0  # R(k) and the max of R above k (R(L) = 0)
+    for c in code:
+        k -= 1
+        r += 1 if c == "1" else -1
+        if c == bit and hi - r + slack <= k:
+            p, bound = k, hi - r + slack
+        if r > hi:
+            hi = r
+    if hi > r:  # r is now R(0)
+        raise NotMember(f"{t} is not a term of the sequence")
+    return p, bound
+
+
 def dyck_succ(t: int) -> int:
-    """Smallest sequence term strictly greater than the term t."""
-    _require_member(t)
-    if t == 0:
+    """Smallest sequence term strictly greater than the term t, in one
+    pass over its bits.
+
+    A larger L-bit number keeps t above a 0 bit p that it sets, so a
+    lower p gives a smaller number: the lowest feasible p wins.  Its
+    least fill of balance >= d = max(bound, 0) is 2**m - 1 with
+    m = ceil((p + d) / 2): fewer ones give too little balance, any other
+    placement of m ones is larger, and ones packed at the bottom leave no
+    suffix negative.  With no feasible p (t = M_L) the same formula at
+    p = L, d = 0 gives the least longer term, 2**L + 2**ceil(L/2) - 1.
+    """
+    if t <= 0:
+        _require_member(t)
         return 1
-    v = t + 2  # terms above 0 are odd, so stride 2 suffices
-    while not is_dyck_number(v):
-        v += 2
-    return v
+    p, d = _lowest_flip(t, "0", -2)
+    return (t >> p | 1) << p | (1 << (p + max(d, 0) + 1) // 2) - 1
 
 
 def dyck_pred(t: int) -> int:
-    """Largest sequence term strictly less than the term t."""
-    _require_member(t)
-    if t == 0:
-        raise DomainError("the predecessor of the initial term 0 is undefined")
-    if t == 1:
+    """Largest sequence term strictly less than the term t, in one pass
+    over its bits.
+
+    A smaller number keeps t above a 1 bit p that it clears, so a lower
+    p gives a larger number: the lowest feasible p wins.  Its fill is
+    2**p - 1, the largest p-bit number and the one of largest balance,
+    so it is valid whenever any fill is.  Clearing the top bit gives
+    M_{L-1}, the largest shorter term, feasible for every L >= 2.
+    """
+    if t <= 1:
+        _require_member(t)
+        if t == 0:
+            raise DomainError("the predecessor of the initial term 0 is undefined")
         return 0
-    v = t - 2
-    while not is_dyck_number(v):
-        v -= 2
-    return v
+    p, _ = _lowest_flip(t, "1", 2)
+    return t >> p + 1 << p + 1 | (1 << p) - 1
 
 
 def succ_of_mersenne(n: int) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -28,6 +27,7 @@ from .errors import (
     NoOverlap,
     ParseError,
 )
+from .files import write_atomic
 from .levels import mersenne, stream_terms
 from .report import Counterexample, VerificationOutcome
 
@@ -178,16 +178,7 @@ def fetch_bfile(
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise NetworkError(f"fetching {url} failed: {exc}") from exc
     bfile = parse_bfile(text, sequence_id)  # reject garbage before caching
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, cache_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(cache_path, [text])
     return bfile
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck_core import dyck_pred, is_dyck_number
+from .dyck_core import dyck_pred, dyck_succ, is_dyck_number
 from .errors import (
     DomainError,
     InvalidCopy,
@@ -84,7 +84,8 @@ def copy_relation(source: Pattern, target: Pattern) -> CopyRelation:
 
 
 def _members_between(lo: int, hi: int) -> list[int]:
-    """All sequence terms in [lo, hi], lo >= 0.
+    """All sequence terms in [lo, hi], lo >= 0, by scanning every odd
+    candidate: the oracle that run validation is tested against.
 
     The vector scan must run one bit-length block at a time: padding a
     shorter code with leading zeros would push its balance negative.
@@ -136,13 +137,13 @@ def _check_by_levels(arr: np.ndarray, lo: int, hi: int) -> None:
         raise NotContiguous(f"run {lo}..{hi} skips intermediate terms")
 
 
-def _check_by_scan(run: list[int]) -> None:
-    """Exact check by rescanning every candidate between the run's
-    ends, for runs beyond the structural levels."""
-    if run != _members_between(run[0], run[-1]):
-        missing = [t for t in run if not is_dyck_number(t)]
-        if missing:
-            raise NotMember(f"{missing[0]} is not a term of the sequence")
+def _check_by_succ(run: list[int]) -> None:
+    """Exact check for runs beyond the structural levels: every term a
+    member, and each term the successor of the one before it."""
+    for t in run:
+        if not is_dyck_number(t):
+            raise NotMember(f"{t} is not a term of the sequence")
+    if any(dyck_succ(a) != b for a, b in zip(run, run[1:])):
         raise NotContiguous(f"run {run[0]}..{run[-1]} skips intermediate terms")
 
 
@@ -158,7 +159,7 @@ def _validate_run(arr: np.ndarray) -> None:
     if hi.bit_length() <= DEFAULT_STRUCTURAL_BOUND:
         _check_by_levels(arr, lo, hi)
     else:
-        _check_by_scan(arr.tolist())
+        _check_by_succ(arr.tolist())
     if lo.bit_length() != hi.bit_length():
         raise MixedLevels(
             f"terms span binary lengths {lo.bit_length()}..{hi.bit_length()}"

@@ -100,6 +100,28 @@ def test_query_domain_errors(capsys):
     assert code == 1 and "not a term" in err
 
 
+@pytest.mark.parametrize(
+    "op,term,expected",
+    [
+        ("succ", 2305843009213693951, 2305843011361177599),  # M_61 + 2**31
+        ("pred", 2305843011361177599, 2305843009213693951),
+        ("succ", (1 << 1000) - 1, (1 << 1000) + (1 << 500) - 1),
+    ],
+)
+def test_query_succ_pred_beyond_64_bits(capsys, op, term, expected):
+    code, out, _ = run(capsys, "query", op, str(term))
+    assert code == 0
+    assert out.strip() == str(expected)
+
+
+@pytest.mark.parametrize("op", ["succ", "pred"])
+@pytest.mark.parametrize("term", [1 << 70, (1 << 70) + 1])  # even; odd non-member
+def test_query_succ_pred_reject_non_members(capsys, op, term):
+    code, out, err = run(capsys, "query", op, str(term))
+    assert code == 1 and out == ""
+    assert "not a term" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen"])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycknums.dyck_core import (
@@ -12,6 +12,7 @@ from dycknums.dyck_core import (
     succ_of_mersenne,
 )
 from dycknums.errors import DomainError, NotMember
+from dycknums.levels import level_scan
 
 from conftest import FIRST_48
 
@@ -146,3 +147,69 @@ def test_classify_consistency_over_prefix():
         else:
             pytest.fail(f"origin class for {t}")
         t = dyck_succ(t)
+
+
+def assert_succ_pred_walk_levels(max_n):
+    """succ and pred map each pair of consecutive scanned terms onto each
+    other, over levels 1..max_n and across their boundaries."""
+    terms = [0]
+    for n in range(1, max_n + 1):
+        terms += level_scan(n).arr.tolist()
+    assert [dyck_succ(t) for t in terms[:-1]] == terms[1:]
+    assert [dyck_pred(t) for t in terms[1:]] == terms[:-1]
+
+
+def test_succ_pred_walk_scanned_levels():
+    assert_succ_pred_walk_levels(18)
+
+
+@pytest.mark.slow
+def test_succ_pred_walk_scanned_levels_to_22():
+    assert_succ_pred_walk_levels(22)
+
+
+@st.composite
+def terms_up_to_300_bits(draw):
+    """A term of 1 to 300 bits, built from the low bit up: a bit is taken
+    from a drawn integer while the balance of the bits below it is
+    positive and is 1 otherwise, and the leading bit is 1."""
+    nbits = draw(st.integers(min_value=1, max_value=300))
+    raw = draw(st.integers(min_value=0, max_value=(1 << (nbits - 1)) - 1))
+    value, balance = 0, 0
+    for i in range(nbits - 1):
+        bit = raw >> i & 1 or balance == 0
+        value |= bit << i
+        balance += 1 if bit else -1
+    return value | 1 << (nbits - 1)
+
+
+def assert_no_member_strictly_between(lo, hi):
+    if hi - lo <= 1 << 16:
+        assert not any(is_dyck_number(v) for v in range(lo + 1, hi))
+
+
+@given(terms_up_to_300_bits())
+@example(1)
+@example((1 << 299) - 1)
+@example(succ_of_mersenne(299))
+@example((1 << 31) - 1)  # gap 2**16 after M_31
+@settings(max_examples=300, deadline=None)
+def test_succ_pred_inverse_with_power_of_two_gaps(t):
+    s, p = dyck_succ(t), dyck_pred(t)
+    assert is_dyck_number(s) and is_dyck_number(p)
+    assert dyck_pred(s) == t and dyck_succ(p) == t
+    for lo, hi in ((p, t), (t, s)):
+        gap = hi - lo
+        assert gap > 0 and gap & (gap - 1) == 0
+        assert_no_member_strictly_between(lo, hi)
+
+
+@given(st.integers(min_value=1, max_value=1 << 300).filter(lambda v: not is_dyck_number(v)))
+@example(1 << 300)
+@example((1 << 70) + 1)
+@settings(max_examples=300)
+def test_succ_pred_reject_non_members_to_300_bits(v):
+    with pytest.raises(NotMember):
+        dyck_succ(v)
+    with pytest.raises(NotMember):
+        dyck_pred(v)

@@ -268,3 +268,18 @@ def test_runs_beyond_the_vector_limit_validate_by_exact_scan(monkeypatch):
         with pytest.raises(NotMember):
             make_pattern((top - 6, top - 4))  # ...11001 dips below zero
     assert make_pattern((mersenne(64),)).arr.dtype == object
+
+
+def test_level_80_runs_validate_by_succ_walk():
+    # the three lowest terms of level 80; the gap below each spans 2**38
+    # or more odd candidates, so no scan between them could finish
+    low = mersenne(79) + (1 << 40)
+    second = low + (1 << 39)
+    third = second + (1 << 38)
+    assert make_pattern((low, second)).terms == (low, second)
+    assert make_pattern((low, second, third)).terms == (low, second, third)
+    assert pattern_len(make_pattern((low, second))) == (1 << 40) + (1 << 39)
+    with pytest.raises(NotContiguous):
+        make_pattern((low, third))
+    with pytest.raises(NotMember):
+        make_pattern((low, second + 2))  # also skips `second`
