@@ -11,7 +11,6 @@ import itertools
 import os
 import re
 import sys
-import time
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .levels import (
     level_structural,
     mersenne,
 )
-from .report import RECORD_HEADER, Counterexample, VerificationOutcome
+from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
 
 CACHE_ENV_VAR = "DYCKNUMS_CACHE_DIR"
 DEFAULT_MAX_N = 22
@@ -142,7 +141,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         terms = read_cache_entry(cache_dir, kind, n) if cache_dir else None
         if terms is None:
             terms = (
-                level_structural(n, args.structural_bound).arr
+                level_structural(n).arr
                 if kind == "level"
                 else cores.core(n).arr
             )
@@ -150,18 +149,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 write_cache_entry(cache_dir, kind, n, terms)
     _emit_terms(kind, n, terms, args.format)
     if args.check:
-        return _run_gen_check(kind, n, terms, args.scan_bound)
+        return _run_gen_check(kind, n, terms)
     return 0
 
 
-def _run_gen_check(kind: str, n: int, terms, scan_bound: int) -> int:
+def _run_gen_check(kind: str, n: int, terms) -> int:
     if kind == "stream":
         print("check: not applicable to --count output", file=sys.stderr)
         return 0
-    if n > scan_bound:
-        print(f"check: skipped, {n} exceeds scan bound {scan_bound}", file=sys.stderr)
+    if n > DEFAULT_SCAN_BOUND:
+        print(f"check: skipped, {n} exceeds scan bound {DEFAULT_SCAN_BOUND}", file=sys.stderr)
         return 0
-    scanned = level_scan(n, scan_bound).arr
+    scanned = level_scan(n).arr
     if kind == "core":
         scanned = scanned[: np.searchsorted(scanned, cores.core_top(n), side="right")]
     if not np.array_equal(terms, scanned):
@@ -196,41 +195,24 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     else:
         n = args.level
         library = cores.standard_library(n if n % 2 == 0 else n - 1)
-        terms = level_structural(n, args.structural_bound).terms
+        terms = level_structural(n).terms
         print(cores.format_expr(cores.decompose(terms, library)))
     return 0
 
 
-def _appendix_fixture() -> tuple[int, ...]:
-    text = (
-        resources.files("dycknums")
-        .joinpath("data/appendix_core_subsequence.txt")
-        .read_text()
-    )
-    return tuple(int(v) for v in re.findall(r"\d+", text))
-
-
 def _appendix_outcome() -> VerificationOutcome:
-    t0 = time.perf_counter()
-    fixture = _appendix_fixture()
-    max_n, total = 6, 0
-    while True:
-        total += cores.core_size(max_n)
-        if total >= len(fixture):
-            break
-        max_n += 2
-    computed = cores.core_subsequence(max_n)[: len(fixture)]
-    detail = None
-    if computed != fixture:
-        for i, (e, a) in enumerate(zip(fixture, computed)):
-            if e != a:
-                detail = Counterexample(f"position {i}", e, a)
-                break
-        else:
-            detail = Counterexample("cardinality", len(fixture), len(computed))
-    return VerificationOutcome(
-        "appendix", len(fixture), detail is None, detail, time.perf_counter() - t0
-    )
+    fixture_file = resources.files("dycknums") / "data/appendix_core_subsequence.txt"
+    fixture = tuple(int(v) for v in re.findall(r"\d+", fixture_file.read_text()))
+
+    @check("appendix")
+    def core_subsequence_prefix(count: int) -> Counterexample | None:
+        max_n, total = 6, cores.core_size(6)
+        while total < count:
+            max_n += 2
+            total += cores.core_size(max_n)
+        return first_mismatch(fixture, cores.core_subsequence(max_n)[:count])
+
+    return core_subsequence_prefix(len(fixture))
 
 
 def _oeis_outcomes(args: argparse.Namespace, ids: tuple[str, ...]) -> list[VerificationOutcome]:
@@ -330,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cache-dir", help="directory for level/core term caches")
     gen.add_argument("--no-cache", action="store_true",
                      help="ignore caches and recompute")
-    gen.add_argument("--scan-bound", type=int, default=DEFAULT_SCAN_BOUND)
-    gen.add_argument("--structural-bound", type=int, default=DEFAULT_STRUCTURAL_BOUND)
     gen.set_defaults(func=cmd_gen)
 
     query = sub.add_parser("query", help="point queries on single terms")
@@ -343,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     what = dec.add_mutually_exclusive_group(required=True)
     what.add_argument("--core", type=_nonnegative_int)
     what.add_argument("--level", type=_nonnegative_int)
-    dec.add_argument("--structural-bound", type=int, default=DEFAULT_STRUCTURAL_BOUND)
     dec.set_defaults(func=cmd_decompose)
 
     verify = sub.add_parser("verify", help="run the verification harness")

@@ -13,8 +13,6 @@ binomial coefficients and Catalan numbers.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .cores import core, core_size, rejected_terms
@@ -28,13 +26,14 @@ from .levels import (
 from .oeis_ref import a001405, a002054, catalan
 from .patterns import (
     Pattern,
+    _construction_failure,
     copy_at,
     join,
     power,
     verify_eq1,
     verify_eq2,
 )
-from .report import Counterexample, VerificationOutcome, first_mismatch
+from .report import Counterexample, VerificationOutcome, check, first_mismatch
 
 __all__ = [
     "VerificationOutcome",
@@ -54,13 +53,13 @@ CORE_SIZES = (1, 5, 21, 84, 330, 1287, 5005, 19448, 75582, 293930, 1144066, 4457
 LEVEL_SIZES = (1, 1, 2, 3, 6, 10, 20, 35, 70, 126, 252, 462)
 
 
-def check_prop12(n: int) -> VerificationOutcome:
+@check("prop12")
+def check_prop12(n: int) -> Counterexample | None:
     """Every term t of even level n generates the triplet
     (4t-1, 4t+1, 4t+3) in level n+2, landing in the same quarter
     segment of its level interval."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    t0 = time.perf_counter()
     src = _level_array(n)
     dst = _level_array(n + 2)
     for delta in (-1, 1, 3):
@@ -69,173 +68,132 @@ def check_prop12(n: int) -> VerificationOutcome:
         found = (pos < len(dst)) & (dst[np.minimum(pos, len(dst) - 1)] == candidates)
         if not bool(np.all(found)):
             bad = int(src[~found][0])
-            return VerificationOutcome(
-                "prop12", n, False,
-                Counterexample(bad, f"{4 * bad + delta} in level {n + 2}", "absent"),
-                time.perf_counter() - t0,
-            )
+            return Counterexample(bad, f"{4 * bad + delta} in level {n + 2}", "absent")
     quarter_src = (src - (1 << (n - 1))) >> (n - 3)
     quarter_dst = (4 * src + 3 - (1 << (n + 1))) >> (n - 1)
     if not bool(np.all(quarter_src == quarter_dst)):
         mism = np.nonzero(quarter_src != quarter_dst)[0][0]
-        bad = int(src[mism])
-        return VerificationOutcome(
-            "prop12", n, False,
-            Counterexample(bad, int(quarter_src[mism]), int(quarter_dst[mism])),
-            time.perf_counter() - t0,
-        )
-    return VerificationOutcome("prop12", n, True, None, time.perf_counter() - t0)
+        return Counterexample(int(src[mism]), int(quarter_src[mism]), int(quarter_dst[mism]))
+    return None
 
 
-def check_conj16(n: int) -> VerificationOutcome:
+@check("conj16")
+def check_conj16(n: int) -> Counterexample | None:
     """Subsegments 2 and 3 of the (n+2)-core are copies of the n-core
     at offsets 13*2**(n-3) and 7*2**(n-2)."""
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
-    t0 = time.perf_counter()
     base = core(n).arr
     segs = core(n + 2).segments
     for seg_index, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
         actual = segs[seg_index]
         if len(actual) != core_size(n):
-            return VerificationOutcome(
-                "conj16", n, False,
-                Counterexample(
-                    f"subsegment {seg_index + 1} cardinality",
-                    core_size(n),
-                    len(actual),
-                ),
-                time.perf_counter() - t0,
+            return Counterexample(
+                f"subsegment {seg_index + 1} cardinality", core_size(n), len(actual)
             )
-        out = first_mismatch("conj16", n, base + offset, actual)
-        if not out.passed:
-            return VerificationOutcome(
-                "conj16", n, False, out.detail, time.perf_counter() - t0
-            )
-    return VerificationOutcome("conj16", n, True, None, time.perf_counter() - t0)
+        mismatch = first_mismatch(base + offset, actual)
+        if mismatch is not None:
+            return mismatch
+    return None
 
 
-def _top_subsegment(n: int) -> np.ndarray:
-    return core(n).segments[3]
-
-
-def check_conj18(n: int) -> VerificationOutcome:
+@check("conj18")
+def check_conj18(n: int) -> Counterexample | None:
     """The top subsegment of the n-core is the (n-4)-core placed three
     subsegment lengths below the core top, joined with the cube of the
     previous core's top subsegment ending at the core top."""
     if n < 12 or n % 2:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
-    t0 = time.perf_counter()
     top = mersenne(n - 1) + (1 << (n - 3))
-    actual = _top_subsegment(n)
+    actual = core(n).segments[3]
     try:
         low = copy_at(Pattern(core(n - 4).arr), top - 3 * (1 << (n - 7)))
-        high = power(copy_at(Pattern(_top_subsegment(n - 2)), top), 3)
+        high = power(copy_at(Pattern(core(n - 2).segments[3]), top), 3)
         built = join(low, high).arr
     except PatternError as exc:
-        return VerificationOutcome(
-            "conj18", n, False,
-            Counterexample("construction", "a valid pattern", str(exc)),
-            time.perf_counter() - t0,
-        )
+        return _construction_failure(exc)
     if len(actual) != a001405(n - 5):
-        return VerificationOutcome(
-            "conj18", n, False,
-            Counterexample("cardinality", a001405(n - 5), len(actual)),
-            time.perf_counter() - t0,
-        )
-    out = first_mismatch("conj18", n, actual, built)
-    return VerificationOutcome("conj18", n, out.passed, out.detail, time.perf_counter() - t0)
+        return Counterexample("cardinality", a001405(n - 5), len(actual))
+    return first_mismatch(actual, built)
 
 
-def check_catalan_rejection(n: int) -> VerificationOutcome:
+@check("rejection")
+def check_catalan_rejection(n: int) -> Counterexample | None:
     """The 00 fragment rejects exactly Cat(n/2 - 1) terms of level n-2,
     and zeroing the leading bit of each rejected term leaves a Dyck
     word: total balance 0 with no suffix dipping negative."""
     if n < 6 or n % 2:
         raise ValueError("rejection counts are checked for even n >= 6")
-    t0 = time.perf_counter()
     rejected = rejected_terms(n)
     expected_count = catalan(n // 2 - 1)
     if len(rejected) != expected_count:
-        return VerificationOutcome(
-            "rejection", n, False,
-            Counterexample("cardinality", expected_count, len(rejected)),
-            time.perf_counter() - t0,
-        )
+        return Counterexample("cardinality", expected_count, len(rejected))
     word_len = n - 2  # zeroing keeps the code length, so the word is even
     words = np.asarray(rejected, dtype=np.int64) - (1 << (n - 3))
     balanced = 2 * np.bitwise_count(words).astype(np.int64) == word_len
     valid = _balance_ok(words, word_len) & balanced
     if not bool(np.all(valid)):
         bad = rejected[int(np.nonzero(~valid)[0][0])]
-        return VerificationOutcome(
-            "rejection", n, False,
-            Counterexample(bad, "a Dyck word after zeroing the leading bit", "not"),
-            time.perf_counter() - t0,
-        )
-    return VerificationOutcome("rejection", n, True, None, time.perf_counter() - t0)
+        return Counterexample(bad, "a Dyck word after zeroing the leading bit", "not")
+    return None
+
+
+# The size identities: each takes the top of the range it covers, which
+# is also the n of its outcome.
+
+
+@check("eq4")
+def _core_size_product(top: int) -> Counterexample | None:
+    for k in range(1, top + 1):
+        if a002054(k) != k * catalan(k + 1) // 2 or (k * catalan(k + 1)) % 2:
+            return Counterexample(k, k * catalan(k + 1) // 2, a002054(k))
+    return None
+
+
+@check("eq5")
+def _core_size_difference(top: int) -> Counterexample | None:
+    for k in range(1, top + 1):
+        if a002054(k) != a001405(2 * k + 1) - catalan(k + 1):
+            return Counterexample(k, a001405(2 * k + 1) - catalan(k + 1), a002054(k))
+    return None
+
+
+@check("prop10")
+def _level_size_recurrences(top: int) -> Counterexample | None:
+    for n in range(6, top + 1, 2):
+        four_copies = 4 * level_size(n - 2) - catalan(n // 2 - 1)
+        doubled = 2 * level_size(n - 1) - catalan(n // 2 - 1)
+        if level_size(n) != four_copies or level_size(n) != doubled:
+            return Counterexample(n, four_copies, level_size(n))
+    return None
+
+
+@check("core-sizes")
+def _quoted_core_sizes(top: int) -> Counterexample | None:
+    for n, expected in zip(range(6, top + 1, 2), CORE_SIZES):
+        if core_size(n) != expected or core_size(n) != a002054(n // 2 - 2):
+            return Counterexample(n, expected, core_size(n))
+    return None
+
+
+@check("level-sizes")
+def _quoted_level_sizes(top: int) -> Counterexample | None:
+    for n, expected in zip(range(1, top + 1), LEVEL_SIZES):
+        if level_size(n) != expected:
+            return Counterexample(n, expected, level_size(n))
+    return None
 
 
 def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
     """Arithmetic identities: the two core-size formulas, the level
     size recurrences, and the quoted size tables."""
-    outcomes: list[VerificationOutcome] = []
-
-    t0 = time.perf_counter()
-    detail = None
-    for k in range(1, 41):
-        if a002054(k) != k * catalan(k + 1) // 2 or (k * catalan(k + 1)) % 2:
-            detail = Counterexample(k, k * catalan(k + 1) // 2, a002054(k))
-            break
-    outcomes.append(
-        VerificationOutcome("eq4", 40, detail is None, detail, time.perf_counter() - t0)
-    )
-
-    t0 = time.perf_counter()
-    detail = None
-    for k in range(1, 41):
-        if a002054(k) != a001405(2 * k + 1) - catalan(k + 1):
-            detail = Counterexample(k, a001405(2 * k + 1) - catalan(k + 1), a002054(k))
-            break
-    outcomes.append(
-        VerificationOutcome("eq5", 40, detail is None, detail, time.perf_counter() - t0)
-    )
-
-    t0 = time.perf_counter()
-    detail = None
-    top = max(max_n, 6)
-    for n in range(6, top + 1, 2):
-        four_copies = 4 * level_size(n - 2) - catalan(n // 2 - 1)
-        doubled = 2 * level_size(n - 1) - catalan(n // 2 - 1)
-        if level_size(n) != four_copies or level_size(n) != doubled:
-            detail = Counterexample(n, four_copies, level_size(n))
-            break
-    outcomes.append(
-        VerificationOutcome("prop10", top, detail is None, detail, time.perf_counter() - t0)
-    )
-
-    t0 = time.perf_counter()
-    detail = None
-    for i, expected in enumerate(CORE_SIZES):
-        n = 6 + 2 * i
-        if core_size(n) != expected or core_size(n) != a002054(n // 2 - 2):
-            detail = Counterexample(n, expected, core_size(n))
-            break
-    outcomes.append(
-        VerificationOutcome("core-sizes", 28, detail is None, detail, time.perf_counter() - t0)
-    )
-
-    t0 = time.perf_counter()
-    detail = None
-    for i, expected in enumerate(LEVEL_SIZES):
-        if level_size(i + 1) != expected:
-            detail = Counterexample(i + 1, expected, level_size(i + 1))
-            break
-    outcomes.append(
-        VerificationOutcome("level-sizes", 12, detail is None, detail, time.perf_counter() - t0)
-    )
-    return outcomes
+    return [
+        _core_size_product(40),
+        _core_size_difference(40),
+        _level_size_recurrences(max(max_n, 6)),
+        _quoted_core_sizes(28),
+        _quoted_level_sizes(12),
+    ]
 
 
 # Every level-parameterized check: name -> (checker, first n, offset

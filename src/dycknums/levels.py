@@ -25,7 +25,7 @@ DEFAULT_SCAN_BOUND = 24
 DEFAULT_STRUCTURAL_BOUND = 30
 MAX_MATERIALIZED_TERMS = 1 << 28
 
-_BASE_LEVELS = {1: (1,), 2: (3,), 3: (5, 7), 4: (11, 13, 15)}
+_BASE_LEVELS = {1: (1,), 2: (3,)}
 
 _array_cache: dict[int, np.ndarray] = {}
 
@@ -145,7 +145,7 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
     cached = _array_cache.get(n)
     if cached is not None:
         return cached
-    if n <= 4:
+    if n <= 2:
         arr = np.array(_BASE_LEVELS[n], dtype=np.int64)
     elif n % 2:
         prev = _level_array(n - 1, structural_bound)
@@ -172,7 +172,7 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
 
 
 def level_structural(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> Level:
-    """Rebuild level n from the base levels 1..4 by the shifted-copy
+    """Rebuild level n from the base levels 1 and 2 by the shifted-copy
     (odd n) and fragment-image (even n) recursions."""
     return Level(n, _level_array(n, structural_bound))
 

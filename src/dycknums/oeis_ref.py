@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .files import write_atomic
 from .levels import mersenne, stream_terms
-from .report import Counterexample, VerificationOutcome
+from .report import Counterexample, VerificationOutcome, check
 
 OEIS_HOST = "https://oeis.org"
 DEFAULT_CACHE_DIR = ".oeis-cache"
@@ -190,25 +189,20 @@ def compare(
     """Element-wise comparison of computed (index, value) pairs against
     b-file records over the overlapping indices (computed index +
     index_shift == b-file index)."""
-    t0 = time.perf_counter()
     table = bfile.as_dict()
     overlap = [(i, v) for i, v in values if i + index_shift in table]
-    name = f"oeis:{bfile.sequence_id or '?'}"
     if not overlap:
         raise NoOverlap(f"no common indices with {bfile.sequence_id}")
-    for i, computed in overlap:
-        expected = table[i + index_shift]
-        if computed != expected:
-            return VerificationOutcome(
-                name,
-                len(overlap),
-                False,
-                Counterexample(f"index {i + index_shift}", expected, computed),
-                time.perf_counter() - t0,
-            )
-    return VerificationOutcome(
-        name, len(overlap), True, None, time.perf_counter() - t0
-    )
+
+    @check(f"oeis:{bfile.sequence_id or '?'}")
+    def agrees(size: int) -> Counterexample | None:
+        for i, computed in overlap:
+            expected = table[i + index_shift]
+            if computed != expected:
+                return Counterexample(f"index {i + index_shift}", expected, computed)
+        return None
+
+    return agrees(len(overlap))
 
 
 # Index conventions for comparing locally computed prefixes against the

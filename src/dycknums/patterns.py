@@ -11,7 +11,6 @@ cube of the pattern two levels below.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .levels import (
     level_structural,
     mersenne,
 )
-from .report import Counterexample, VerificationOutcome, first_mismatch
+from .report import Counterexample, check, first_mismatch
 
 # Above this value the int64 vector path could overflow; fall back to
 # the exact scalar predicate.
@@ -268,39 +267,35 @@ def level_pattern(n: int) -> Pattern:
     return Pattern(level_structural(n).arr)
 
 
-def verify_eq1(n: int) -> VerificationOutcome:
+@check("eq1")
+def verify_eq1(n: int) -> Counterexample | None:
     """Check that odd level n equals the square of the previous level's
     pattern placed at M_n."""
     if n < 5 or n % 2 == 0:
         raise ValueError("the doubling identity applies to odd n >= 5")
-    t0 = time.perf_counter()
     expected = level_structural(n).arr
     try:
         built = power(copy_at(level_pattern(n - 1), mersenne(n)), 2)
     except PatternError as exc:
-        return VerificationOutcome(
-            "eq1", n, False, _construction_failure(exc), time.perf_counter() - t0
-        )
-    return first_mismatch("eq1", n, expected, built.arr, time.perf_counter() - t0)
+        return _construction_failure(exc)
+    return first_mismatch(expected, built.arr)
 
 
-def verify_eq2(n: int) -> VerificationOutcome:
+@check("eq2")
+def verify_eq2(n: int) -> Counterexample | None:
     """Check that the tail of even level n above the core senior term
     M_{n-1} + 2**(n-3) equals the cube of the pattern two levels below
     placed at M_n."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
-    t0 = time.perf_counter()
     core_top = mersenne(n - 1) + (1 << (n - 3))
     terms = level_structural(n).arr
     expected = terms[np.searchsorted(terms, core_top, side="right"):]
     try:
         built = power(copy_at(level_pattern(n - 2), mersenne(n)), 3)
     except PatternError as exc:
-        return VerificationOutcome(
-            "eq2", n, False, _construction_failure(exc), time.perf_counter() - t0
-        )
-    return first_mismatch("eq2", n, expected, built.arr, time.perf_counter() - t0)
+        return _construction_failure(exc)
+    return first_mismatch(expected, built.arr)
 
 
 def _construction_failure(exc: Exception) -> Counterexample:

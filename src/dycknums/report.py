@@ -1,7 +1,16 @@
-"""Outcome records shared by every checker."""
+"""Outcome records shared by every checker, and the one wrapper that
+times a check and packages its result.
+
+A check is written as a function of one parameter n that returns its
+first `Counterexample`, or None when the claim holds; `check(name)`
+turns it into a function returning the timed `VerificationOutcome`.
+"""
 
 from __future__ import annotations
 
+import functools
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,36 +70,34 @@ class VerificationOutcome:
 RECORD_HEADER = "name\tn\tpassed\tterm\texpected\tactual\telapsed_s"
 
 
-def _as_list(terms) -> list[int]:
-    return terms.tolist() if isinstance(terms, np.ndarray) else list(terms)
+def check(name: str) -> Callable[
+    [Callable[[int], Counterexample | None]], Callable[[int], VerificationOutcome]
+]:
+    """Decorate a check body of one parameter n, returning its first
+    counterexample or None, into a checker that times the call and
+    returns the outcome `name` at n."""
+
+    def decorate(body: Callable[[int], Counterexample | None]):
+        @functools.wraps(body)
+        def checker(n: int) -> VerificationOutcome:
+            t0 = time.perf_counter()
+            detail = body(n)
+            return VerificationOutcome(
+                name, n, detail is None, detail, time.perf_counter() - t0
+            )
+
+        return checker
+
+    return decorate
 
 
-def first_mismatch(
-    name: str,
-    n: int,
-    expected,
-    actual,
-    elapsed: float = 0.0,
-) -> VerificationOutcome:
-    """Compare two runs of terms (arrays or tuples) and package the
-    result, reporting the first position where they disagree (including
-    a length mismatch)."""
-    if isinstance(expected, np.ndarray) and isinstance(actual, np.ndarray):
-        same = np.array_equal(expected, actual)
-    else:
-        same = tuple(expected) == tuple(actual)
-    if same:
-        return VerificationOutcome(name, n, True, None, elapsed)
-    expected, actual = _as_list(expected), _as_list(actual)
+def first_mismatch(expected, actual) -> Counterexample | None:
+    """The first position where two runs of terms (arrays or tuples)
+    disagree, including a length mismatch; None when they are equal."""
+    if np.array_equal(expected, actual):
+        return None
+    expected, actual = np.asarray(expected).tolist(), np.asarray(actual).tolist()
     for i, (e, a) in enumerate(zip(expected, actual)):
         if e != a:
-            return VerificationOutcome(
-                name, n, False, Counterexample(f"index {i}", e, a), elapsed
-            )
-    return VerificationOutcome(
-        name,
-        n,
-        False,
-        Counterexample("cardinality", len(expected), len(actual)),
-        elapsed,
-    )
+            return Counterexample(f"index {i}", e, a)
+    return Counterexample("cardinality", len(expected), len(actual))

@@ -269,6 +269,29 @@ def test_gen_count_zero_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--level", "20", "--check", "--scan-bound", "30"),
+    ("gen", "--level", "20", "--structural-bound", "31"),
+    ("decompose", "--level", "8", "--structural-bound", "31"),
+])
+def test_bound_overrides_are_not_options(capsys, argv):
+    # the scan and structural bounds keep memory bounded; they are not
+    # for the command line to raise
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_gen_check_skips_levels_above_the_scan_bound(capsys):
+    code, out, err = run(capsys, "gen", "--level", "25", "--check")
+    assert code == 0
+    assert out.count(" ") + 1 == 2704156  # C(24, 12) terms
+    assert err == "check: skipped, 25 exceeds scan bound 24\n"
+
+
 def test_forged_cache_entry_exits_nonzero(tmp_path, capsys):
     # self-consistent header and body, but 2 is not a term and level 6
     # has ten terms

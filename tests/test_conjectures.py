@@ -11,7 +11,7 @@ from dycknums.conjectures import (
 from dycknums.cores import core, subsegments
 from dycknums.levels import level_structural, mersenne
 from dycknums.oeis_ref import a001405
-from dycknums.report import Counterexample, VerificationOutcome, first_mismatch
+from dycknums.report import Counterexample, VerificationOutcome, check, first_mismatch
 
 
 def test_prop12_passes_and_quotes_the_examples():
@@ -102,11 +102,11 @@ def test_run_all_is_deterministic():
 def test_outcome_invariants():
     with pytest.raises(ValueError):
         VerificationOutcome("x", 1, True, Counterexample(1, 2, 3))
-    failed = first_mismatch("x", 1, (1, 2, 3), (1, 9, 3))
+    failed = check("x")(lambda n: first_mismatch((1, 2, 3), (1, 9, 3)))(1)
     assert not failed.passed
     assert failed.detail == Counterexample("index 1", 2, 9)
-    short = first_mismatch("x", 1, (1, 2, 3), (1, 2, 3, 4))
-    assert short.detail == Counterexample("cardinality", 3, 4)
+    short = first_mismatch((1, 2, 3), (1, 2, 3, 4))
+    assert short == Counterexample("cardinality", 3, 4)
     line = failed.text_line()
     assert line.startswith("FAIL x n=1") and "expected 2, got 9" in line
     fields = failed.record_line().split("\t")
