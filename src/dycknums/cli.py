@@ -11,6 +11,7 @@ import itertools
 import os
 import re
 import sys
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -45,17 +46,122 @@ STANDARD_SEQUENCES = (
 )
 
 
+# -- decimal text of term arrays ---------------------------------------------
+#
+# Every term array leaves the package as text through `_term_text` and
+# comes back from a cache file through `_parse_lines`.  Both work on
+# whole uint8 digit matrices, never one Python int at a time.
+
 # Terms are formatted this many at a time, so output never holds the
-# strings of a whole level at once.
+# text of a whole level at once.
 _CHUNK = 1 << 16
+# 10**1 .. 10**18: a nonnegative int64 below 10**k has at most k digits.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# The widest cache line: every 18-digit number fits in an int64.
+_MAX_DIGITS = 18
 
 
-def _chunks(terms):
-    """(start index, list of Python ints) for each chunk of an array or
-    tuple of terms."""
+def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
+    """Write values, each exactly out.shape[1] decimal digits wide, into
+    the uint8 matrix out as ASCII, one value per row."""
+    # A copy, in 32 bits when the values fit: narrower division is faster.
+    v = values.astype(np.int32 if out.shape[1] <= 9 else np.int64)
+    q = np.empty_like(v)
+    for col in range(out.shape[1] - 1, 0, -1):
+        np.floor_divide(v, 10, out=q)
+        np.subtract(v, q * 10, out=out[:, col], casting="unsafe")
+        v, q = q, v
+    out[:, 0] = v
+    out += ord("0")
+
+
+def _decimal_rows(*fields) -> str:
+    """One row of text per term.  A row is the fields in order; a str
+    field is repeated in every row, and an array field (ascending
+    nonnegative int64, all of one length) gives each row one element in
+    decimal.  The rows in which every array element has the same width
+    are contiguous, and each such run is filled as one uint8 matrix."""
+    arrays = [f for f in fields if not isinstance(f, str)]
+    for a in arrays:
+        if len(a) and (a[0] < 0 or bool(np.any(a[1:] < a[:-1]))):
+            raise ValueError("terms must be ascending and nonnegative")
+    edges = np.unique(np.concatenate(
+        [[0, len(arrays[0])], *(np.searchsorted(a, _POW10) for a in arrays)]
+    ))
+    runs = []
+    for lo, hi in itertools.pairwise(edges.tolist()):
+        widths = [
+            len(f) if isinstance(f, str) else 1 + int(np.searchsorted(_POW10, f[lo], "right"))
+            for f in fields
+        ]
+        matrix = np.empty((hi - lo, sum(widths)), dtype=np.uint8)
+        col = 0
+        for field, width in zip(fields, widths):
+            if isinstance(field, str):
+                matrix[:, col:col + width] = np.frombuffer(field.encode("ascii"), np.uint8)
+            else:
+                _put_digits(matrix[:, col:col + width], field[lo:hi])
+            col += width
+        runs.append(matrix.tobytes())
+    return b"".join(runs).decode("ascii")
+
+
+def _term_text(terms: np.ndarray, layout: str, prefix: str = "") -> Iterator[str]:
+    """The decimal text of ascending terms, in chunks of at most _CHUNK
+    terms.  Layouts: "text" is one line of space-separated terms;
+    "records" is one `prefix index term` row per term, tab-separated,
+    indexed from 1; "lines" is one term per line."""
     for start in range(0, len(terms), _CHUNK):
         chunk = terms[start:start + _CHUNK]
-        yield start, chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+        if layout == "records":
+            index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
+            yield _decimal_rows(prefix, index, "\t", chunk, "\n")
+        elif layout == "lines":
+            yield _decimal_rows(chunk, "\n")
+        else:
+            text = _decimal_rows(" ", chunk)
+            yield text if start else text[1:]
+    if layout == "text":
+        yield "\n"
+
+
+def _parse_lines(body: bytes) -> np.ndarray:
+    """The terms of a body in the "lines" layout.  Every line must be a
+    term's decimal (1 to _MAX_DIGITS ASCII digits, no leading zero)
+    followed by a newline, and no line may be shorter than the one
+    before it, as holds for ascending terms.  Raise ValueError on any
+    other body."""
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if len(buf) and (not len(ends) or ends[-1] != len(buf) - 1):
+        raise ValueError("the last line does not end in a newline")
+    if np.count_nonzero(buf - ord("0") > 9) != len(ends):  # uint8: wraps below '0'
+        raise ValueError("a line holds a byte that is not a digit")
+    widths = np.diff(ends, prepend=-1) - 1
+    if len(widths) and (widths.min() < 1 or widths.max() > _MAX_DIGITS):
+        raise ValueError(f"a line is empty or longer than {_MAX_DIGITS} digits")
+    if bool(np.any(widths[1:] < widths[:-1])):
+        raise ValueError("the terms are not ascending")
+    values = np.empty(len(ends), dtype=np.int64)
+    first = np.searchsorted(widths, np.arange(1, _MAX_DIGITS + 2)).tolist()
+    for width, lo, hi in zip(range(1, _MAX_DIGITS + 1), first, first[1:]):
+        if lo == hi:
+            continue
+        digits = buf[ends[lo] - width:ends[hi - 1] + 1].reshape(hi - lo, width + 1)
+        if width > 1 and bool(np.any(digits[:, 0] == ord("0"))):
+            raise ValueError("a line has a leading zero")
+        # Accumulate the ASCII codes block by block, so that a block stays
+        # in cache; each digit then carries an excess of ord("0"), which
+        # sums to ord("0") * 11...1 (width ones) per value.
+        for start in range(lo, hi, _CHUNK):
+            block = digits[start - lo:start - lo + _CHUNK]
+            v = block[:, 0].astype(np.int64)
+            for col in range(1, width):
+                v *= 10
+                v += block[:, col]
+            values[start:start + len(block)] = v
+        values[lo:hi] -= ord("0") * (10**width - 1) // 9
+    return values
 
 
 # -- cache files -------------------------------------------------------------
@@ -69,40 +175,39 @@ def write_cache_entry(cache_dir: str, kind: str, n: int, terms) -> Path:
     """Write one '# kind n count' header plus one term per line,
     atomically."""
     path = _cache_path(cache_dir, kind, n)
-    body = ("\n".join(map(str, chunk)) + "\n" for _, chunk in _chunks(terms))
-    write_atomic(path, itertools.chain([f"# {kind} {n} {len(terms)}\n"], body))
+    arr = np.asarray(terms, dtype=np.int64)
+    write_atomic(path, itertools.chain([f"# {kind} {n} {len(arr)}\n"], _term_text(arr, "lines")))
     return path
 
 
-def read_cache_entry(cache_dir: str, kind: str, n: int) -> tuple[int, ...] | None:
-    """Return the cached terms, None when absent.  Raise CacheCorrupt
-    unless the entry holds exactly the terms of the level or core its
-    header names: the right count, strictly ascending, inside the
-    level interval (up to the core top for a core), and each a member."""
+def read_cache_array(cache_dir: str, kind: str, n: int) -> np.ndarray | None:
+    """Return the cached terms as an int64 array, None when absent.
+    Raise CacheCorrupt unless the entry holds exactly the terms of the
+    level or core its header names, one decimal per line: the right
+    count, strictly ascending, inside the level interval (up to the core
+    top for a core), and each a member."""
     path = _cache_path(cache_dir, kind, n)
     if not path.is_file():
         return None
-    # Bytes split and parse faster than text, and int() accepts them.
-    lines = path.read_bytes().splitlines()
-    header = lines[0].decode(errors="replace") if lines else ""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = head.decode(errors="replace")
     if not header.startswith("# "):
         raise CacheCorrupt(f"{path}: missing header")
     fields = header[2:].split()
     if len(fields) != 3 or fields[0] != kind or fields[1] != str(n):
         raise CacheCorrupt(f"{path}: header does not match ({header!r})")
     try:
-        terms = tuple(map(int, lines[1:]))
-        arr = np.array(terms, dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise CacheCorrupt(f"{path}: a line is not a 64-bit integer") from None
-    if fields[2] != str(len(terms)):
-        raise CacheCorrupt(f"{path}: header count {fields[2]} != {len(terms)} lines")
+        arr = _parse_lines(body)
+    except ValueError as exc:
+        raise CacheCorrupt(f"{path}: {exc}") from None
+    if fields[2] != str(len(arr)):
+        raise CacheCorrupt(f"{path}: header count {fields[2]} != {len(arr)} lines")
     if kind == "level":
         size, top = level_size(n), mersenne(n)
     else:
         size, top = cores.core_size(n), cores.core_top(n)
-    if len(terms) != size:
-        raise CacheCorrupt(f"{path}: {len(terms)} terms, but {kind} {n} has {size}")
+    if len(arr) != size:
+        raise CacheCorrupt(f"{path}: {len(arr)} terms, but {kind} {n} has {size}")
     if not (
         arr[0] > mersenne(n - 1)
         and arr[-1] <= top
@@ -110,23 +215,22 @@ def read_cache_entry(cache_dir: str, kind: str, n: int) -> tuple[int, ...] | Non
         and bool(_balance_ok(arr, n).all())
     ):
         raise CacheCorrupt(f"{path}: not the ascending terms of {kind} {n}")
-    return terms
+    return arr
+
+
+def read_cache_entry(cache_dir: str, kind: str, n: int) -> tuple[int, ...] | None:
+    """`read_cache_array` as a tuple of Python ints."""
+    arr = read_cache_array(cache_dir, kind, n)
+    return None if arr is None else tuple(arr.tolist())
 
 
 # -- command implementations -------------------------------------------------
 
 
-def _emit_terms(kind: str, n: int, terms, fmt: str) -> None:
-    out = sys.stdout
-    if fmt == "text":
-        for start, chunk in _chunks(terms):
-            out.write((" " if start else "") + " ".join(map(str, chunk)))
-        out.write("\n")
-    else:
-        out.write("kind\tn\tindex\tterm\n")
-        prefix = f"{kind}\t{n}\t"
-        for start, chunk in _chunks(terms):
-            out.write("".join(f"{prefix}{i}\t{t}\n" for i, t in enumerate(chunk, start + 1)))
+def _emit_terms(kind: str, n: int, terms: np.ndarray, fmt: str) -> None:
+    if fmt == "records":
+        sys.stdout.write("kind\tn\tindex\tterm\n")
+    sys.stdout.writelines(_term_text(terms, fmt, f"{kind}\t{n}\t"))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -138,7 +242,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
         if args.no_cache:
             cache_dir = None
-        terms = read_cache_entry(cache_dir, kind, n) if cache_dir else None
+        terms = read_cache_array(cache_dir, kind, n) if cache_dir else None
         if terms is None:
             terms = (
                 level_structural(n).arr

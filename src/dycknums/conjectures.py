@@ -163,16 +163,18 @@ def _level_size_recurrences(top: int) -> Counterexample | None:
     for n in range(6, top + 1, 2):
         four_copies = 4 * level_size(n - 2) - catalan(n // 2 - 1)
         doubled = 2 * level_size(n - 1) - catalan(n // 2 - 1)
-        if level_size(n) != four_copies or level_size(n) != doubled:
-            return Counterexample(n, four_copies, level_size(n))
+        for expected in (four_copies, doubled):
+            if level_size(n) != expected:
+                return Counterexample(n, expected, level_size(n))
     return None
 
 
 @check("core-sizes")
 def _quoted_core_sizes(top: int) -> Counterexample | None:
-    for n, expected in zip(range(6, top + 1, 2), CORE_SIZES):
-        if core_size(n) != expected or core_size(n) != a002054(n // 2 - 2):
-            return Counterexample(n, expected, core_size(n))
+    for n, quoted in zip(range(6, top + 1, 2), CORE_SIZES):
+        for expected in (quoted, a002054(n // 2 - 2)):
+            if core_size(n) != expected:
+                return Counterexample(n, expected, core_size(n))
     return None
 
 

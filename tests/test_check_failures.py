@@ -169,10 +169,13 @@ def test_appendix_reports_a_shifted_core_term(monkeypatch):
 @pytest.mark.parametrize("attr, bad, failures", [
     ("a002054", 3, {"eq4": Counterexample(3, 21, 22),
                     "eq5": Counterexample(3, 21, 22),
-                    "core-sizes": Counterexample(10, 21, 21)}),
+                    "core-sizes": Counterexample(10, 22, 21)}),
     ("level_size", 8, {"prop10": Counterexample(8, 35, 36),
                        "level-sizes": Counterexample(8, 35, 36)}),
     ("core_size", 12, {"core-sizes": Counterexample(12, 84, 85)}),
+    # only the doubled form of prop10 disagrees at n = 8
+    ("level_size", 7, {"prop10": Counterexample(8, 37, 35),
+                       "level-sizes": Counterexample(7, 20, 21)}),
 ])
 def test_size_identities_report_a_wrong_size(monkeypatch, attr, bad, failures):
     real = getattr(conjectures, attr)

@@ -1,10 +1,15 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from dycknums import cli, cores
 from dycknums.cli import main, read_cache_entry, write_cache_entry
 from dycknums.errors import CacheCorrupt
+from dycknums.levels import level_structural, stream_terms
 
 
 def run(capsys, *argv):
@@ -317,3 +322,124 @@ def test_cache_entry_validated_on_read(tmp_path, body):
     (tmp_path / "core_8.txt").write_text(body)
     with pytest.raises(CacheCorrupt):
         read_cache_entry(str(tmp_path), "core", 8)
+
+
+# -- the decimal codec, against str() and int() ------------------------------
+
+
+def text_of(terms):
+    return " ".join(map(str, terms)) + "\n"
+
+
+def lines_of(terms):
+    return "".join(f"{t}\n" for t in terms)
+
+
+RECORDS_HEADER = "kind\tn\tindex\tterm\n"
+
+
+def records_of(kind, n, terms):
+    return "".join(f"{kind}\t{n}\t{i}\t{t}\n" for i, t in enumerate(terms, 1))
+
+
+@st.composite
+def ascending_terms(draw):
+    """Sorted unique int64 arrays in [0, 10**18): a few evenly spaced
+    runs, each of which crosses a power of ten, some of them longer than
+    one output chunk."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.one_of(st.integers(1, 40), st.integers(cli._CHUNK - 5, cli._CHUNK + 5)))
+        step = draw(st.sampled_from([1, 2, 3, 997]))
+        power = draw(st.integers(0, 18))
+        below = draw(st.integers(0, length * step))
+        start = max(0, 10**power - below)
+        parts.append(start + step * np.arange(length, dtype=np.int64))
+    terms = np.unique(np.concatenate(parts))
+    return terms[terms < 10**18]
+
+
+# No shrink phase: an example can hold three runs of a chunk's length,
+# and shrinking a failure over such examples takes minutes.
+@given(ascending_terms())
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_decimal_codec_matches_str_and_int(terms):
+    values = terms.tolist()
+    assert "".join(cli._term_text(terms, "text")) == text_of(values)
+    records = "".join(cli._term_text(terms, "records", "core\t8\t"))
+    assert records == records_of("core", 8, values)
+    chunks = list(cli._term_text(terms, "lines"))
+    assert all(chunk.count("\n") <= cli._CHUNK for chunk in chunks)
+    body = "".join(chunks)
+    assert body == lines_of(values)
+    parsed = cli._parse_lines(body.encode("ascii"))
+    assert parsed.dtype == np.int64 and parsed.tolist() == values
+
+
+@pytest.mark.parametrize("terms", [(5, 3), (-1, 3)])
+def test_codec_refuses_terms_out_of_order(tmp_path, terms):
+    with pytest.raises(ValueError):
+        write_cache_entry(str(tmp_path), "core", 8, terms)
+
+
+@pytest.mark.parametrize(
+    "body",
+    # core 8 with its first line, 143, written otherwise
+    [f"{line}\n151\n155\n157\n159\n" for line in (
+        "", "0000000000000000143", "0143", "-143", "+143", " 143", "143 ", "143\r", "1_43",
+        "13=",  # '=' is '0' + 13 in ASCII: read as a digit, 1·100 + 3·10 + 13 = 143
+    )] + [
+        "0143\n0151\n0155\n0157\n0159\n",  # every line zero-padded
+        "143\n151\n155\n157\n159",  # no final newline
+        "143\n151\n155\n157\n159\n1",  # an unterminated sixth line
+    ],
+)
+def test_cache_line_is_exactly_a_decimal(tmp_path, body):
+    (tmp_path / "core_8.txt").write_text(f"# core 8 5\n{body}")
+    with pytest.raises(CacheCorrupt):
+        read_cache_entry(str(tmp_path), "core", 8)
+
+
+# -- gen output, byte for byte against str() ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,kind,n,terms",
+    [
+        # 92,378 terms: crosses 10**6 and a chunk edge
+        (("--level", "20"), "level", 20, lambda: level_structural(20).terms),
+        # widths 1 to 6, and the term 0
+        (("--count", "100000"), "stream", 100000, lambda: stream_terms(100000)),
+        (("--level", "1"), "level", 1, lambda: (1,)),
+        (("--core", "6"), "core", 6, lambda: (39,)),
+    ],
+)
+def test_gen_output_is_str_of_each_term(capsys, argv, kind, n, terms):
+    expected = terms()
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0 and out == text_of(expected)
+    code, out, _ = run(capsys, "gen", *argv, "--format", "records")
+    assert code == 0 and out == RECORDS_HEADER + records_of(kind, n, expected)
+
+
+def test_gen_cache_file_is_one_term_per_line(tmp_path, capsys):
+    terms = level_structural(20).terms
+    code, first, _ = run(capsys, "gen", "--level", "20", "--cache-dir", str(tmp_path))
+    assert code == 0 and first == text_of(terms)
+    path = tmp_path / "level_20.txt"
+    assert path.read_bytes() == f"# level 20 {len(terms)}\n{lines_of(terms)}".encode("ascii")
+    code, cached, _ = run(capsys, "gen", "--level", "20", "--cache-dir", str(tmp_path))
+    assert code == 0 and cached == first
+    core = cores.core(22).terms
+    write_cache_entry(str(tmp_path), "core", 22, np.array(core))
+    assert read_cache_entry(str(tmp_path), "core", 22) == core
+
+
+@pytest.mark.slow
+def test_gen_level_24_is_str_of_each_term(capsys):
+    # 1,352,078 terms; 10**7 lies inside level 24
+    terms = level_structural(24).terms
+    code, out, _ = run(capsys, "gen", "--level", "24")
+    assert code == 0 and out == text_of(terms)
+    code, out, _ = run(capsys, "gen", "--level", "24", "--format", "records")
+    assert code == 0 and out == RECORDS_HEADER + records_of("level", 24, terms)
