@@ -292,15 +292,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         n = args.core
         target = cores.core(n)
         library = cores.standard_library(max(n - 2, 4))
-        if target.subsegments is not None:
-            for seg in target.subsegments:
-                print(cores.format_expr(cores.decompose(seg, library)))
-        print(cores.format_expr(cores.decompose(target.terms, library)))
+        for seg in target.segments or ():
+            print(cores.format_expr(cores.decompose(seg, library)))
+        print(cores.format_expr(cores.decompose(target.arr, library)))
     else:
         n = args.level
         library = cores.standard_library(n if n % 2 == 0 else n - 1)
-        terms = level_structural(n).terms
-        print(cores.format_expr(cores.decompose(terms, library)))
+        print(cores.format_expr(cores.decompose(level_structural(n).arr, library)))
     return 0
 
 
@@ -333,12 +331,12 @@ def _oeis_outcomes(args: argparse.Namespace, ids: tuple[str, ...]) -> list[Verif
 def _planned_checks(selector: str, max_n: int) -> list[tuple[str, int]]:
     """The level checks a selector runs, rejected up front when a single
     check selects no level or when any would build a level above the
-    structural bound."""
+    structural bound.  A check at n builds no level above n."""
     names = conjectures.CHECKS if selector == "all" else (selector,)
     plan = conjectures.planned_checks(names, max_n)
     if not plan and selector != "all":
         raise UsageError(f"verify {selector} --max-n {max_n} selects no level")
-    top = conjectures.highest_level(plan)
+    top = max((n for _, n in plan), default=0)
     if top > DEFAULT_STRUCTURAL_BOUND:
         raise UsageError(
             f"verify {selector} --max-n {max_n} needs level {top}, above the "

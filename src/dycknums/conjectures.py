@@ -20,8 +20,8 @@ from .errors import PatternError
 from .levels import (
     _balance_ok,
     _level_array,
+    core_top,
     level_size,
-    mersenne,
 )
 from .oeis_ref import a001405, a002054, catalan
 from .patterns import (
@@ -61,11 +61,9 @@ def check_prop12(n: int) -> Counterexample | None:
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
     src = _level_array(n)
-    dst = _level_array(n + 2)
     for delta in (-1, 1, 3):
-        candidates = 4 * src + delta
-        pos = np.searchsorted(dst, candidates)
-        found = (pos < len(dst)) & (dst[np.minimum(pos, len(dst) - 1)] == candidates)
+        # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
+        found = _balance_ok(4 * src + delta, n + 2)
         if not bool(np.all(found)):
             bad = int(src[~found][0])
             return Counterexample(bad, f"{4 * bad + delta} in level {n + 2}", "absent")
@@ -104,7 +102,7 @@ def check_conj18(n: int) -> Counterexample | None:
     previous core's top subsegment ending at the core top."""
     if n < 12 or n % 2:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
-    top = mersenne(n - 1) + (1 << (n - 3))
+    top = core_top(n)
     actual = core(n).segments[3]
     try:
         low = copy_at(Pattern(core(n - 4).arr), top - 3 * (1 << (n - 7)))
@@ -198,29 +196,24 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
     ]
 
 
-# Every level-parameterized check: name -> (checker, first n, offset
-# from n to the highest level the check at n builds).  Each runs at
-# every second n from its first.  The checkers look the check functions
-# up when called, so a wrapper rebound over a module function (as
-# perfbench/spans.py does) sees every call.
+# Every level-parameterized check: name -> (checker, first n).  Each
+# runs at every second n from its first, and the check at n builds no
+# level above n.  The checkers look the check functions up when called,
+# so a wrapper rebound over a module function (as perfbench/spans.py
+# does) sees every call.
 CHECKS = {
-    "eq1": (lambda n: verify_eq1(n), 5, 0),
-    "eq2": (lambda n: verify_eq2(n), 6, 0),
-    "prop12": (lambda n: check_prop12(n), 6, 2),
-    "conj16": (lambda n: check_conj16(n), 8, 2),
-    "conj18": (lambda n: check_conj18(n), 12, 0),
-    "rejection": (lambda n: check_catalan_rejection(n), 6, -2),
+    "eq1": (lambda n: verify_eq1(n), 5),
+    "eq2": (lambda n: verify_eq2(n), 6),
+    "prop12": (lambda n: check_prop12(n), 6),
+    "conj16": (lambda n: check_conj16(n), 8),
+    "conj18": (lambda n: check_conj18(n), 12),
+    "rejection": (lambda n: check_catalan_rejection(n), 6),
 }
 
 
 def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
     """The (check name, n) pairs the named checks run at up to max_n."""
     return [(name, n) for name in names for n in range(CHECKS[name][1], max_n + 1, 2)]
-
-
-def highest_level(plan: list[tuple[str, int]]) -> int:
-    """The highest level a plan of checks builds (0 for an empty plan)."""
-    return max((n + CHECKS[name][2] for name, n in plan), default=0)
 
 
 def run_all(max_n: int) -> list[VerificationOutcome]:

@@ -5,7 +5,8 @@ term M_{n-1} + 2**(n-3): exactly the surviving images of the 00
 fragment applied to level n-2.  The number of rejected terms is the
 Catalan number Cat(n/2 - 1), one per Dyck word obtained by zeroing the
 rejected term's leading bit.  From n = 10 upwards a core splits into
-four equal value intervals (subsegments) of length 2**(n-5).
+four equal value intervals (subsegments) of length 2**(n-5).  The
+fragment rule lives in `levels`, which builds a core from level n-2.
 
 Runs of terms are decomposed against a library of named shapes
 (triplet, level and core patterns) by greedy longest match from the
@@ -16,7 +17,6 @@ back to the input exactly.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,38 +25,26 @@ import numpy as np
 from .dyck_core import dyck_pred, dynamics, is_dyck_number
 from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
+    Fragment,
     TermArray,
-    _dynamics_array,
-    _level_array,
+    _F00_MIN_DYNAMICS,
+    _core_array,
+    _f00_mask,
+    core_top,
     level_size,
     level_structural,
-    mersenne,
 )
 from .oeis_ref import catalan
 from .patterns import Pattern, _shifted, make_pattern, pattern_len, power
-
-
-class Fragment(enum.Enum):
-    """The 2-bit word inserted after the leading 1 of a term to lift it
-    two levels; the numeric value fixes the shift of the image."""
-
-    F00 = 0
-    F01 = 1
-    F10 = 2
-    F11 = 3
-
-    def shift(self, n: int) -> int:
-        """Image offset at even target level n."""
-        return (1 << (n - 1)) + (self.value - 1) * (1 << (n - 3))
 
 
 def fragment_image(t: int, fragment: Fragment, n: int) -> int | None:
     """Image of a level-(n-2) term under one 2-bit fragment insertion,
     or None when the 00 fragment breaks the suffix-balance property.
 
-    The 00 fragment rejects exactly the terms whose maximal proper
-    suffix has balance 1, i.e. dynamics below 4; the explicit balance
-    check of the constructed code and that shortcut must agree.
+    The 00 fragment rejects exactly the terms of low dynamics (maximal
+    proper suffix of balance 1) and the others reject none; the explicit
+    balance check of the constructed code must agree with that rule.
     """
     if n < 6 or n % 2:
         raise ValueError("fragment images target even levels n >= 6")
@@ -65,13 +53,10 @@ def fragment_image(t: int, fragment: Fragment, n: int) -> int | None:
     if not is_dyck_number(t):
         raise NotMember(f"{t} is not a term of the sequence")
     image = t + fragment.shift(n)
-    if fragment is Fragment.F00:
-        valid = is_dyck_number(image)
-        if valid != (dynamics(t) >= 4):
-            raise AssertionError(f"rejection shortcut disagrees at term {t}")
-        return image if valid else None
-    assert is_dyck_number(image), f"fragment image {image} must be a term"
-    return image
+    valid = is_dyck_number(image)
+    if valid != (fragment is not Fragment.F00 or dynamics(t) >= _F00_MIN_DYNAMICS):
+        raise AssertionError(f"the {fragment.name} image of {t} disagrees with the rejection rule")
+    return image if valid else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +81,6 @@ class Core(TermArray):
         return tuple(tuple(seg.tolist()) for seg in self.segments)
 
 
-def core_top(n: int) -> int:
-    """Senior term of the n-core: M_{n-1} + 2**(n-3)."""
-    if n < 6 or n % 2:
-        raise DomainError("cores exist for even n >= 6")
-    return mersenne(n - 1) + (1 << (n - 3))
-
-
 _core_cache: dict[int, Core] = {}
 
 
@@ -112,9 +90,10 @@ def core(n: int) -> Core:
     cached = _core_cache.get(n)
     if cached is not None:
         return cached
+    if n < 6 or n % 2:
+        raise DomainError("cores exist for even n >= 6")
     top = core_top(n)
-    level = _level_array(n)
-    arr = level[: int(np.searchsorted(level, top, side="right"))]
+    arr = _core_array(n)
     assert arr.size and arr[-1] == top, "core must end at its senior term"
     segments = None
     if n >= 10:
@@ -136,17 +115,12 @@ def core_size(n: int) -> int:
     return level_size(n - 2) - catalan(n // 2 - 1)
 
 
-def _source_level(n: int) -> np.ndarray:
-    return _level_array(n - 2)
-
-
 def rejected_terms(n: int) -> tuple[int, ...]:
     """Level n-2 terms whose 00-fragment image is rejected."""
     if n < 6 or n % 2:
         raise DomainError("cores exist for even n >= 6")
-    src = _source_level(n)
-    mask = _dynamics_array(src, n - 2) < 4
-    return tuple(src[mask].tolist())
+    src, keep = _f00_mask(n)
+    return tuple(src[~keep].tolist())
 
 
 def subsegments(c: Core) -> tuple[tuple[int, ...], ...]:
@@ -297,7 +271,7 @@ def _match_at(terms: tuple[int, ...], i: int, shape: NamedShape) -> bool:
 
 
 def decompose(
-    terms: tuple[int, ...] | list[int], library: PatternLibrary
+    terms: tuple[int, ...] | list[int] | np.ndarray, library: PatternLibrary
 ) -> DecompositionExpr:
     """Greedy decomposition of a contiguous run against the library,
     working from the senior term downwards.

@@ -7,11 +7,13 @@ membership predicate (the brute-force oracle), while ``level_structural``
 rebuilds each level from smaller ones: an odd level is two shifted copies
 of the level below it, an even level is the union of the four 2-bit
 fragment images of the level two below (with the 00 fragment rejecting
-terms of low dynamics).  The two must agree element for element.
+terms of low dynamics).  The two must agree element for element.  The
+fragment rule lives only here (`Fragment`, `_f00_mask`, `_core_array`).
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +26,8 @@ from .errors import BoundError, DomainError, NotMember
 DEFAULT_SCAN_BOUND = 24
 DEFAULT_STRUCTURAL_BOUND = 30
 MAX_MATERIALIZED_TERMS = 1 << 28
+# The 00 fragment keeps exactly the level-(n-2) terms of at least this dynamics.
+_F00_MIN_DYNAMICS = 4
 
 _BASE_LEVELS = {1: (1,), 2: (3,)}
 
@@ -113,9 +117,48 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     return ok
 
 
-def _dynamics_array(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Ones minus zeros for values known to have code length `nbits`."""
-    return 2 * np.bitwise_count(values).astype(np.int64) - nbits
+class Fragment(enum.Enum):
+    """The 2-bit word inserted after the leading 1 of a term to lift it
+    two levels; the numeric value fixes the shift of the image."""
+
+    F00 = 0
+    F01 = 1
+    F10 = 2
+    F11 = 3
+
+    def shift(self, n: int) -> int:
+        """Image offset at even target level n."""
+        return (1 << (n - 1)) + (self.value - 1) * (1 << (n - 3))
+
+
+def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level n-2 for even n >= 4, and the mask of its terms whose
+    00-fragment image is a term of level n; the rest are rejected."""
+    src = _level_array(n - 2)
+    dynamics = 2 * np.bitwise_count(src).astype(np.int64) - (n - 2)
+    keep = dynamics >= _F00_MIN_DYNAMICS
+    # Dual route: the dynamics shortcut must agree with an explicit
+    # suffix-balance check of the constructed codes.
+    if not np.array_equal(_balance_ok(src + Fragment.F00.shift(n), n), keep):
+        raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
+    return src, keep
+
+
+def _core_array(n: int) -> np.ndarray:
+    """The n-core for even n >= 4: the 00-fragment survivors of level
+    n-2, or a view of level n's leading block when level n is resident."""
+    level = _array_cache.get(n)
+    if level is not None:
+        return level[: len(level) - 3 * level_size(n - 2)]
+    src, keep = _f00_mask(n)
+    return src[keep] + Fragment.F00.shift(n)
+
+
+def core_top(n: int) -> int:
+    """Senior term M_{n-1} + 2**(n-3) of the n-core; for odd n, the lower-half centre."""
+    if n < 5:
+        raise DomainError("the core top and the central terms are defined for n >= 5")
+    return mersenne(n - 1) + (1 << (n - 3))
 
 
 def _scan_array(n: int) -> np.ndarray:
@@ -152,18 +195,7 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
         arr = np.concatenate([prev + (1 << (n - 2)), prev + (1 << (n - 1))])
     else:
         prev = _level_array(n - 2, structural_bound)
-        survivors = _dynamics_array(prev, n - 2) >= 4
-        f00 = prev[survivors] + (3 << (n - 3))
-        # Dual route: the dynamics shortcut must agree with an explicit
-        # suffix-balance check of the constructed codes.
-        if not np.array_equal(_balance_ok(prev + (3 << (n - 3)), n), survivors):
-            raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
-        arr = np.concatenate([
-            f00,
-            prev + (1 << (n - 1)),   # fragment 01
-            prev + (5 << (n - 3)),   # fragment 10
-            prev + (3 << (n - 2)),   # fragment 11
-        ])
+        arr = np.concatenate([_core_array(n)] + [prev + f.shift(n) for f in list(Fragment)[1:]])
     if not bool(np.all(arr[1:] > arr[:-1])):
         raise AssertionError(f"level {n} construction is not strictly ascending")
     arr.flags.writeable = False
@@ -180,13 +212,12 @@ def level_structural(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -
 def central_terms(n: int) -> CentralTerms:
     """Level centre H_n = M_n - 2**(n-2) plus the upper-half centre
     M_n - 2**(n-3) and the core senior term M_{n-1} + 2**(n-3)."""
-    if n < 5:
-        raise DomainError("central terms are defined for n >= 5")
+    top = core_top(n)  # raises DomainError below n = 5
     return CentralTerms(
         n=n,
         h=mersenne(n) - (1 << (n - 2)),
         upper_center=mersenne(n) - (1 << (n - 3)),
-        core_top=mersenne(n - 1) + (1 << (n - 3)),
+        core_top=top,
     )
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -170,6 +168,10 @@ def fetch_bfile(
         return parse_bfile(bundled, sequence_id)
     if offline:
         raise CacheMiss(f"no cached b-file for {sequence_id} (offline mode)")
+    # Imported here: only a fetch needs it, and it slows every import.
+    import urllib.error
+    import urllib.request
+
     url = f"{OEIS_HOST}/{sequence_id}/b{sequence_id[1:]}.txt"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:

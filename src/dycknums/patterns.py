@@ -31,6 +31,7 @@ from .levels import (
     TermArray,
     _balance_ok,
     _level_array,
+    core_top,
     level_structural,
     mersenne,
 )
@@ -80,29 +81,6 @@ class CopyRelation:
 def copy_relation(source: Pattern, target: Pattern) -> CopyRelation:
     """Validate the copy relation between two patterns and package it."""
     return CopyRelation(source, target, offset_of(source, target))
-
-
-def _members_between(lo: int, hi: int) -> list[int]:
-    """All sequence terms in [lo, hi], lo >= 0, by scanning every odd
-    candidate: the oracle that run validation is tested against.
-
-    The vector scan must run one bit-length block at a time: padding a
-    shorter code with leading zeros would push its balance negative.
-    """
-    members: list[int] = []
-    if hi < _VECTOR_LIMIT:
-        for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
-            start = max(lo, 1 << (nbits - 1)) | 1
-            stop = min(hi, (1 << nbits) - 1)
-            if start > stop:
-                continue
-            candidates = np.arange(start, stop + 1, 2, dtype=np.int64)
-            members.extend(int(v) for v in candidates[_balance_ok(candidates, nbits)])
-    else:
-        members.extend(v for v in range(lo | 1, hi + 1, 2) if is_dyck_number(v))
-    if lo == 0:
-        members.insert(0, 0)
-    return members
 
 
 def _run_array(values) -> np.ndarray:
@@ -288,9 +266,8 @@ def verify_eq2(n: int) -> Counterexample | None:
     placed at M_n."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
-    core_top = mersenne(n - 1) + (1 << (n - 3))
     terms = level_structural(n).arr
-    expected = terms[np.searchsorted(terms, core_top, side="right"):]
+    expected = terms[np.searchsorted(terms, core_top(n), side="right"):]
     try:
         built = power(copy_at(level_pattern(n - 2), mersenne(n)), 3)
     except PatternError as exc:

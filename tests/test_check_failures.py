@@ -9,7 +9,7 @@ themselves are never touched.
 import numpy as np
 import pytest
 
-from dycknums import cli, conjectures, cores, patterns
+from dycknums import cli, conjectures, cores, levels, patterns
 from dycknums.cli import main
 from dycknums.conjectures import (
     check_catalan_rejection,
@@ -102,13 +102,11 @@ def test_eq2_reports_a_broken_construction(monkeypatch):
 
 def test_prop12_reports_a_missing_triplet_member(monkeypatch):
     real = conjectures._level_array
-
-    def level_array(n):
-        arr = real(n)
-        return np.delete(arr, np.searchsorted(arr, 157)) if n == 8 else arr
-
-    monkeypatch.setattr(conjectures, "_level_array", level_array)
-    assert_fails(check_prop12(6), "prop12", 6, Counterexample(39, "157 in level 8", "absent"))
+    # level 6 starts 39, 43; 41 = 101001 lifts to 163 = 10100011, whose
+    # suffix 00011 dips negative
+    monkeypatch.setattr(conjectures, "_level_array",
+                        lambda n: shift(0)(real(n)) if n == 6 else real(n))
+    assert_fails(check_prop12(6), "prop12", 6, Counterexample(41, "163 in level 8", "absent"))
 
 
 def test_conj16_reports_a_short_subsegment(monkeypatch):
@@ -139,17 +137,26 @@ def test_conj18_reports_a_shifted_top_subsegment_term(monkeypatch):
     assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 4", 2465, 2463))
 
 
+def corrupt_source_level(monkeypatch, n, change):
+    """`levels._level_array(n)`, the level the 00-fragment rejection
+    reads, returns level n changed."""
+    real = levels._level_array
+
+    def level_array(m, *args):
+        return change(real(m, *args)) if m == n else real(m, *args)
+
+    monkeypatch.setattr(levels, "_level_array", level_array)
+
+
 def test_rejection_reports_a_dropped_source_term(monkeypatch):
-    real = cores._source_level
-    monkeypatch.setattr(cores, "_source_level", lambda n: drop(0)(real(n)))
+    corrupt_source_level(monkeypatch, 6, drop(0))
     assert_fails(check_catalan_rejection(8), "rejection", 8,
                  Counterexample("cardinality", 5, 4))
 
 
 def test_rejection_reports_a_rejected_term_that_is_no_dyck_word(monkeypatch):
-    real = cores._source_level
     # level 4 is (11, 13, 15); 13 - 4 = 9 = 1001 keeps dynamics below 4
-    monkeypatch.setattr(cores, "_source_level", lambda n: shift(1, -4)(real(n)))
+    corrupt_source_level(monkeypatch, 4, shift(1, -4))
     assert_fails(check_catalan_rejection(6), "rejection", 6, Counterexample(
         9, "a Dyck word after zeroing the leading bit", "not"
     ))

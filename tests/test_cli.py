@@ -254,8 +254,8 @@ def test_verify_empty_selection_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv,level",
     [
-        (("verify", "all", "--max-n", "40", "--offline"), 42),
-        (("verify", "all", "--max-n", "30", "--offline"), 32),
+        (("verify", "all", "--max-n", "40", "--offline"), 40),
+        (("verify", "all", "--max-n", "31", "--offline"), 31),
         (("verify", "eq1", "--max-n", "31"), 31),
     ],
 )
@@ -266,6 +266,12 @@ def test_verify_max_n_beyond_structural_bound_is_usage_error(capsys, argv, level
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"needs level {level}" in captured.err
+
+
+def test_verify_all_max_n_30_is_within_the_structural_bound():
+    # only planned here: running it builds level 30
+    plan = cli._planned_checks("all", 30)
+    assert max(n for _, n in plan) == 30
 
 
 def test_gen_count_zero_is_usage_error(capsys):

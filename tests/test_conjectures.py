@@ -1,5 +1,6 @@
 import pytest
 
+from dycknums import cores, levels
 from dycknums.conjectures import (
     check_catalan_rejection,
     check_conj16,
@@ -111,3 +112,10 @@ def test_outcome_invariants():
     assert line.startswith("FAIL x n=1") and "expected 2, got 9" in line
     fields = failed.record_line().split("\t")
     assert fields[0] == "x" and fields[2] == "0" and fields[4] == "2"
+
+
+def test_run_all_builds_no_level_above_max_n(monkeypatch):
+    monkeypatch.setattr(levels, "_array_cache", {})
+    monkeypatch.setattr(cores, "_core_cache", {})
+    assert all(o.passed for o in run_all(12))
+    assert max(levels._array_cache) == 12

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dycknums import cores, levels
 from dycknums.cores import (
     Fragment,
     core,
@@ -84,6 +86,19 @@ def test_core_is_level_prefix():
         assert level[len(c)] > core_top(n)
     for n in range(6, 25, 2):
         assert len(core(n)) == core_size(n)
+
+
+def test_core_is_built_from_level_n_minus_2_and_viewed_in_a_resident_level_n(monkeypatch):
+    monkeypatch.setattr(levels, "_array_cache", {})
+    monkeypatch.setattr(cores, "_core_cache", {})
+    built = core(14)
+    assert max(levels._array_cache) == 12
+    level = level_structural(14).arr
+    assert np.array_equal(built.arr, level[: len(built)])
+    cores._core_cache.clear()
+    viewed = core(14)
+    assert np.shares_memory(viewed.arr, level)
+    assert np.array_equal(viewed.arr, built.arr)
 
 
 def test_core_size_examples():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,9 @@ from dycknums.errors import (
     NotMember,
     PatternError,
 )
-from dycknums.levels import level_structural, mersenne
+from dycknums.levels import _balance_ok, level_structural, mersenne
 from dycknums.patterns import (
-    _members_between,
+    _VECTOR_LIMIT,
     copy_at,
     join,
     level_pattern,
@@ -28,6 +29,29 @@ from dycknums.patterns import (
     verify_eq1,
     verify_eq2,
 )
+
+
+def _members_between(lo: int, hi: int) -> list[int]:
+    """All sequence terms in [lo, hi], lo >= 0, by scanning every odd
+    candidate: the oracle that run validation is tested against.
+
+    The vector scan must run one bit-length block at a time: padding a
+    shorter code with leading zeros would push its balance negative.
+    """
+    members: list[int] = []
+    if hi < _VECTOR_LIMIT:
+        for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
+            start = max(lo, 1 << (nbits - 1)) | 1
+            stop = min(hi, (1 << nbits) - 1)
+            if start > stop:
+                continue
+            candidates = np.arange(start, stop + 1, 2, dtype=np.int64)
+            members.extend(int(v) for v in candidates[_balance_ok(candidates, nbits)])
+    else:
+        members.extend(v for v in range(lo | 1, hi + 1, 2) if is_dyck_number(v))
+    if lo == 0:
+        members.insert(0, 0)
+    return members
 
 
 def mu8():
