@@ -141,19 +141,19 @@ def core_subsequence(max_n: int) -> tuple[int, ...]:
 # -- decomposition ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NamedShape:
     """A reusable pattern shape: offsets below the top plus the span
     that any copy must preserve."""
 
     name: str
     source: Pattern
-    offsets: tuple[int, ...]  # ascending from 0 (senior term first)
+    offsets: np.ndarray  # read-only int64, ascending from 0 (senior term first)
     span: int
 
     @property
     def cardinality(self) -> int:
-        return len(self.offsets)
+        return self.offsets.size
 
 
 class PatternLibrary:
@@ -171,10 +171,12 @@ class PatternLibrary:
     def register(self, name: str, pattern: Pattern) -> NamedShape:
         if name in self._shapes:
             raise ValueError(f"shape {name!r} is already registered")
+        offsets = np.asarray(pattern.arr[-1] - pattern.arr[::-1], dtype=np.int64)
+        offsets.flags.writeable = False
         shape = NamedShape(
             name=name,
             source=pattern,
-            offsets=pattern.shape[::-1],
+            offsets=offsets,
             span=pattern_len(pattern),
         )
         self._shapes[name] = shape
@@ -254,20 +256,30 @@ class Join:
 DecompositionExpr = NamedPattern | Singleton | Power | Join
 
 
-def _match_at(terms: tuple[int, ...], i: int, shape: NamedShape) -> bool:
+def _match_at(run: np.ndarray, i: int, shape: NamedShape) -> bool:
     """True when the last `shape.cardinality` terms ending at index i
-    are a verified copy of the shape (same offsets, same span)."""
-    k = shape.cardinality
+    are a verified copy of the shape (same offsets, same span).
+
+    Two scalar checks (the first term and the one below the top) reject
+    most candidates before one array comparison of the whole window.
+    Differences are taken in the run's own dtype, so object runs above
+    the int64 range stay exact."""
+    offsets = shape.offsets
+    k = offsets.size
     if k > i + 1:
         return False
-    top = terms[i]
-    for j, off in enumerate(shape.offsets):
-        if terms[i - j] != top - off:
-            return False
-    first = top - shape.offsets[-1]
+    top = run[i]
+    if top - run[i - k + 1] != offsets[-1]:
+        return False
+    if k > 1 and (
+        top - run[i - 1] != offsets[1]
+        or not np.array_equal(top - run[i - k + 1 : i + 1], offsets[::-1])
+    ):
+        return False
+    first = int(run[i - k + 1])
     if first <= 0:
         return False
-    return dyck_pred(first) == top - shape.span
+    return dyck_pred(first) == int(top) - shape.span
 
 
 def decompose(
@@ -279,7 +291,7 @@ def decompose(
     Single-term shapes never match (a lone term prints as itself), and
     adjacent matches of the same shape collapse into a power.
     """
-    run = make_pattern(terms).terms
+    run = make_pattern(terms).arr
     shapes = [s for s in library.by_priority() if s.cardinality >= 2]
     pieces: list[NamedPattern | Singleton] = []
     i = len(run) - 1
@@ -290,10 +302,10 @@ def decompose(
                 matched = shape
                 break
         if matched is None:
-            pieces.append(Singleton(run[i]))
+            pieces.append(Singleton(int(run[i])))
             i -= 1
         else:
-            pieces.append(NamedPattern(matched.name, run[i]))
+            pieces.append(NamedPattern(matched.name, int(run[i])))
             i -= matched.cardinality
     pieces.reverse()
 

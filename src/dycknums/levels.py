@@ -112,8 +112,14 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     even length adds one bit to an odd one whose balance is then at
     least 1.  Checking the odd lengths therefore suffices."""
     ok = np.ones(values.shape, dtype=bool)
+    low = np.empty(values.shape, dtype=np.int64)
+    ones = np.empty(values.shape, dtype=np.uint8)
+    enough = ones.view(bool)
     for k in range(1, nbits + 1, 2):
-        ok &= np.bitwise_count(values & ((1 << k) - 1)) >= (k + 1) // 2
+        np.bitwise_and(values, (1 << k) - 1, out=low)
+        np.bitwise_count(low, out=ones)
+        np.greater_equal(ones, (k + 1) // 2, out=enough)
+        ok &= enough
     return ok
 
 

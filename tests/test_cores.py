@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from dycknums import cores, levels
 from dycknums.cores import (
     Fragment,
+    Join,
+    NamedPattern,
+    Singleton,
     core,
     core_size,
     core_subsequence,
@@ -18,8 +21,9 @@ from dycknums.cores import (
     standard_library,
     subsegments,
 )
+from dycknums.dyck_core import dyck_pred
 from dycknums.errors import DomainError, LevelMismatch, NotMember
-from dycknums.levels import level_structural
+from dycknums.levels import level_structural, mersenne
 from dycknums.oeis_ref import a002054, catalan
 
 CORE_SIZES = (1, 5, 21, 84, 330, 1287, 5005, 19448, 75582, 293930, 1144066, 4457400)
@@ -218,3 +222,110 @@ def test_decompose_round_trip_on_cores():
         lib = standard_library(max(n - 2, 4))
         run = core(n).terms
         assert evaluate(decompose(run, lib), lib) == run
+
+
+def _match_at_scalar(terms: tuple[int, ...], i: int, shape) -> bool:
+    """The term-by-term matcher that `cores._match_at` replaced: the
+    oracle the array matcher is tested against."""
+    k = shape.cardinality
+    if k > i + 1:
+        return False
+    top = terms[i]
+    for j, off in enumerate(shape.offsets):
+        if terms[i - j] != top - off:
+            return False
+    first = top - shape.offsets[-1]
+    if first <= 0:
+        return False
+    return dyck_pred(first) == top - shape.span
+
+
+def _outcome(matcher, run, i: int, shape) -> bool | type[Exception]:
+    """The matcher's answer, or the type of the error it raised (a near
+    miss can put a non-member where the span check calls dyck_pred)."""
+    try:
+        return bool(matcher(run, i, shape))
+    except NotMember as exc:
+        return type(exc)
+
+
+def _assert_matchers_agree(run: np.ndarray, lib) -> int:
+    """Compare the two matchers at every (i, shape), on the int64 run and
+    on the same run as exact Python ints; return the number of matches."""
+    terms = tuple(run.tolist())
+    exact = run.astype(object)
+    matches = 0
+    for shape in lib.by_priority():
+        for i in range(len(terms)):
+            expected = _outcome(_match_at_scalar, terms, i, shape)
+            assert _outcome(cores._match_at, run, i, shape) == expected, (shape.name, i)
+            assert _outcome(cores._match_at, exact, i, shape) == expected, (shape.name, i)
+            matches += expected is True
+    return matches
+
+
+@st.composite
+def matcher_runs(draw):
+    """A slice of a level 4..14, possibly with one interior term moved by
+    2 either way (a near miss), or a run shorter than most shapes."""
+    n = draw(st.integers(min_value=4, max_value=14))
+    level = level_structural(n).arr
+    kind = draw(st.sampled_from(("slice", "near_miss", "short")))
+    longest = 3 if kind == "short" else 200
+    i = draw(st.integers(min_value=0, max_value=len(level) - 1))
+    j = draw(st.integers(min_value=i + 1, max_value=min(len(level), i + longest)))
+    run = level[i:j].copy()
+    if kind == "near_miss" and len(run) >= 3:
+        run[draw(st.integers(min_value=1, max_value=len(run) - 2))] += draw(st.sampled_from((-2, 2)))
+    return run
+
+
+@given(matcher_runs())
+@settings(max_examples=80, deadline=None)
+def test_array_matcher_equals_scalar_oracle(run):
+    _assert_matchers_agree(run, standard_library(12))
+
+
+def test_array_matcher_equals_scalar_oracle_on_whole_levels_and_cores():
+    lib = standard_library(12)
+    runs = [level_structural(n).arr for n in range(4, 13)] + [core(n).arr for n in (12, 14)]
+    # the comparison must exercise real matches, not only rejections
+    assert sum(_assert_matchers_agree(run, lib) for run in runs) > 0
+
+
+@pytest.mark.parametrize("bits", [40, 63, 64, 70])
+def test_decompose_above_int64(bits):
+    top = mersenne(bits)
+    run = [top]
+    while len(run) < 10:
+        run.insert(0, dyck_pred(run[0]))
+    lib = standard_library(12)
+    expr = decompose(run, lib)
+    assert expr == NamedPattern("π6", top)
+    assert format_expr(expr) == f"π6({top})"
+    assert evaluate(expr, lib) == tuple(run)
+
+
+def _assert_residue(n: int) -> None:
+    """Observed by this code, not claimed by the paper: against
+    standard_library(n - 2), subsegments 2-4 of the n-core decompose with
+    no singleton and subsegment 1 leaves Cat((n - 12) / 2) of them."""
+    lib = standard_library(n - 2)
+    singletons = []
+    for seg in core(n).segments:
+        expr = decompose(seg, lib)
+        parts = expr.parts if isinstance(expr, Join) else (expr,)
+        singletons.append(sum(isinstance(p, Singleton) for p in parts))
+        assert evaluate(expr, lib) == tuple(seg.tolist())
+    assert singletons == [catalan((n - 12) // 2), 0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_decomposition_residue(n):
+    _assert_residue(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [22, 24])
+def test_decomposition_residue_slow(n):
+    _assert_residue(n)
