@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .errors import BoundError, DomainError, NotMember
 DEFAULT_SCAN_BOUND = 24
 DEFAULT_STRUCTURAL_BOUND = 30
 MAX_MATERIALIZED_TERMS = 1 << 28
+# Terms per block of the membership predicate: its temporaries stay in cache.
+_BLOCK = 1 << 16
 # The 00 fragment keeps exactly the level-(n-2) terms of at least this dynamics.
 _F00_MIN_DYNAMICS = 4
 
@@ -103,24 +105,60 @@ def level_size(n: int) -> int:
     return math.comb(n - 1, (n - 1) // 2)
 
 
+@cache
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two int8 tables over the 16-bit chunks c: `lowest[c]`, the lowest
+    ones-minus-zeros balance of a nonempty suffix of c read from bit 0
+    up, and `balance[c]` = 2 * popcount(c) - 16.  Built by doubling: a
+    new high bit adds -1 or +1 to every balance and one more suffix."""
+    lowest = np.array([127], dtype=np.int8)  # the empty chunk has no suffix
+    balance = np.zeros(1, dtype=np.int8)
+    for _ in range(16):
+        down, up = balance - 1, balance + 1
+        lowest = np.concatenate([np.minimum(lowest, down), np.minimum(lowest, up)])
+        balance = np.concatenate([down, up])
+    lowest.flags.writeable = False
+    balance.flags.writeable = False
+    return lowest, balance
+
+
 def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     """Vectorized membership test: True where every suffix of the low
     `nbits` bits keeps a nonnegative ones-minus-zeros balance.
 
-    A suffix of odd length k has odd balance, so it is nonnegative
-    exactly when at least (k + 1) / 2 of its bits are ones; a suffix of
-    even length adds one bit to an odd one whose balance is then at
-    least 1.  Checking the odd lengths therefore suffices."""
-    ok = np.ones(values.shape, dtype=bool)
-    low = np.empty(values.shape, dtype=np.int64)
-    ones = np.empty(values.shape, dtype=np.uint8)
-    enough = ones.view(bool)
-    for k in range(1, nbits + 1, 2):
-        np.bitwise_and(values, (1 << k) - 1, out=low)
-        np.bitwise_count(low, out=ones)
-        np.greater_equal(ones, (k + 1) // 2, out=enough)
-        ok &= enough
-    return ok
+    The bits from `nbits` up to the next multiple of 16 are set to 1.
+    That changes no suffix of `nbits` bits or fewer, and every longer
+    suffix is the full `nbits` suffix plus ones, so its balance is
+    higher; the predicate over the filled word is the same.  Each term
+    is then read one 16-bit chunk at a time: its lowest suffix balance
+    inside chunk i is `lowest[c_i]` plus the balance of the chunks
+    below, which `balance` sums.  Terms go through in blocks of
+    `_BLOCK`, so every temporary is block-sized."""
+    if not 0 <= nbits <= 64:
+        raise ValueError(f"nbits must be in 0..64, got {nbits}")
+    lowest, balance = _chunk_tables()
+    chunks = -(-nbits // 16)
+    fill = (1 << 16 * chunks) - (1 << nbits)
+    # Casting keeps the low bits, negatives included; little-endian words
+    # view as their 16-bit chunks, lowest first.
+    word = np.dtype("<u4" if nbits <= 32 else "<u8")
+    flat = values.reshape(-1)
+    ok = np.ones(flat.shape, dtype=bool)
+    size = min(flat.size, _BLOCK)
+    index = np.empty(size, dtype=np.intp)
+    below = np.empty(size, dtype=np.int16)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK].astype(word)
+        block |= fill
+        m = len(block)
+        ok_m, index_m, below_m = ok[start : start + m], index[:m], below[:m]
+        below_m[...] = 0
+        for i, chunk in enumerate(block.view("<u2").reshape(m, -1).T[:chunks], 1):
+            index_m[...] = chunk  # `take` gathers faster by intp than by uint16
+            ok_m &= lowest.take(index_m) + below_m >= 0
+            if i < chunks:
+                below_m += balance.take(index_m)
+    return ok.reshape(values.shape)
 
 
 class Fragment(enum.Enum):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from dycknums.dyck_core import is_dyck_number
 from dycknums.errors import BoundError, DomainError, NotMember
 from dycknums.levels import (
+    _BLOCK,
     _balance_ok,
+    _chunk_tables,
     central_terms,
     level_index,
     level_scan,
@@ -189,3 +191,115 @@ def test_vector_predicate_agrees_with_scalar(cases):
     for value, nbits in cases:
         vector = _balance_ok(np.array([value], dtype=np.int64), nbits)[0]
         assert bool(vector) == is_dyck_number(value), (value, nbits)
+
+
+def _balance_ok_passes(values: np.ndarray, nbits: int) -> np.ndarray:
+    """The predicate as one pass per odd suffix length, the oracle for
+    the table-driven `_balance_ok`.
+
+    A suffix of odd length k has odd balance, so it is nonnegative
+    exactly when at least (k + 1) / 2 of its bits are ones; a suffix of
+    even length adds one bit to an odd one whose balance is then at
+    least 1.  Checking the odd lengths therefore suffices."""
+    ok = np.ones(values.shape, dtype=bool)
+    low = np.empty(values.shape, dtype=np.int64)
+    ones = np.empty(values.shape, dtype=np.uint8)
+    enough = ones.view(bool)
+    for k in range(1, nbits + 1, 2):
+        np.bitwise_and(values, (1 << k) - 1, out=low)
+        np.bitwise_count(low, out=ones)
+        np.greater_equal(ones, (k + 1) // 2, out=enough)
+        ok &= enough
+    return ok
+
+
+@st.composite
+def int64_words(draw):
+    """(values, nbits): an int64 array of arbitrary words and of members
+    of level nbits with arbitrary bits above nbits, negatives included."""
+    nbits = draw(st.integers(min_value=0, max_value=64))
+    values = []
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        if draw(st.booleans()):
+            # low bits kept at balance >= 0, then a possible flip
+            value, balance = 0, 0
+            for i in range(nbits):
+                bit = 1 if balance == 0 else draw(st.integers(min_value=0, max_value=1))
+                value |= bit << i
+                balance += 1 if bit else -1
+            if nbits and draw(st.booleans()):
+                value ^= 1 << draw(st.integers(min_value=0, max_value=nbits - 1))
+            value |= draw(st.integers(min_value=0, max_value=(1 << 64) - 1)) << nbits
+            value &= (1 << 64) - 1
+            value -= (value >> 63) << 64
+        else:
+            value = draw(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
+        values.append(value)
+    return np.array(values, dtype=np.int64), nbits
+
+
+@given(int64_words())
+@settings(max_examples=300, deadline=None)
+def test_table_predicate_agrees_with_passes(case):
+    values, nbits = case
+    assert np.array_equal(_balance_ok(values, nbits), _balance_ok_passes(values, nbits))
+
+
+def test_chunk_tables_match_their_definition():
+    lowest, balance = _chunk_tables()
+    chunks = np.arange(1 << 16)
+    steps = 2 * ((chunks[:, None] >> np.arange(16)) & 1) - 1  # bit 0 first
+    suffix_balances = np.cumsum(steps, axis=1)
+    assert lowest.dtype == balance.dtype == np.int8
+    assert not (lowest.flags.writeable or balance.flags.writeable)
+    assert np.array_equal(lowest, suffix_balances.min(axis=1))
+    assert np.array_equal(balance, suffix_balances[:, -1])
+
+
+@pytest.mark.parametrize("nbits", range(1, 17))
+def test_table_predicate_exhaustive_below_2_16(nbits):
+    values = np.arange(1 << 16, dtype=np.int64)
+    assert np.array_equal(_balance_ok(values, nbits), _balance_ok_passes(values, nbits))
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_table_predicate_block_seams(size):
+    members = np.resize(level_structural(20).arr, size)
+    for where in sorted({0, _BLOCK - 1, _BLOCK, size - 1} & set(range(size))):
+        values = members.copy()
+        # 0x5555 keeps every suffix of the low chunk at balance >= 0; the
+        # zeros at bits 16..18 take the balance to -1 in the second chunk.
+        values[where] = (1 << 19) | 0x5555
+        ok = _balance_ok(values, 20)
+        assert np.array_equal(ok, _balance_ok_passes(values, 20))
+        assert np.flatnonzero(~ok).tolist() == [where]
+
+
+def test_table_predicate_keeps_shape_and_strides():
+    values = np.arange(1 << 12, dtype=np.int64) * 40503
+    for view in (values.reshape(64, 64), values[::3], values.reshape(64, 64).T):
+        ok = _balance_ok(view, 28)
+        assert ok.shape == view.shape
+        assert np.array_equal(ok, _balance_ok_passes(view, 28))
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 26, 64])
+def test_table_predicate_empty(nbits):
+    ok = _balance_ok(np.empty(0, dtype=np.int64), nbits)
+    assert ok.dtype == bool and ok.shape == (0,)
+
+
+@pytest.mark.parametrize("nbits", [-1, 65, 128])
+def test_table_predicate_rejects_nbits_outside_0_64(nbits):
+    with pytest.raises(ValueError):
+        _balance_ok(np.ones(3, dtype=np.int64), nbits)
+
+
+@pytest.mark.slow
+def test_table_predicate_on_level_26_candidates():
+    """Every odd candidate of level 26 (2**24 values), against the oracle
+    one block of 2**20 at a time."""
+    step = 1 << 20
+    for start in range((1 << 25) + 1, 1 << 26, 2 * step):
+        candidates = np.arange(start, start + 2 * step, 2, dtype=np.int64)
+        assert np.array_equal(_balance_ok(candidates, 26), _balance_ok_passes(candidates, 26))
