@@ -19,12 +19,11 @@ import numpy as np
 
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
-from .errors import CacheCorrupt, DyckError, UsageError
+from .errors import CacheCorrupt, DyckError, NotMember, PatternError, UsageError
 from .files import write_atomic
 from .levels import (
     DEFAULT_SCAN_BOUND,
     DEFAULT_STRUCTURAL_BOUND,
-    _balance_ok,
     _stream_array,
     level_index,
     level_scan,
@@ -32,6 +31,7 @@ from .levels import (
     level_structural,
     mersenne,
 )
+from .patterns import _validate_run
 from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
 
 CACHE_ENV_VAR = "DYCKNUMS_CACHE_DIR"
@@ -183,9 +183,9 @@ def write_cache_entry(cache_dir: str, kind: str, n: int, terms) -> Path:
 def read_cache_array(cache_dir: str, kind: str, n: int) -> np.ndarray | None:
     """Return the cached terms as an int64 array, None when absent.
     Raise CacheCorrupt unless the entry holds exactly the terms of the
-    level or core its header names, one decimal per line: the right
-    count, strictly ascending, inside the level interval (up to the core
-    top for a core), and each a member."""
+    level or core its header names, one decimal per line: a valid run
+    (`patterns._validate_run`) of the right count ending at the level or
+    core top, which only the level or core itself is."""
     path = _cache_path(cache_dir, kind, n)
     if not path.is_file():
         return None
@@ -206,15 +206,12 @@ def read_cache_array(cache_dir: str, kind: str, n: int) -> np.ndarray | None:
         size, top = level_size(n), mersenne(n)
     else:
         size, top = cores.core_size(n), cores.core_top(n)
-    if len(arr) != size:
-        raise CacheCorrupt(f"{path}: {len(arr)} terms, but {kind} {n} has {size}")
-    if not (
-        arr[0] > mersenne(n - 1)
-        and arr[-1] <= top
-        and bool(np.all(np.diff(arr) > 0))
-        and bool(_balance_ok(arr, n).all())
-    ):
-        raise CacheCorrupt(f"{path}: not the ascending terms of {kind} {n}")
+    if len(arr) != size or arr[-1] != top:
+        raise CacheCorrupt(f"{path}: {kind} {n} is {size} terms ending at {top}")
+    try:
+        _validate_run(arr)
+    except (ValueError, NotMember, PatternError) as exc:
+        raise CacheCorrupt(f"{path}: {exc}") from None
     return arr
 
 
@@ -435,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("sequence_id", nargs="?",
                         help="sequence id for the oeis selector")
-    verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    verify.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N)
     verify.add_argument("--format", choices=("text", "records"), default="text")
     verify.add_argument("--offline", action="store_true",
                         help="never touch the network")

@@ -205,21 +205,17 @@ def standard_library(max_core: int = 10) -> PatternLibrary:
     """The shape library described by the decompositions themselves:
     the triplet and 6-level patterns, the small cores, and for every
     even k in [12, max_core] the k-core with its first and top
-    subsegments."""
+    subsegments, each valid by construction and not revalidated."""
     lib = PatternLibrary()
-    lib.register("π4", make_pattern(level_structural(4).arr))
-    lib.register("π6", make_pattern(level_structural(6).arr))
-    if max_core >= 6:
-        lib.register("μ6", make_pattern(core(6).arr))
-    if max_core >= 8:
-        lib.register("μ8", make_pattern(core(8).arr))
-    if max_core >= 10:
-        lib.register("μ10", make_pattern(core(10).arr))
+    lib.register("π4", Pattern(level_structural(4).arr))
+    lib.register("π6", Pattern(level_structural(6).arr))
+    for k in range(6, min(max_core, 10) + 1, 2):
+        lib.register(f"μ{k}", Pattern(core(k).arr))
     for k in range(12, max_core + 1, 2):
         c = core(k)
-        lib.register(f"μ{k}/1", make_pattern(c.segments[0]))
-        lib.register(f"μ{k}/4", make_pattern(c.segments[3]))
-        lib.register(f"μ{k}", make_pattern(c.arr))
+        lib.register(f"μ{k}/1", Pattern(c.segments[0]))
+        lib.register(f"μ{k}/4", Pattern(c.segments[3]))
+        lib.register(f"μ{k}", Pattern(c.arr))
     return lib
 
 

@@ -10,6 +10,7 @@ exact arithmetic, so values beyond 2**64 are handled correctly.
 from __future__ import annotations
 
 import enum
+import math
 
 from .errors import DomainError, NotMember
 
@@ -112,6 +113,33 @@ def dyck_pred(t: int) -> int:
         return 0
     p, _ = _lowest_flip(t, "1", 2)
     return t >> p + 1 << p + 1 | (1 << p) - 1
+
+
+def _rank(t: int) -> int:
+    """Number of sequence terms below the term t, in one pass over its
+    bits: 0, the C(m, floor(m/2)) terms of m + 1 bits for each m < L - 1,
+    and for each 1 bit p < L - 1 of t, the L-bit terms that keep t above
+    p and clear it.  As in `_lowest_flip`, their p-bit fills F have no
+    negative suffix and bal(F) >= d = max(0, max_{k>p} R(k) - R(p) + 2).
+    By the ballot theorem, C(p, j) - C(p, j + 1) such F end at balance
+    2j - p; summed over balances >= d, this telescopes to
+    C(p, ceil((p + d) / 2)).
+    """
+    if t <= 0:
+        _require_member(t)
+        return 0
+    k = t.bit_length() - 1
+    count = 1 + sum(math.comb(m, m // 2) for m in range(k))
+    r = hi = 1  # R(k) and the max of R above k, after the leading 1
+    for c in bin(t)[3:]:
+        k -= 1
+        r += 1 if c == "1" else -1
+        if c == "1":
+            count += math.comb(k, (k + max(hi - r + 2, 0) + 1) // 2)
+        hi = max(hi, r)
+    if hi > r:
+        raise NotMember(f"{t} is not a term of the sequence")
+    return count
 
 
 def succ_of_mersenne(n: int) -> int:

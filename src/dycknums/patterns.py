@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck_core import dyck_pred, dyck_succ, is_dyck_number
+from .dyck_core import _rank, dyck_pred, is_dyck_number
 from .errors import (
     DomainError,
     InvalidCopy,
@@ -27,18 +27,16 @@ from .errors import (
     PatternError,
 )
 from .levels import (
-    DEFAULT_STRUCTURAL_BOUND,
     TermArray,
     _balance_ok,
-    _level_array,
     core_top,
     level_structural,
     mersenne,
 )
 from .report import Counterexample, check, first_mismatch
 
-# Above this value the int64 vector path could overflow; fall back to
-# the exact scalar predicate.
+# `_shifted` adds its offset in int64 only below this value, where the
+# sum cannot overflow; above it, in exact Python ints.
 _VECTOR_LIMIT = 1 << 62
 
 
@@ -95,48 +93,29 @@ def _run_array(values) -> np.ndarray:
         return np.array(exact, dtype=object)
 
 
-def _check_by_levels(arr: np.ndarray, lo: int, hi: int) -> None:
-    """Membership by the vector predicate on the run's own terms, one
-    binary length at a time; contiguity by comparing the run with the
-    slice of each structural level that lies in [lo, hi]."""
-    member = [np.ones(1, dtype=bool)] if lo == 0 else []
-    expected = [np.zeros(1, dtype=np.int64)] if lo == 0 else []
-    for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
-        i, j = np.searchsorted(arr, [1 << (nbits - 1), 1 << nbits])
-        member.append(_balance_ok(arr[i:j], nbits))
-        level = _level_array(nbits)
-        i, j = np.searchsorted(level, lo), np.searchsorted(level, hi, side="right")
-        expected.append(level[i:j])
-    member = np.concatenate(member)
-    if not bool(member.all()):
-        raise NotMember(f"{int(arr[np.argmin(member)])} is not a term of the sequence")
-    if not np.array_equal(arr, np.concatenate(expected)):
-        raise NotContiguous(f"run {lo}..{hi} skips intermediate terms")
-
-
-def _check_by_succ(run: list[int]) -> None:
-    """Exact check for runs beyond the structural levels: every term a
-    member, and each term the successor of the one before it."""
-    for t in run:
-        if not is_dyck_number(t):
-            raise NotMember(f"{t} is not a term of the sequence")
-    if any(dyck_succ(a) != b for a, b in zip(run, run[1:])):
-        raise NotContiguous(f"run {run[0]}..{run[-1]} skips intermediate terms")
-
-
 def _validate_run(arr: np.ndarray) -> None:
-    """Raise unless arr is an ascending contiguous run of members."""
+    """Raise unless arr is an ascending run of members of one binary
+    length that holds every term between its ends: as many terms as
+    `_rank` counts there.  The one validator of every run, at any size;
+    it builds no level."""
     if arr.size == 0:
         raise ValueError("a pattern needs at least one term")
-    if bool(np.any(np.diff(arr) <= 0)):
+    if bool(np.any(arr[1:] <= arr[:-1])):
         raise ValueError("terms must be strictly ascending")
     lo, hi = int(arr[0]), int(arr[-1])
     if lo < 0:
         raise ValueError("terms must be nonnegative")
-    if hi.bit_length() <= DEFAULT_STRUCTURAL_BOUND:
-        _check_by_levels(arr, lo, hi)
+    if arr.dtype == object:
+        member = np.array([is_dyck_number(t) for t in arr.tolist()])
     else:
-        _check_by_succ(arr.tolist())
+        member = np.ones(arr.shape, dtype=bool)  # the term 0 is a member
+        for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
+            i, j = np.searchsorted(arr, [mersenne(nbits - 1), mersenne(nbits)], side="right")
+            member[i:j] = _balance_ok(arr[i:j], nbits)
+    if not bool(member.all()):
+        raise NotMember(f"{int(arr[np.argmin(member)])} is not a term of the sequence")
+    if len(arr) != _rank(hi) - _rank(lo) + 1:
+        raise NotContiguous(f"run {lo}..{hi} skips intermediate terms")
     if lo.bit_length() != hi.bit_length():
         raise MixedLevels(
             f"terms span binary lengths {lo.bit_length()}..{hi.bit_length()}"
@@ -170,11 +149,9 @@ def _shifted(p: Pattern, new_top: int) -> Pattern:
         shifted = p.arr + delta
     else:
         shifted = _run_array([t + delta for t in p.arr.tolist()])
-    if shifted[0] < 0:
-        raise InvalidCopy(f"no copy of the pattern exists at top {new_top}")
     try:
         _validate_run(shifted)
-    except (NotMember, PatternError) as exc:
+    except (ValueError, NotMember, PatternError) as exc:
         raise InvalidCopy(
             f"no copy of the pattern exists at top {new_top}: {exc}"
         ) from exc
@@ -227,11 +204,12 @@ def power(p: Pattern, k: int) -> Pattern:
     span = pattern_len(p)
     combined = np.concatenate([p.arr - j * span for j in range(k - 1, -1, -1)])
     try:
-        return make_pattern(combined)
+        _validate_run(combined)
     except (NotMember, PatternError) as exc:
         raise InvalidCopy(
             f"no chain of {k} copies exists below top {p.top}: {exc}"
         ) from exc
+    return Pattern(combined)
 
 
 def lift_copy(p: Pattern) -> Pattern:

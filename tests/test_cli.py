@@ -268,6 +268,24 @@ def test_verify_max_n_beyond_structural_bound_is_usage_error(capsys, argv, level
     assert f"needs level {level}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "--max-n", "0", "--offline"),
+        ("verify", "sizes", "--max-n", "-4"),
+        ("verify", "eq1", "--max-n", "-4"),
+        ("verify", "prop12", "--max-n", "0"),
+    ],
+)
+def test_verify_max_n_below_1_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n" in captured.err
+
+
 def test_verify_all_max_n_30_is_within_the_structural_bound():
     # only planned here: running it builds level 30
     plan = cli._planned_checks("all", 30)
@@ -322,12 +340,18 @@ def test_forged_cache_entry_exits_nonzero(tmp_path, capsys):
         "# core 8 5\n143\n151\n153\n157\n159\n",     # 153 is not a term
         "# core 8 5\n151\n155\n157\n159\n175\n",     # 175 lies above the core top
         "# core 8 5\n127\n151\n155\n157\n159\n",     # 127 belongs to level 7
+        # a contiguous run of members of the right count, but it crosses
+        # into level 7
+        "# level 6 10\n43\n45\n47\n51\n53\n55\n59\n61\n63\n71\n",
+        # contiguous members of level 8 and the right count, one term too high
+        "# core 8 5\n151\n155\n157\n159\n167\n",
     ],
 )
 def test_cache_entry_validated_on_read(tmp_path, body):
-    (tmp_path / "core_8.txt").write_text(body)
+    kind, n = body.split()[1:3]
+    (tmp_path / f"{kind}_{n}.txt").write_text(body)
     with pytest.raises(CacheCorrupt):
-        read_cache_entry(str(tmp_path), "core", 8)
+        read_cache_entry(str(tmp_path), kind, int(n))
 
 
 # -- the decimal codec, against str() and int() ------------------------------

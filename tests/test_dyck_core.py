@@ -1,9 +1,13 @@
+import random
+from importlib import resources
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycknums.dyck_core import (
     TermClass,
+    _rank,
     classify,
     dyck_pred,
     dyck_succ,
@@ -12,7 +16,8 @@ from dycknums.dyck_core import (
     succ_of_mersenne,
 )
 from dycknums.errors import DomainError, NotMember
-from dycknums.levels import level_scan
+from dycknums.levels import level_scan, level_structural
+from dycknums.oeis_ref import parse_bfile
 
 from conftest import FIRST_48
 
@@ -213,3 +218,50 @@ def test_succ_pred_reject_non_members_to_300_bits(v):
         dyck_succ(v)
     with pytest.raises(NotMember):
         dyck_pred(v)
+
+
+# -- _rank: the number of terms below a term --------------------------------
+
+
+def test_rank_is_the_index_in_the_bundled_bfile():
+    text = resources.files("dycknums").joinpath("data/bfiles/b036991.txt").read_text()
+    records = parse_bfile(text, "A036991").records
+    assert len(records) >= 500
+    assert all(_rank(term) == i - 1 for i, term in records)
+
+
+def test_rank_is_the_index_in_the_scanned_levels():
+    below = 1  # the term 0
+    for n in range(1, 19):
+        terms = level_scan(n).arr.tolist()
+        assert [_rank(t) for t in terms] == list(range(below, below + len(terms)))
+        below += len(terms)
+
+
+@given(terms_up_to_300_bits())
+@example(0)
+@example(1)
+@example((1 << 299) - 1)
+@settings(max_examples=300, deadline=None)
+def test_rank_steps_by_one_to_the_successor(t):
+    assert _rank(dyck_succ(t)) == _rank(t) + 1
+
+
+@given(st.integers(min_value=1, max_value=1 << 300).filter(lambda v: not is_dyck_number(v)))
+@example(2)
+@example(1 << 300)
+@example((1 << 70) + 1)
+@settings(max_examples=300)
+def test_rank_rejects_non_members_to_300_bits(v):
+    with pytest.raises(NotMember):
+        _rank(v)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(22, 27))
+def test_rank_differences_count_terms_between_in_large_levels(n):
+    level = level_structural(n).arr
+    rng = random.Random(n)
+    for _ in range(200):
+        i, j = sorted(rng.randrange(len(level)) for _ in range(2))
+        assert _rank(int(level[j])) - _rank(int(level[i])) == j - i

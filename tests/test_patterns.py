@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycknums import patterns
+from dycknums import levels
 from dycknums.dyck_core import is_dyck_number
 from dycknums.errors import (
     DomainError,
@@ -279,7 +279,7 @@ def test_runs_beyond_the_vector_limit_validate_by_exact_scan(monkeypatch):
     def no_levels(*args, **kwargs):
         raise AssertionError("no level array exists this high")
 
-    monkeypatch.setattr(patterns, "_level_array", no_levels)
+    monkeypatch.setattr(levels, "_level_array", no_levels)
     for n in (63, 64, 80):
         top = mersenne(n)
         assert top >= 1 << 62
@@ -307,3 +307,28 @@ def test_level_80_runs_validate_by_succ_walk():
         make_pattern((low, third))
     with pytest.raises(NotMember):
         make_pattern((low, second + 2))  # also skips `second`
+
+
+@pytest.mark.parametrize(
+    "terms,error",
+    [
+        ((mersenne(28) - 4, mersenne(28) - 2, mersenne(28)), None),
+        ((1, mersenne(28)), NotContiguous),
+    ],
+)
+def test_validation_builds_no_level(monkeypatch, terms, error):
+    monkeypatch.setattr(levels, "_array_cache", {})
+    if error is None:
+        assert make_pattern(terms).terms == terms
+    else:
+        with pytest.raises(error):
+            make_pattern(terms)
+    assert levels._array_cache == {}
+
+
+@pytest.mark.parametrize("n", (40, 63, 64, 80))
+def test_an_interior_non_member_is_named(n):
+    # both ends are members and the count alone would not see it
+    top = mersenne(n)
+    with pytest.raises(NotMember, match=f"^{top - 3} is not a term"):
+        make_pattern((top - 4, top - 3, top))
