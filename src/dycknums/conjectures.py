@@ -18,6 +18,7 @@ import numpy as np
 from .cores import core, core_size, rejected_terms
 from .errors import PatternError
 from .levels import (
+    _BLOCK,
     _balance_ok,
     _level_array,
     core_top,
@@ -61,17 +62,21 @@ def check_prop12(n: int) -> Counterexample | None:
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
     src = _level_array(n)
+    # One block of terms at a time, so that no temporary is full-size.
+    blocks = [src[start : start + _BLOCK] for start in range(0, len(src), _BLOCK)]
     for delta in (-1, 1, 3):
-        # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
-        found = _balance_ok(4 * src + delta, n + 2)
-        if not bool(np.all(found)):
-            bad = int(src[~found][0])
-            return Counterexample(bad, f"{4 * bad + delta} in level {n + 2}", "absent")
-    quarter_src = (src - (1 << (n - 1))) >> (n - 3)
-    quarter_dst = (4 * src + 3 - (1 << (n + 1))) >> (n - 1)
-    if not bool(np.all(quarter_src == quarter_dst)):
-        mism = np.nonzero(quarter_src != quarter_dst)[0][0]
-        return Counterexample(int(src[mism]), int(quarter_src[mism]), int(quarter_dst[mism]))
+        for block in blocks:
+            # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
+            found = _balance_ok(4 * block + delta, n + 2)
+            if not bool(np.all(found)):
+                bad = int(block[~found][0])
+                return Counterexample(bad, f"{4 * bad + delta} in level {n + 2}", "absent")
+    for block in blocks:
+        quarter_src = (block - (1 << (n - 1))) >> (n - 3)
+        quarter_dst = (4 * block + 3 - (1 << (n + 1))) >> (n - 1)
+        if not bool(np.all(quarter_src == quarter_dst)):
+            i = np.nonzero(quarter_src != quarter_dst)[0][0]
+            return Counterexample(int(block[i]), int(quarter_src[i]), int(quarter_dst[i]))
     return None
 
 

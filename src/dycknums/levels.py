@@ -179,8 +179,9 @@ def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Level n-2 for even n >= 4, and the mask of its terms whose
     00-fragment image is a term of level n; the rest are rejected."""
     src = _level_array(n - 2)
-    dynamics = 2 * np.bitwise_count(src).astype(np.int64) - (n - 2)
-    keep = dynamics >= _F00_MIN_DYNAMICS
+    # Dynamics 2 * ones - (n - 2) >= _F00_MIN_DYNAMICS, counted in uint8;
+    # n is even, so the bound on the ones is exact.
+    keep = np.bitwise_count(src) >= (n - 2 + _F00_MIN_DYNAMICS) // 2
     # Dual route: the dynamics shortcut must agree with an explicit
     # suffix-balance check of the constructed codes.
     if not np.array_equal(_balance_ok(src + Fragment.F00.shift(n), n), keep):
@@ -236,10 +237,21 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
         arr = np.array(_BASE_LEVELS[n], dtype=np.int64)
     elif n % 2:
         prev = _level_array(n - 1, structural_bound)
-        arr = np.concatenate([prev + (1 << (n - 2)), prev + (1 << (n - 1))])
+        arr = np.empty(level_size(n), dtype=np.int64)
+        for half, shift in zip(arr.reshape(2, -1), (n - 2, n - 1)):
+            np.add(prev, 1 << shift, out=half)
     else:
-        prev = _level_array(n - 2, structural_bound)
-        arr = np.concatenate([_core_array(n)] + [prev + f.shift(n) for f in list(Fragment)[1:]])
+        # Each part is written once, into its place in the level: the
+        # core (the 00-fragment survivors of level n-2), then the 01, 10
+        # and 11 images.
+        src, keep = _f00_mask(n)
+        arr = np.empty(level_size(n), dtype=np.int64)
+        head = arr[: len(arr) - 3 * len(src)]
+        if np.count_nonzero(keep) != len(head):
+            raise AssertionError(f"level {n} construction keeps the wrong number of core terms")
+        np.add(src[keep], Fragment.F00.shift(n), out=head)
+        for image, f in zip(arr[len(head) :].reshape(3, -1), list(Fragment)[1:]):
+            np.add(src, f.shift(n), out=image)
     if not bool(np.all(arr[1:] > arr[:-1])):
         raise AssertionError(f"level {n} construction is not strictly ascending")
     arr.flags.writeable = False
@@ -265,9 +277,17 @@ def central_terms(n: int) -> CentralTerms:
     )
 
 
+def stream_limit(structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> int:
+    """The number of terms up to the structural bound, the term 0
+    included: the most `stream_terms` can produce."""
+    return 1 + sum(level_size(k) for k in range(1, structural_bound + 1))
+
+
 def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > stream_limit(structural_bound):
+        raise BoundError(f"the first {count} terms reach above level {structural_bound}")
     parts = [np.zeros(1, dtype=np.int64)]
     total, n = 1, 1
     while total < count:

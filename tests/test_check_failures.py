@@ -109,6 +109,25 @@ def test_prop12_reports_a_missing_triplet_member(monkeypatch):
     assert_fails(check_prop12(6), "prop12", 6, Counterexample(41, "163 in level 8", "absent"))
 
 
+def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
+    # Level 20 spans two blocks of the check.  In the first, 526304 (even)
+    # lifts to members for delta -1 only; in the second, 933649 (not a
+    # term) lifts to no member.  delta -1 is tested over every block first.
+    real = conjectures._level_array
+
+    def corrupted(n):
+        arr = real(n)
+        if n == 20:
+            arr = arr.copy()
+            arr[5], arr[70000] = 526304, 933649
+        return arr
+
+    assert levels._BLOCK < 70000 < len(real(20))
+    monkeypatch.setattr(conjectures, "_level_array", corrupted)
+    assert_fails(check_prop12(20), "prop12", 20,
+                 Counterexample(933649, f"{4 * 933649 - 1} in level 22", "absent"))
+
+
 def test_conj16_reports_a_short_subsegment(monkeypatch):
     corrupt_core(monkeypatch, 10, drop(0), segment=1)
     assert_fails(check_conj16(8), "conj16", 8,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dycknums import cli, cores
+from dycknums import cli, cores, levels
 from dycknums.cli import main, read_cache_entry, write_cache_entry
-from dycknums.errors import CacheCorrupt
+from dycknums.errors import BoundError, CacheCorrupt
 from dycknums.levels import level_structural, stream_terms
 
 
@@ -473,3 +473,87 @@ def test_gen_level_24_is_str_of_each_term(capsys):
     assert code == 0 and out == text_of(terms)
     code, out, _ = run(capsys, "gen", "--level", "24", "--format", "records")
     assert code == 0 and out == RECORDS_HEADER + records_of("level", 24, terms)
+
+
+# -- the digit formatter, against its one-column-per-digit predecessor -------
+
+
+def put_digits_by_column(out, values):
+    """The formatter as one divide-by-10 pass per digit column, each
+    written into a column of out: the oracle for the table-driven
+    `cli._put_digits`."""
+    # A copy, in 32 bits when the values fit: narrower division is faster.
+    v = values.astype(np.int32 if out.shape[1] <= 9 else np.int64)
+    q = np.empty_like(v)
+    for col in range(out.shape[1] - 1, 0, -1):
+        np.floor_divide(v, 10, out=q)
+        np.subtract(v, q * 10, out=out[:, col], casting="unsafe")
+        v, q = q, v
+    out[:, 0] = v
+    out += ord("0")
+
+
+# Values at the edges of the formatter: powers of ten, the int32 range
+# (the int32 path ends at 9 digits) and the int64 maximum.
+EDGE_VALUES = sorted(
+    {10**k + d for k in range(19) for d in (-1, 0)} | {2**31 - 1, 2**31, 2**31 + 1, 2**63 - 1}
+)
+
+
+@st.composite
+def digit_matrices(draw):
+    """(matrix, column, width, values): values of exactly `width`
+    digits, and a wider matrix whose columns from `column` take them."""
+    width = draw(st.integers(1, 19))
+    lo, hi = (10 ** (width - 1) if width > 1 else 0), min(10**width - 1, 2**63 - 1)
+    edges = [v for v in EDGE_VALUES if lo <= v <= hi]
+    values = draw(st.lists(st.one_of(st.integers(lo, hi), st.sampled_from(edges)), max_size=50))
+    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    fill = draw(st.integers(0, 255))
+    matrix = np.full((len(values), before + width + after), fill, dtype=np.uint8)
+    return matrix, before, width, np.array(values, dtype=np.int64)
+
+
+@given(digit_matrices())
+@settings(max_examples=300, deadline=None)
+def test_put_digits_matches_one_pass_per_column(case):
+    matrix, column, width, values = case
+    expected = matrix.copy()
+    put_digits_by_column(expected[:, column:column + width], values)
+    cli._put_digits(matrix[:, column:column + width], values)
+    assert np.array_equal(matrix, expected)
+    digits = matrix[:, column:column + width].tobytes().decode("ascii")
+    assert digits == "".join(str(v) for v in values.tolist())
+
+
+def test_put_digits_at_every_edge_value():
+    for width in range(1, 20):
+        values = np.array([v for v in EDGE_VALUES if len(str(v)) == width], dtype=np.int64)
+        matrix = np.zeros((len(values), width + 2), dtype=np.uint8)
+        cli._put_digits(matrix[:, 1:width + 1], values)
+        rows = matrix[:, 1:width + 1].tobytes().decode("ascii")
+        assert rows == "".join(str(v) for v in values.tolist()), width
+
+
+def test_term_text_of_19_digit_terms():
+    terms = np.array([10**17, 10**18 - 1, 10**18, 2**63 - 1], dtype=np.int64)
+    assert "".join(cli._term_text(terms, "text")) == text_of(terms.tolist())
+    records = "".join(cli._term_text(terms, "records", "level\t63\t"))
+    assert records == records_of("level", 63, terms.tolist())
+
+
+def test_gen_count_above_the_structural_bound_builds_no_level(monkeypatch, capsys):
+    # 158,825,372 = 1 + the sizes of levels 1 to 30: the term 0 and
+    # every level up to the structural bound
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(levels, "_level_array", no_level)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--count", "158825373"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 158825372 terms" in captured.err
+    with pytest.raises(BoundError):
+        levels._stream_array(158825373)

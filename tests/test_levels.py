@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dycknums import levels
 from dycknums.dyck_core import is_dyck_number
 from dycknums.errors import BoundError, DomainError, NotMember
 from dycknums.levels import (
     _BLOCK,
+    Fragment,
     _balance_ok,
     _chunk_tables,
     central_terms,
@@ -54,6 +58,46 @@ def test_structural_level_6_and_8():
 def test_scan_equals_structural_through_16():
     for n in range(1, 17):
         assert level_scan(n).terms == level_structural(n, structural_bound=16).terms
+
+
+def level_by_concatenation(n):
+    """Level n as shifted copies joined by `np.concatenate`, with the
+    00-fragment survivors chosen by an int64 dynamics array: the oracle
+    for the in-place construction."""
+    if n <= 2:
+        return np.array([2 * n - 1], dtype=np.int64)  # 1, 3
+    if n % 2:
+        prev = level_by_concatenation(n - 1)
+        return np.concatenate([prev + (1 << (n - 2)), prev + (1 << (n - 1))])
+    prev = level_by_concatenation(n - 2)
+    dynamics = 2 * np.bitwise_count(prev).astype(np.int64) - (n - 2)
+    core = prev[dynamics >= 4] + Fragment.F00.shift(n)
+    return np.concatenate([core] + [prev + f.shift(n) for f in list(Fragment)[1:]])
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_in_place_construction_matches_concatenation(n):
+    arr = level_structural(n).arr
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert np.array_equal(arr, level_by_concatenation(n))
+
+
+def test_even_level_is_built_without_a_full_size_temporary(monkeypatch):
+    # Level 24 (10.3 MiB) from a resident level 22 (2.7 MiB).  Each part
+    # is written into the result, so beside it only temporaries of level
+    # 22's size are live (the core before it is written, the fragment-00
+    # route check).  A full-size temporary, or the three shifted copies
+    # of level 22 that a concatenation joins, exceed the bound.
+    level_22 = levels._level_array(22)
+    monkeypatch.setattr(levels, "_array_cache", {22: level_22})
+    tracemalloc.start()
+    try:
+        level_24 = levels._level_array(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(level_24, level_by_concatenation(24))
+    assert peak < level_24.nbytes + 2 * level_22.nbytes
 
 
 def test_level_bounds_and_top():
