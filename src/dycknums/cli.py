@@ -1,42 +1,28 @@
 """Command-line interface: term generation, point queries, pattern
 decomposition, and the verification harness.
 
-Exit codes: 0 success, 1 domain or verification failure, 2 usage error.
+Exit codes: 0 success, 1 domain or verification failure, 2 usage error,
+a request beyond a fixed bound included.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import re
 import sys
 from collections.abc import Iterator
 from functools import cache
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
-from .errors import CacheCorrupt, DyckError, NotMember, PatternError, UsageError
-from .files import write_atomic
-from .levels import (
-    DEFAULT_SCAN_BOUND,
-    DEFAULT_STRUCTURAL_BOUND,
-    _stream_array,
-    level_index,
-    level_scan,
-    level_size,
-    level_structural,
-    mersenne,
-    stream_limit,
-)
-from .patterns import _validate_run
+from .errors import BoundError, DyckError, UsageError
+from .levels import DEFAULT_SCAN_BOUND, _stream_array, level_index, level_scan, level_structural
 from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
 
-CACHE_ENV_VAR = "DYCKNUMS_CACHE_DIR"
 DEFAULT_MAX_N = 22
 STANDARD_SEQUENCES = (
     "A036991",
@@ -50,17 +36,14 @@ STANDARD_SEQUENCES = (
 
 # -- decimal text of term arrays ---------------------------------------------
 #
-# Every term array leaves the package as text through `_term_text` and
-# comes back from a cache file through `_parse_lines`.  Both work on
-# whole uint8 digit matrices, never one Python int at a time.
+# Every term array leaves the package as text through `_term_text`, which
+# works on whole uint8 digit matrices, never one Python int at a time.
 
 # Terms are formatted this many at a time, so output never holds the
 # text of a whole level at once.
 _CHUNK = 1 << 16
 # 10**1 .. 10**18: a nonnegative int64 below 10**k has at most k digits.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-# The widest cache line: every 18-digit number fits in an int64.
-_MAX_DIGITS = 18
 
 
 @cache
@@ -135,115 +118,17 @@ def _term_text(terms: np.ndarray, layout: str, prefix: str = "") -> Iterator[str
     """The decimal text of ascending terms, in chunks of at most _CHUNK
     terms.  Layouts: "text" is one line of space-separated terms;
     "records" is one `prefix index term` row per term, tab-separated,
-    indexed from 1; "lines" is one term per line."""
+    indexed from 1."""
     for start in range(0, len(terms), _CHUNK):
         chunk = terms[start:start + _CHUNK]
         if layout == "records":
             index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
             yield _decimal_rows(prefix, index, "\t", chunk, "\n")
-        elif layout == "lines":
-            yield _decimal_rows(chunk, "\n")
         else:
             text = _decimal_rows(" ", chunk)
             yield text if start else text[1:]
     if layout == "text":
         yield "\n"
-
-
-def _parse_lines(body: bytes) -> np.ndarray:
-    """The terms of a body in the "lines" layout.  Every line must be a
-    term's decimal (1 to _MAX_DIGITS ASCII digits, no leading zero)
-    followed by a newline, and no line may be shorter than the one
-    before it, as holds for ascending terms.  Raise ValueError on any
-    other body."""
-    buf = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if len(buf) and (not len(ends) or ends[-1] != len(buf) - 1):
-        raise ValueError("the last line does not end in a newline")
-    if np.count_nonzero(buf - ord("0") > 9) != len(ends):  # uint8: wraps below '0'
-        raise ValueError("a line holds a byte that is not a digit")
-    widths = np.diff(ends, prepend=-1) - 1
-    if len(widths) and (widths.min() < 1 or widths.max() > _MAX_DIGITS):
-        raise ValueError(f"a line is empty or longer than {_MAX_DIGITS} digits")
-    if bool(np.any(widths[1:] < widths[:-1])):
-        raise ValueError("the terms are not ascending")
-    values = np.empty(len(ends), dtype=np.int64)
-    first = np.searchsorted(widths, np.arange(1, _MAX_DIGITS + 2)).tolist()
-    for width, lo, hi in zip(range(1, _MAX_DIGITS + 1), first, first[1:]):
-        if lo == hi:
-            continue
-        digits = buf[ends[lo] - width:ends[hi - 1] + 1].reshape(hi - lo, width + 1)
-        if width > 1 and bool(np.any(digits[:, 0] == ord("0"))):
-            raise ValueError("a line has a leading zero")
-        # Accumulate the ASCII codes block by block, so that a block stays
-        # in cache; each digit then carries an excess of ord("0"), which
-        # sums to ord("0") * 11...1 (width ones) per value.
-        for start in range(lo, hi, _CHUNK):
-            block = digits[start - lo:start - lo + _CHUNK]
-            v = block[:, 0].astype(np.int64)
-            for col in range(1, width):
-                v *= 10
-                v += block[:, col]
-            values[start:start + len(block)] = v
-        values[lo:hi] -= ord("0") * (10**width - 1) // 9
-    return values
-
-
-# -- cache files -------------------------------------------------------------
-
-
-def _cache_path(cache_dir: str, kind: str, n: int) -> Path:
-    return Path(cache_dir) / f"{kind}_{n}.txt"
-
-
-def write_cache_entry(cache_dir: str, kind: str, n: int, terms) -> Path:
-    """Write one '# kind n count' header plus one term per line,
-    atomically."""
-    path = _cache_path(cache_dir, kind, n)
-    arr = np.asarray(terms, dtype=np.int64)
-    write_atomic(path, itertools.chain([f"# {kind} {n} {len(arr)}\n"], _term_text(arr, "lines")))
-    return path
-
-
-def read_cache_array(cache_dir: str, kind: str, n: int) -> np.ndarray | None:
-    """Return the cached terms as an int64 array, None when absent.
-    Raise CacheCorrupt unless the entry holds exactly the terms of the
-    level or core its header names, one decimal per line: a valid run
-    (`patterns._validate_run`) of the right count ending at the level or
-    core top, which only the level or core itself is."""
-    path = _cache_path(cache_dir, kind, n)
-    if not path.is_file():
-        return None
-    head, _, body = path.read_bytes().partition(b"\n")
-    header = head.decode(errors="replace")
-    if not header.startswith("# "):
-        raise CacheCorrupt(f"{path}: missing header")
-    fields = header[2:].split()
-    if len(fields) != 3 or fields[0] != kind or fields[1] != str(n):
-        raise CacheCorrupt(f"{path}: header does not match ({header!r})")
-    try:
-        arr = _parse_lines(body)
-    except ValueError as exc:
-        raise CacheCorrupt(f"{path}: {exc}") from None
-    if fields[2] != str(len(arr)):
-        raise CacheCorrupt(f"{path}: header count {fields[2]} != {len(arr)} lines")
-    if kind == "level":
-        size, top = level_size(n), mersenne(n)
-    else:
-        size, top = cores.core_size(n), cores.core_top(n)
-    if len(arr) != size or arr[-1] != top:
-        raise CacheCorrupt(f"{path}: {kind} {n} is {size} terms ending at {top}")
-    try:
-        _validate_run(arr)
-    except (ValueError, NotMember, PatternError) as exc:
-        raise CacheCorrupt(f"{path}: {exc}") from None
-    return arr
-
-
-def read_cache_entry(cache_dir: str, kind: str, n: int) -> tuple[int, ...] | None:
-    """`read_cache_array` as a tuple of Python ints."""
-    arr = read_cache_array(cache_dir, kind, n)
-    return None if arr is None else tuple(arr.tolist())
 
 
 # -- command implementations -------------------------------------------------
@@ -257,28 +142,11 @@ def _emit_terms(kind: str, n: int, terms: np.ndarray, fmt: str) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count is not None:
-        limit = stream_limit()
-        if args.count > limit:
-            raise UsageError(
-                f"gen --count {args.count} needs terms above the structural bound "
-                f"{DEFAULT_STRUCTURAL_BOUND}; at most {limit} terms"
-            )
         kind, n = "stream", args.count
         terms = _stream_array(args.count)
     else:
         kind, n = ("level", args.level) if args.level is not None else ("core", args.core)
-        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-        if args.no_cache:
-            cache_dir = None
-        terms = read_cache_array(cache_dir, kind, n) if cache_dir else None
-        if terms is None:
-            terms = (
-                level_structural(n).arr
-                if kind == "level"
-                else cores.core(n).arr
-            )
-            if cache_dir:
-                write_cache_entry(cache_dir, kind, n, terms)
+        terms = level_structural(n).arr if kind == "level" else cores.core(n).arr
     _emit_terms(kind, n, terms, args.format)
     if args.check:
         return _run_gen_check(kind, n, terms)
@@ -325,8 +193,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(cores.format_expr(cores.decompose(target.arr, library)))
     else:
         n = args.level
+        terms = level_structural(n).arr
         library = cores.standard_library(n if n % 2 == 0 else n - 1)
-        print(cores.format_expr(cores.decompose(level_structural(n).arr, library)))
+        print(cores.format_expr(cores.decompose(terms, library)))
     return 0
 
 
@@ -357,19 +226,11 @@ def _oeis_outcomes(args: argparse.Namespace, ids: tuple[str, ...]) -> list[Verif
 
 
 def _planned_checks(selector: str, max_n: int) -> list[tuple[str, int]]:
-    """The level checks a selector runs, rejected up front when a single
-    check selects no level or when any would build a level above the
-    structural bound.  A check at n builds no level above n."""
-    names = conjectures.CHECKS if selector == "all" else (selector,)
-    plan = conjectures.planned_checks(names, max_n)
-    if not plan and selector != "all":
+    """The levels one check runs at, rejected up front when it selects
+    none."""
+    plan = conjectures.planned_checks((selector,), max_n)
+    if not plan:
         raise UsageError(f"verify {selector} --max-n {max_n} selects no level")
-    top = max((n for _, n in plan), default=0)
-    if top > DEFAULT_STRUCTURAL_BOUND:
-        raise UsageError(
-            f"verify {selector} --max-n {max_n} needs level {top}, above the "
-            f"structural bound {DEFAULT_STRUCTURAL_BOUND}"
-        )
     return plan
 
 
@@ -378,7 +239,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     selector = args.selector
     outcomes: list[VerificationOutcome] = []
     if selector == "all":
-        _planned_checks(selector, max_n)
         outcomes.extend(conjectures.run_all(max_n))
         outcomes.append(_appendix_outcome())
         outcomes.extend(_oeis_outcomes(args, STANDARD_SEQUENCES))
@@ -439,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("text", "records"), default="text")
     gen.add_argument("--check", action="store_true",
                      help="also compare against the scan oracle")
-    gen.add_argument("--cache-dir", help="directory for level/core term caches")
-    gen.add_argument("--no-cache", action="store_true",
-                     help="ignore caches and recompute")
+    # Rebuilding a level or core is faster than reading it back from a
+    # file, so nothing is cached; the two options still parse so that
+    # existing invocations keep working.
+    gen.add_argument("--cache-dir", help="ignored: levels and cores are always rebuilt")
+    gen.add_argument("--no-cache", action="store_true", help="ignored")
     gen.set_defaults(func=cmd_gen)
 
     query = sub.add_parser("query", help="point queries on single terms")
@@ -477,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BoundError) as exc:
         parser.error(str(exc))
     except (DyckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cores import core, core_size, rejected_terms
-from .errors import PatternError
+from .errors import BoundError, PatternError
 from .levels import (
+    DEFAULT_STRUCTURAL_BOUND,
     _BLOCK,
     _balance_ok,
     _level_array,
@@ -217,17 +218,28 @@ CHECKS = {
 
 
 def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
-    """The (check name, n) pairs the named checks run at up to max_n."""
-    return [(name, n) for name in names for n in range(CHECKS[name][1], max_n + 1, 2)]
+    """The (check name, n) pairs the named checks run at up to max_n.
+    Raise BoundError when one would build a level above the structural
+    bound; a check at n builds no level above n."""
+    plan = [(name, n) for name in names for n in range(CHECKS[name][1], max_n + 1, 2)]
+    top = max((n for _, n in plan), default=0)
+    if top > DEFAULT_STRUCTURAL_BOUND:
+        raise BoundError(
+            f"max_n {max_n} needs level {top}, above the structural bound "
+            f"{DEFAULT_STRUCTURAL_BOUND}"
+        )
+    return plan
 
 
 def run_all(max_n: int) -> list[VerificationOutcome]:
     """Every level-parameterized check at every applicable n <= max_n,
-    ordered by (check name, n).  Size identities run once."""
+    ordered by (check name, n).  Size identities run once.  Raise
+    BoundError before any check when max_n is above the structural
+    bound."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     outcomes = [CHECKS[name][0](n) for name, n in planned_checks(CHECKS, max_n)]
     if max_n >= 6:
-        outcomes.extend(size_identity_checks(min(max_n, 30)))
+        outcomes.extend(size_identity_checks(max_n))
     outcomes.sort(key=lambda o: (o.name, o.n))
     return outcomes

@@ -67,9 +67,6 @@ class NoOverlap(DyckError):
     """Computed values and b-file records share no indices."""
 
 
-class CacheCorrupt(DyckError):
-    """A local cache file does not hold the terms its header names."""
-
-
 class UsageError(DyckError):
-    """Command-line arguments select no work or exceed a bound."""
+    """Command-line arguments select no work; the CLI reports this, like
+    a BoundError, as a usage error."""

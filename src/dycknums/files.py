@@ -1,4 +1,4 @@
-"""Atomic text-file writes for the level/core cache and the b-file cache."""
+"""Atomic text-file writes for the b-file cache."""
 
 from __future__ import annotations
 

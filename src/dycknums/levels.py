@@ -286,8 +286,12 @@ def stream_limit(structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> int:
 def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > stream_limit(structural_bound):
-        raise BoundError(f"the first {count} terms reach above level {structural_bound}")
+    limit = stream_limit(structural_bound)
+    if count > limit:
+        raise BoundError(
+            f"the first {count} terms reach above level {structural_bound}; "
+            f"at most {limit} terms"
+        )
     parts = [np.zeros(1, dtype=np.int64)]
     total, n = 1, 1
     while total < count:

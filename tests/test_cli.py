@@ -6,9 +6,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dycknums import cli, cores, levels
-from dycknums.cli import main, read_cache_entry, write_cache_entry
-from dycknums.errors import BoundError, CacheCorrupt
+from dycknums import cli, conjectures, levels
+from dycknums.cli import main
+from dycknums.errors import BoundError
 from dycknums.levels import level_structural, stream_terms
 
 
@@ -54,37 +54,31 @@ def test_gen_check_against_scan(capsys):
     assert "matches the scan oracle" in err
 
 
-def test_gen_cache_round_trip(tmp_path, capsys):
-    cache = str(tmp_path)
-    code, first, _ = run(capsys, "gen", "--level", "6", "--cache-dir", cache)
-    assert code == 0
-    assert (tmp_path / "level_6.txt").is_file()
-    header = (tmp_path / "level_6.txt").read_text().splitlines()[0]
-    assert header == "# level 6 10"
-    code, cached, _ = run(capsys, "gen", "--level", "6", "--cache-dir", cache)
-    assert code == 0 and cached == first
-    code, fresh, _ = run(capsys, "gen", "--level", "6", "--cache-dir", cache, "--no-cache")
-    assert code == 0 and fresh == first
-    assert read_cache_entry(cache, "level", 6) == tuple(
-        int(v) for v in first.split()
-    )
-
-
-def test_cache_entry_io(tmp_path):
-    write_cache_entry(str(tmp_path), "core", 8, (143, 151, 155, 157, 159))
-    assert read_cache_entry(str(tmp_path), "core", 8) == (143, 151, 155, 157, 159)
-    assert read_cache_entry(str(tmp_path), "core", 10) is None
-    path = tmp_path / "core_8.txt"
-    path.write_text("# core 8 4\n143\n151\n155\n157\n159\n")
-    with pytest.raises(CacheCorrupt):
-        read_cache_entry(str(tmp_path), "core", 8)
-
-
-def test_corrupt_cache_exits_nonzero(tmp_path, capsys):
-    (tmp_path / "level_6.txt").write_text("# level 6 3\n39\n")
-    code, _, err = run(capsys, "gen", "--level", "6", "--cache-dir", str(tmp_path))
-    assert code == 1
-    assert "error:" in err
+@pytest.mark.parametrize("argv", [("--level", "6"), ("--core", "8")])
+def test_cache_options_are_ignored(tmp_path, monkeypatch, capsys, argv):
+    # levels and cores are always rebuilt: the cache options still parse,
+    # and nothing is read from or written to the directory they name
+    absent, stale = tmp_path / "absent", tmp_path / "stale"
+    stale.mkdir()
+    forged = "# level 6 2\n1\n2\n"
+    (stale / "level_6.txt").write_text(forged)
+    _, plain, _ = run(capsys, "gen", *argv)
+    for options in (
+        ("--cache-dir", str(absent)),
+        ("--no-cache",),
+        ("--cache-dir", str(absent), "--no-cache"),
+        ("--cache-dir", str(stale)),
+    ):
+        assert run(capsys, "gen", *argv, *options) == (0, plain, "")
+    monkeypatch.setenv("DYCKNUMS_CACHE_DIR", str(absent))
+    assert run(capsys, "gen", *argv) == (0, plain, "")
+    assert not absent.exists()
+    assert [p.name for p in stale.iterdir()] == ["level_6.txt"]
+    assert (stale / "level_6.txt").read_text() == forged
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    assert "ignored" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -224,17 +218,6 @@ def test_console_script_entry():
     assert result.stdout.strip() == "39 43 45 47 51 53 55 59 61 63"
 
 
-def test_cache_dir_env_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DYCKNUMS_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "gen", "--level", "5")
-    assert code == 0
-    assert (tmp_path / "level_5.txt").is_file()
-    monkeypatch.setenv("DYCKNUMS_CACHE_DIR", str(tmp_path / "nowhere"))
-    code, out2, _ = run(capsys, "gen", "--level", "5", "--no-cache")
-    assert code == 0 and out2 == out
-    assert not (tmp_path / "nowhere").exists()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -288,8 +271,26 @@ def test_verify_max_n_below_1_is_usage_error(capsys, argv):
 
 def test_verify_all_max_n_30_is_within_the_structural_bound():
     # only planned here: running it builds level 30
-    plan = cli._planned_checks("all", 30)
+    plan = conjectures.planned_checks(conjectures.CHECKS, 30)
     assert max(n for _, n in plan) == 30
+
+
+@pytest.mark.parametrize(
+    "argv,level",
+    [
+        (("gen", "--level", "31"), 31),
+        (("gen", "--core", "34"), 32),  # the 34-core comes from level 32
+        (("decompose", "--level", "31"), 31),
+        (("decompose", "--core", "34"), 32),
+    ],
+)
+def test_structural_bound_breach_is_usage_error(capsys, argv, level):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"level {level} exceeds the structural bound 30" in captured.err
 
 
 def test_gen_count_zero_is_usage_error(capsys):
@@ -321,48 +322,11 @@ def test_gen_check_skips_levels_above_the_scan_bound(capsys):
     assert err == "check: skipped, 25 exceeds scan bound 24\n"
 
 
-def test_forged_cache_entry_exits_nonzero(tmp_path, capsys):
-    # self-consistent header and body, but 2 is not a term and level 6
-    # has ten terms
-    (tmp_path / "level_6.txt").write_text("# level 6 2\n1\n2\n")
-    code, out, err = run(capsys, "gen", "--level", "6", "--cache-dir", str(tmp_path))
-    assert code == 1
-    assert out == "" and "error:" in err
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        "# core 8 5\n143\n151\nx\n157\n159\n",       # not an integer
-        "# core 8 5\n143\n151\n155\n157\n99999999999999999999\n",  # beyond int64
-        "# core 8 4\n143\n151\n155\n157\n",          # count is not core_size(8)
-        "# core 8 5\n143\n155\n151\n157\n159\n",     # not ascending
-        "# core 8 5\n143\n151\n153\n157\n159\n",     # 153 is not a term
-        "# core 8 5\n151\n155\n157\n159\n175\n",     # 175 lies above the core top
-        "# core 8 5\n127\n151\n155\n157\n159\n",     # 127 belongs to level 7
-        # a contiguous run of members of the right count, but it crosses
-        # into level 7
-        "# level 6 10\n43\n45\n47\n51\n53\n55\n59\n61\n63\n71\n",
-        # contiguous members of level 8 and the right count, one term too high
-        "# core 8 5\n151\n155\n157\n159\n167\n",
-    ],
-)
-def test_cache_entry_validated_on_read(tmp_path, body):
-    kind, n = body.split()[1:3]
-    (tmp_path / f"{kind}_{n}.txt").write_text(body)
-    with pytest.raises(CacheCorrupt):
-        read_cache_entry(str(tmp_path), kind, int(n))
-
-
 # -- the decimal codec, against str() and int() ------------------------------
 
 
 def text_of(terms):
     return " ".join(map(str, terms)) + "\n"
-
-
-def lines_of(terms):
-    return "".join(f"{t}\n" for t in terms)
 
 
 RECORDS_HEADER = "kind\tn\tindex\tterm\n"
@@ -398,36 +362,12 @@ def test_decimal_codec_matches_str_and_int(terms):
     assert "".join(cli._term_text(terms, "text")) == text_of(values)
     records = "".join(cli._term_text(terms, "records", "core\t8\t"))
     assert records == records_of("core", 8, values)
-    chunks = list(cli._term_text(terms, "lines"))
-    assert all(chunk.count("\n") <= cli._CHUNK for chunk in chunks)
-    body = "".join(chunks)
-    assert body == lines_of(values)
-    parsed = cli._parse_lines(body.encode("ascii"))
-    assert parsed.dtype == np.int64 and parsed.tolist() == values
 
 
 @pytest.mark.parametrize("terms", [(5, 3), (-1, 3)])
-def test_codec_refuses_terms_out_of_order(tmp_path, terms):
+def test_codec_refuses_terms_out_of_order(terms):
     with pytest.raises(ValueError):
-        write_cache_entry(str(tmp_path), "core", 8, terms)
-
-
-@pytest.mark.parametrize(
-    "body",
-    # core 8 with its first line, 143, written otherwise
-    [f"{line}\n151\n155\n157\n159\n" for line in (
-        "", "0000000000000000143", "0143", "-143", "+143", " 143", "143 ", "143\r", "1_43",
-        "13=",  # '=' is '0' + 13 in ASCII: read as a digit, 1·100 + 3·10 + 13 = 143
-    )] + [
-        "0143\n0151\n0155\n0157\n0159\n",  # every line zero-padded
-        "143\n151\n155\n157\n159",  # no final newline
-        "143\n151\n155\n157\n159\n1",  # an unterminated sixth line
-    ],
-)
-def test_cache_line_is_exactly_a_decimal(tmp_path, body):
-    (tmp_path / "core_8.txt").write_text(f"# core 8 5\n{body}")
-    with pytest.raises(CacheCorrupt):
-        read_cache_entry(str(tmp_path), "core", 8)
+        "".join(cli._term_text(np.array(terms, dtype=np.int64), "text"))
 
 
 # -- gen output, byte for byte against str() ---------------------------------
@@ -450,19 +390,6 @@ def test_gen_output_is_str_of_each_term(capsys, argv, kind, n, terms):
     assert code == 0 and out == text_of(expected)
     code, out, _ = run(capsys, "gen", *argv, "--format", "records")
     assert code == 0 and out == RECORDS_HEADER + records_of(kind, n, expected)
-
-
-def test_gen_cache_file_is_one_term_per_line(tmp_path, capsys):
-    terms = level_structural(20).terms
-    code, first, _ = run(capsys, "gen", "--level", "20", "--cache-dir", str(tmp_path))
-    assert code == 0 and first == text_of(terms)
-    path = tmp_path / "level_20.txt"
-    assert path.read_bytes() == f"# level 20 {len(terms)}\n{lines_of(terms)}".encode("ascii")
-    code, cached, _ = run(capsys, "gen", "--level", "20", "--cache-dir", str(tmp_path))
-    assert code == 0 and cached == first
-    core = cores.core(22).terms
-    write_cache_entry(str(tmp_path), "core", 22, np.array(core))
-    assert read_cache_entry(str(tmp_path), "core", 22) == core
 
 
 @pytest.mark.slow

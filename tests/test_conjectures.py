@@ -10,6 +10,7 @@ from dycknums.conjectures import (
     size_identity_checks,
 )
 from dycknums.cores import core, subsegments
+from dycknums.errors import BoundError
 from dycknums.levels import level_structural, mersenne
 from dycknums.oeis_ref import a001405
 from dycknums.report import Counterexample, VerificationOutcome, check, first_mismatch
@@ -119,3 +120,13 @@ def test_run_all_builds_no_level_above_max_n(monkeypatch):
     monkeypatch.setattr(cores, "_core_cache", {})
     assert all(o.passed for o in run_all(12))
     assert max(levels._array_cache) == 12
+
+
+@pytest.mark.parametrize("max_n,level", [(31, 31), (40, 40)])
+def test_run_all_refuses_max_n_above_the_structural_bound(monkeypatch, max_n, level):
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(levels, "_level_array", no_level)
+    with pytest.raises(BoundError, match=f"needs level {level}, above the structural bound 30"):
+        run_all(max_n)
