@@ -1,12 +1,16 @@
-"""Pattern algebra over contiguous runs of sequence terms.
+"""Pattern algebra over contiguous runs of sequence terms, and the two
+level identities built from copies.
 
 A pattern is an ascending array of adjacent terms sharing one binary
 length.  Patterns are copied by a constant shift, joined end to end when
 sequence-adjacent, and raised to powers (a chain of copies each shifted
-down by the pattern length).  The two structural identities verified
-here: an odd level is the square of the previous level's pattern placed
-at the level top, and the tail of an even level above the core is the
-cube of the pattern two levels below.
+down by the pattern length).  The identities: an odd level n is two
+copies of level n-1 ending at M_n (eq1), and the tail of an even level n
+above its core is three copies of level n-2 ending at M_n (eq2).  Each
+is checked against the definition of a level, the members between two
+bounds: the copies are made a block at a time and certified as exactly
+the members from the first bound to M_n, by membership, ascent and the
+exact count of `_rank`.  Neither builds an odd level or keeps a copy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck_core import _rank, dyck_pred, is_dyck_number
+from .dyck_core import _rank, dyck_pred, dyck_succ, is_dyck_number
 from .errors import (
     DomainError,
     InvalidCopy,
@@ -27,13 +31,14 @@ from .errors import (
     PatternError,
 )
 from .levels import (
+    _BLOCK,
     TermArray,
     _balance_ok,
+    _level_array,
     core_top,
-    level_structural,
     mersenne,
 )
-from .report import Counterexample, check, first_mismatch
+from .report import Counterexample, check
 
 # `_shifted` adds its offset in int64 only below this value, where the
 # sum cannot overflow; above it, in exact Python ints.
@@ -218,40 +223,84 @@ def lift_copy(p: Pattern) -> Pattern:
     return _shifted(p, p.top + (1 << p.level))
 
 
-def level_pattern(n: int) -> Pattern:
-    """Whole level n viewed as a pattern."""
-    return Pattern(level_structural(n).arr)
+def _certify_copies(
+    src: np.ndarray, k: int, top: int, first: int, nbits: int, built: np.ndarray | None = None
+) -> Counterexample | None:
+    """Check that k copies of the run src, the top one ending at top and
+    each lower one a span below the next, are exactly the members from
+    first to top, both of nbits bits; with `built`, that they equal it.
+
+    The span is top minus the predecessor of the top copy's first term.
+    Up front: top is a member, the lowest copy starts at first, and the
+    k * len(src) terms are as many as `_rank` counts from first to top.
+    Then the copies are made one block of `_BLOCK` terms at a time, and
+    every term must be a member and above the one before it, across the
+    block seams too.  Ascending members from first to top, as many as
+    there are, are all of them.  No copy is kept, so the check needs one
+    block of memory beyond src and built."""
+    if not is_dyck_number(top):
+        return _construction_failure(f"{top} is not a term of the sequence")
+    shift = top - int(src[-1])
+    try:
+        span = top - dyck_pred(int(src[0]) + shift)
+    except (NotMember, DomainError) as exc:
+        return _construction_failure(exc)
+    lowest = int(src[0]) + shift - (k - 1) * span
+    if lowest != first:
+        return _construction_failure(f"the lowest copy starts at {lowest}, not at {first}")
+    count = _rank(top) - _rank(first) + 1
+    if k * len(src) != count:
+        return Counterexample("cardinality", count, k * len(src))
+    if built is not None and len(built) != count:
+        return Counterexample("cardinality", len(built), count)
+    buf = np.empty(min(len(src), _BLOCK), dtype=np.int64)
+    ok_buf = np.empty(len(buf), dtype=bool)
+    pos, prev = 0, first - 1
+    for offset in range(shift - (k - 1) * span, shift + 1, span):
+        for start in range(0, len(src), _BLOCK):
+            block = np.add(src[start : start + _BLOCK], offset, out=buf[: len(src) - start])
+            ok = ok_buf[: len(block)]
+            ok[0] = block[0] > prev
+            np.greater(block[1:], block[:-1], out=ok[1:])
+            ok &= _balance_ok(block, nbits)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                t, below = int(block[i]), int(block[i - 1]) if i else prev
+                if t <= below:
+                    return _construction_failure(f"{t} does not ascend from {below}")
+                return _construction_failure(f"{t} is not a term of the sequence")
+            if built is not None:
+                expected = built[pos : pos + len(block)]
+                differ = expected != block
+                if differ.any():
+                    i = int(np.argmax(differ))
+                    return Counterexample(f"index {pos + i}", int(expected[i]), int(block[i]))
+            pos, prev = pos + len(block), int(block[-1])
+    return None
 
 
 @check("eq1")
 def verify_eq1(n: int) -> Counterexample | None:
-    """Check that odd level n equals the square of the previous level's
-    pattern placed at M_n."""
+    """Check that odd level n, the members from dyck_succ(M_{n-1}) to
+    M_n, is two copies of level n-1, the top one ending at M_n."""
     if n < 5 or n % 2 == 0:
         raise ValueError("the doubling identity applies to odd n >= 5")
-    expected = level_structural(n).arr
-    try:
-        built = power(copy_at(level_pattern(n - 1), mersenne(n)), 2)
-    except PatternError as exc:
-        return _construction_failure(exc)
-    return first_mismatch(expected, built.arr)
+    return _certify_copies(_level_array(n - 1), 2, mersenne(n), dyck_succ(mersenne(n - 1)), n)
 
 
 @check("eq2")
 def verify_eq2(n: int) -> Counterexample | None:
     """Check that the tail of even level n above the core senior term
-    M_{n-1} + 2**(n-3) equals the cube of the pattern two levels below
-    placed at M_n."""
+    M_{n-1} + 2**(n-3) is three copies of level n-2, the top one ending
+    at M_n, and that the built level n holds exactly them."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
-    terms = level_structural(n).arr
-    expected = terms[np.searchsorted(terms, core_top(n), side="right"):]
-    try:
-        built = power(copy_at(level_pattern(n - 2), mersenne(n)), 3)
-    except PatternError as exc:
-        return _construction_failure(exc)
-    return first_mismatch(expected, built.arr)
+    terms = _level_array(n)
+    tail = terms[np.searchsorted(terms, core_top(n), side="right") :]
+    return _certify_copies(
+        _level_array(n - 2), 3, mersenne(n), dyck_succ(core_top(n)), n, built=tail
+    )
 
 
-def _construction_failure(exc: Exception) -> Counterexample:
-    return Counterexample("construction", "a valid pattern", str(exc))
+def _construction_failure(reason: Exception | str) -> Counterexample:
+    return Counterexample("construction", "a valid pattern", str(reason))

@@ -93,11 +93,15 @@ def check(name: str) -> Callable[
 
 def first_mismatch(expected, actual) -> Counterexample | None:
     """The first position where two runs of terms (arrays or tuples)
-    disagree, including a length mismatch; None when they are equal."""
-    if np.array_equal(expected, actual):
-        return None
-    expected, actual = np.asarray(expected).tolist(), np.asarray(actual).tolist()
-    for i, (e, a) in enumerate(zip(expected, actual)):
-        if e != a:
-            return Counterexample(f"index {i}", e, a)
-    return Counterexample("cardinality", len(expected), len(actual))
+    disagree, else a length mismatch; None when they are equal.  One
+    vector comparison of the common prefix, so the cost in memory is a
+    byte per term whatever the dtype (exact object arrays included)."""
+    expected, actual = np.asarray(expected), np.asarray(actual)
+    common = min(len(expected), len(actual))
+    differ = expected[:common] != actual[:common]
+    if differ.any():
+        i = int(np.argmax(differ))
+        return Counterexample(f"index {i}", expected.item(i), actual.item(i))
+    if len(expected) != len(actual):
+        return Counterexample("cardinality", len(expected), len(actual))
+    return None

@@ -20,7 +20,6 @@ from dycknums.conjectures import (
     size_identity_checks,
 )
 from dycknums.cores import Core
-from dycknums.levels import Level
 from dycknums.patterns import verify_eq1, verify_eq2
 from dycknums.report import Counterexample
 
@@ -39,13 +38,14 @@ def shift(i, delta=2):
 
 
 def corrupt_level(monkeypatch, n, change):
-    """`patterns.level_structural(n)` returns level n changed."""
-    real = patterns.level_structural
+    """`patterns._level_array(n)`, a level the eq1 and eq2 certificates
+    read, returns level n changed."""
+    real = patterns._level_array
 
-    def level_structural(m, *args):
-        return Level(m, change(real(m).arr)) if m == n else real(m, *args)
+    def level_array(m, *args):
+        return change(real(m, *args)) if m == n else real(m, *args)
 
-    monkeypatch.setattr(patterns, "level_structural", level_structural)
+    monkeypatch.setattr(patterns, "_level_array", level_array)
 
 
 def corrupt_core(monkeypatch, n, change, segment=None):
@@ -77,14 +77,17 @@ def assert_fails(outcome, name, n, detail):
 
 
 def test_eq1_reports_a_shifted_level_term(monkeypatch):
-    corrupt_level(monkeypatch, 7, shift(5))
-    assert_fails(verify_eq1(7), "eq1", 7, Counterexample("index 5", 87, 85))
+    # level 6 holds 51, 53, 55: 53 shifted onto 55 repeats 55 + 32 in the
+    # lower copy
+    corrupt_level(monkeypatch, 6, shift(5))
+    assert_fails(verify_eq1(7), "eq1", 7, construction_failure("87 does not ascend from 87"))
 
 
 def test_eq1_reports_a_broken_construction(monkeypatch):
-    corrupt_level(monkeypatch, 6, drop(3))
+    # 47 shifted to 49 = 110001; its lower copy 81 = 1010001 dips negative
+    corrupt_level(monkeypatch, 6, shift(3))
     assert_fails(verify_eq1(7), "eq1", 7, construction_failure(
-        "no copy of the pattern exists at top 127: run 103..127 skips intermediate terms"
+        "81 is not a term of the sequence"
     ))
 
 
@@ -94,9 +97,22 @@ def test_eq2_reports_a_dropped_tail_term(monkeypatch):
 
 
 def test_eq2_reports_a_broken_construction(monkeypatch):
-    corrupt_level(monkeypatch, 6, drop(3))
+    # 47 shifted to 49; its lowest copy 177 = 10110001 dips negative
+    corrupt_level(monkeypatch, 6, shift(3))
     assert_fails(verify_eq2(8), "eq2", 8, construction_failure(
-        "no copy of the pattern exists at top 255: run 231..255 skips intermediate terms"
+        "177 is not a term of the sequence"
+    ))
+
+
+def test_eq2_reports_a_tail_mismatch_by_its_index_in_the_tail(monkeypatch):
+    # Level 22's tail spans several blocks of the certificate; the index
+    # counts from the first tail term, not from the block.
+    level = levels._level_array(22)
+    tail_start = int(np.searchsorted(level, levels.core_top(22), side="right"))
+    i = 2 * levels._BLOCK + 7
+    corrupt_level(monkeypatch, 22, shift(tail_start + i))
+    assert_fails(verify_eq2(22), "eq2", 22, Counterexample(
+        f"index {i}", int(level[tail_start + i]) + 2, int(level[tail_start + i])
     ))
 
 

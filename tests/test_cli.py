@@ -166,6 +166,13 @@ def test_verify_conj16_count(capsys):
     assert all(line.startswith("PASS conj16") for line in lines)
 
 
+def test_verify_eq1_builds_no_odd_level(monkeypatch, capsys):
+    monkeypatch.setattr(levels, "_array_cache", {})
+    code, out, _ = run(capsys, "verify", "eq1", "--max-n", "23", "--offline")
+    assert code == 0 and out.count("PASS eq1") == 10
+    assert sorted(levels._array_cache) == list(range(2, 23, 2))
+
+
 def test_verify_eq1_records(capsys):
     code, out, _ = run(capsys, "verify", "eq1", "--max-n", "9", "--format", "records")
     assert code == 0

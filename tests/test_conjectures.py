@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from dycknums import cores, levels
@@ -115,11 +118,53 @@ def test_outcome_invariants():
     assert fields[0] == "x" and fields[2] == "0" and fields[4] == "2"
 
 
+def test_first_mismatch_finds_the_last_index_in_a_byte_per_term():
+    expected = np.arange(1, 2_000_001, 2, dtype=np.int64)
+    actual = expected.copy()
+    actual[-1] += 2
+    tracemalloc.start()
+    try:
+        found = first_mismatch(expected, actual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == Counterexample(f"index {len(expected) - 1}", 1_999_999, 2_000_001)
+    assert peak < 2 * len(expected)  # a byte per term, not a Python int
+
+
+def test_first_mismatch_reports_a_length_mismatch_after_the_common_prefix():
+    terms = np.arange(10, dtype=np.int64)
+    assert first_mismatch(terms, terms[:7]) == Counterexample("cardinality", 10, 7)
+    assert first_mismatch(terms[:7], terms) == Counterexample("cardinality", 7, 10)
+    # a differing term in the common prefix comes before the lengths
+    assert first_mismatch(terms, np.array([0, 1, 2, 3, 4, 5, 7])) == Counterexample(
+        "index 6", 6, 7
+    )
+
+
+def test_first_mismatch_is_exact_above_int64():
+    big = [mersenne(80) - 4, mersenne(80) - 2, mersenne(80)]
+    expected = np.array(big, dtype=object)
+    assert first_mismatch(expected, np.array(big, dtype=object)) is None
+    found = first_mismatch(expected, np.array(big[:2] + [big[2] + 2], dtype=object))
+    assert found == Counterexample("index 2", mersenne(80), mersenne(80) + 2)
+    assert type(found.expected) is int and type(found.actual) is int
+    assert first_mismatch(tuple(big), tuple(big[:2])) == Counterexample("cardinality", 3, 2)
+
+
 def test_run_all_builds_no_level_above_max_n(monkeypatch):
     monkeypatch.setattr(levels, "_array_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
     assert all(o.passed for o in run_all(12))
     assert max(levels._array_cache) == 12
+
+
+def test_run_all_builds_no_odd_level_and_nothing_above_max_n(monkeypatch):
+    monkeypatch.setattr(levels, "_array_cache", {})
+    monkeypatch.setattr(cores, "_core_cache", {})
+    assert all(o.passed for o in run_all(24))
+    assert max(levels._array_cache) == 24
+    assert [n for n in levels._array_cache if n >= 3 and n % 2] == []
 
 
 @pytest.mark.parametrize("max_n,level", [(31, 31), (40, 40)])

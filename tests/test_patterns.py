@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycknums import levels
-from dycknums.dyck_core import is_dyck_number
+from dycknums import levels, patterns
+from dycknums.dyck_core import dyck_succ, is_dyck_number
 from dycknums.errors import (
     DomainError,
     InvalidCopy,
@@ -15,12 +15,15 @@ from dycknums.errors import (
     NotMember,
     PatternError,
 )
-from dycknums.levels import _balance_ok, level_structural, mersenne
+from dycknums.levels import _BLOCK, _balance_ok, core_top, level_structural, mersenne
+from dycknums.report import Counterexample, first_mismatch
 from dycknums.patterns import (
     _VECTOR_LIMIT,
+    Pattern,
+    _certify_copies,
+    _construction_failure,
     copy_at,
     join,
-    level_pattern,
     lift_copy,
     make_pattern,
     offset_of,
@@ -146,7 +149,7 @@ def test_power_examples():
     p4 = make_pattern((11, 13, 15))
     assert power(copy_at(p4, 31), 2).terms == (19, 21, 23, 27, 29, 31)
     assert power(copy_at(p4, 63), 3).terms == (43, 45, 47, 51, 53, 55, 59, 61, 63)
-    p6_255 = copy_at(level_pattern(6), 255)
+    p6_255 = copy_at(make_pattern(level_structural(6).arr), 255)
     cube = power(p6_255, 3)
     assert len(cube) == 30
     assert cube.terms[0] == 167 and cube.top == 255
@@ -199,8 +202,144 @@ def test_verify_eq1_passes_small_range():
 def test_verify_eq2_passes_small_range_and_tail_size():
     for n in range(6, 17, 2):
         assert verify_eq2(n).passed
-    tail = power(copy_at(level_pattern(4), mersenne(6)), 3)
+    tail = power(copy_at(make_pattern(level_structural(4).arr), mersenne(6)), 3)
     assert len(tail) == 9  # terms of level 6 above the core
+
+
+def copies_oracle(src, k, n, expected):
+    """eq1 and eq2 checked the way they were before the certificate:
+    build the k copies of src ending at M_n as a pattern, validated as a
+    run, and compare it with the built level (or tail) term by term."""
+    try:
+        built = power(copy_at(Pattern(src), mersenne(n)), k)
+    except PatternError as exc:
+        return _construction_failure(exc)
+    return first_mismatch(expected, built.arr)
+
+
+def eq_claim(n):
+    """The arguments of eq1 (odd n) or eq2 (even n) after the source:
+    copy count, top, first term, bit length, and the built terms the
+    copies must equal (the whole odd level for the oracle alone)."""
+    level = levels._level_array(n)
+    if n % 2:
+        return 2, mersenne(n), dyck_succ(mersenne(n - 1)), n, level
+    tail = level[np.searchsorted(level, core_top(n), side="right") :]
+    return 3, mersenne(n), dyck_succ(core_top(n)), n, tail
+
+
+def certify(n, src):
+    """The certificate of eq1 or eq2 at n over the source run src."""
+    k, top, first, nbits, built = eq_claim(n)
+    return _certify_copies(src, k, top, first, nbits, None if n % 2 else built)
+
+
+def oracle(n, src):
+    k, _, _, _, expected = eq_claim(n)
+    return copies_oracle(src, k, n, expected)
+
+
+def source(n):
+    return levels._level_array(n - 1 if n % 2 else n - 2)
+
+
+@pytest.mark.parametrize("n", range(5, 23))
+def test_certificate_agrees_with_the_construction_oracle(n):
+    assert certify(n, source(n)) is None
+    assert oracle(n, source(n)) is None
+
+
+@st.composite
+def corrupted_sources(draw):
+    """eq1 or eq2 at some n <= 16 with one term of its source dropped,
+    shifted by an even amount, or swapped with its neighbour."""
+    n = draw(st.integers(min_value=5, max_value=16))
+    src = source(n).copy()
+    i = draw(st.integers(min_value=0, max_value=len(src) - 1))
+    kind = draw(st.sampled_from(("drop", "shift", "swap")))
+    if kind == "drop":
+        src = np.delete(src, i)
+    elif kind == "shift":
+        src[i] += draw(st.sampled_from((-4, -2, 2, 4)))
+    else:
+        j = i + 1 if i + 1 < len(src) else i - 1
+        src[[i, j]] = src[[j, i]]
+    return n, src
+
+
+@given(corrupted_sources())
+@settings(max_examples=150, deadline=None)
+def test_certificate_and_oracle_fail_on_a_corrupted_source(case):
+    n, src = case
+    assert certify(n, src) is not None
+    assert oracle(n, src) is not None
+
+
+@pytest.mark.parametrize("n", (21, 22))
+def test_certificate_and_oracle_fail_on_a_corrupted_large_source(n):
+    for change in (
+        lambda a: np.delete(a, len(a) // 2),
+        lambda a: a + np.where(np.arange(len(a)) == _BLOCK + 3, 2, 0),
+    ):
+        src = change(source(n))
+        assert certify(n, src) is not None
+        assert oracle(n, src) is not None
+
+
+def test_certificate_fails_for_a_span_off_by_two(monkeypatch):
+    real = patterns.dyck_pred
+    monkeypatch.setattr(patterns, "dyck_pred", lambda t: real(t) - 2)
+    for n in (21, 22):
+        k, _, first, _, _ = eq_claim(n)
+        lowest = first - 2 * (k - 1)
+        assert certify(n, source(n)) == _construction_failure(
+            f"the lowest copy starts at {lowest}, not at {first}"
+        )
+
+
+@pytest.mark.parametrize("n", (23, 24))
+def test_certificate_fails_for_a_dropped_block(n):
+    src = source(n)
+    assert len(src) > 3 * _BLOCK
+    k = eq_claim(n)[0]
+    short = np.delete(src, np.s_[_BLOCK : 2 * _BLOCK])
+    assert certify(n, short) == Counterexample("cardinality", k * len(src), k * len(short))
+
+
+def test_certificate_fails_for_a_count_off_by_one(monkeypatch):
+    real = patterns._rank
+    for n in (21, 22):
+        k, top, _, _, _ = eq_claim(n)
+        monkeypatch.setattr(patterns, "_rank", lambda t: real(t) + (t == top))
+        count = k * len(source(n))
+        assert certify(n, source(n)) == Counterexample("cardinality", count + 1, count)
+
+
+def test_certificate_fails_for_a_wrong_first_term():
+    for n in (21, 22):
+        k, top, first, nbits, _ = eq_claim(n)
+        wrong = dyck_succ(first)
+        assert _certify_copies(source(n), k, top, wrong, nbits) == _construction_failure(
+            f"the lowest copy starts at {first}, not at {wrong}"
+        )
+
+
+def test_certificate_fails_for_a_top_that_is_no_member():
+    k, top, first, nbits, _ = eq_claim(21)
+    assert _certify_copies(source(21), k, top - 1, first, nbits) == _construction_failure(
+        f"{top - 1} is not a term of the sequence"
+    )
+
+
+def test_certificate_fails_for_a_descent_at_a_block_seam():
+    # Each block ascends; only the seam between the first two does not.
+    src = source(21).copy()
+    below, above = int(src[_BLOCK - 1]), int(src[_BLOCK])
+    src[[_BLOCK - 1, _BLOCK]] = above, below
+    offset = 1 << 19  # the lower copy of level 20 in level 21
+    assert certify(21, src) == _construction_failure(
+        f"{below + offset} does not ascend from {above + offset}"
+    )
 
 
 def test_verify_eq_rejects_wrong_parity():
