@@ -61,26 +61,30 @@ def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
     the uint8 matrix out as ASCII, one value per row.  The last axis of
     out must be contiguous; its rows may be strided.
 
-    Each row is first written as 4-digit groups into a contiguous uint32
-    block, zero-padded on the left to a multiple of four digits, then
-    the rows without the padding go into out in one copy."""
+    The values are first written as 4-digit groups into a contiguous
+    `(groups, m)` uint32 block, zero-padded on the left to a multiple of
+    four digits, then each group goes into its columns of out."""
     m, width = out.shape
     groups = -(-width // 4)
     # A copy, in 32 bits when the values fit: narrower division is faster.
     v = values.astype(np.int32 if width <= 9 else np.int64)
     q, r = np.empty_like(v), np.empty_like(v)
     table = _digit_groups()
-    block = np.empty((m, groups), dtype="<u4")
+    block = np.empty((groups, m), dtype="<u4")
     for g in range(groups - 1, 0, -1):
         np.floor_divide(v, 10**4, out=q)
         np.subtract(v, q * 10**4, out=r)
-        table.take(r, out=block[:, g], mode="clip")  # r is in 0 .. 9999
+        table.take(r, out=block[g], mode="clip")  # r is in 0 .. 9999
         v, q = q, v
-    table.take(v, out=block[:, 0], mode="clip")
-    # Each row as one void item: copying m items of `width` bytes is far
-    # faster than copying m rows of `width` one-byte items.
-    row = f"V{width}"
-    out.view(row)[...] = block.view(np.uint8)[:, 4 * groups - width:].view(row)
+    table.take(v, out=block[0], mode="clip")
+    # Each group as one void item per row, the leading group without its
+    # padding: copying m items of 4 bytes is far faster than copying m
+    # rows of 4 one-byte items.
+    for g, digits in enumerate(block.view(np.uint8).reshape(groups, m, 4)):
+        end = width - 4 * (groups - 1 - g)
+        size = min(end, 4)
+        item = f"V{size}"
+        out[:, end - size : end].view(item)[...] = digits[:, 4 - size :].view(item)
 
 
 def _decimal_rows(*fields) -> str:
@@ -102,14 +106,25 @@ def _decimal_rows(*fields) -> str:
             len(f) if isinstance(f, str) else 1 + int(np.searchsorted(_POW10, f[lo], "right"))
             for f in fields
         ]
-        matrix = np.empty((hi - lo, sum(widths)), dtype=np.uint8)
-        col = 0
-        for field, width in zip(fields, widths):
+        cols = list(itertools.accumulate(widths, initial=0))
+        # The str fields go into one template row, and the template into
+        # every row by doubling the filled prefix: a few long copies in
+        # place of one short copy per row and field.
+        template = np.zeros(cols[-1], dtype=np.uint8)
+        for field, left, right in zip(fields, cols, cols[1:]):
             if isinstance(field, str):
-                matrix[:, col:col + width] = np.frombuffer(field.encode("ascii"), np.uint8)
-            else:
-                _put_digits(matrix[:, col:col + width], field[lo:hi])
-            col += width
+                template[left:right] = np.frombuffer(field.encode("ascii"), np.uint8)
+        matrix = np.empty((hi - lo, len(template)), dtype=np.uint8)
+        flat = matrix.reshape(-1)
+        flat[: len(template)] = template
+        filled = len(template)
+        while filled < flat.size:
+            step = min(filled, flat.size - filled)
+            flat[filled : filled + step] = flat[:step]
+            filled += step
+        for field, left, right in zip(fields, cols, cols[1:]):
+            if not isinstance(field, str):
+                _put_digits(matrix[:, left:right], field[lo:hi])
         runs.append(matrix.tobytes())
     return b"".join(runs).decode("ascii")
 

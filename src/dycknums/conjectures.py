@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cores import core, core_size, rejected_terms
+from .cores import core, core_size
 from .errors import BoundError, PatternError
 from .levels import (
     DEFAULT_STRUCTURAL_BOUND,
     _BLOCK,
     _balance_ok,
+    _f00_mask,
     _level_array,
     core_top,
     level_size,
@@ -128,16 +129,17 @@ def check_catalan_rejection(n: int) -> Counterexample | None:
     word: total balance 0 with no suffix dipping negative."""
     if n < 6 or n % 2:
         raise ValueError("rejection counts are checked for even n >= 6")
-    rejected = rejected_terms(n)
+    src, keep = _f00_mask(n)
+    rejected = src[~keep]
     expected_count = catalan(n // 2 - 1)
     if len(rejected) != expected_count:
         return Counterexample("cardinality", expected_count, len(rejected))
     word_len = n - 2  # zeroing keeps the code length, so the word is even
-    words = np.asarray(rejected, dtype=np.int64) - (1 << (n - 3))
+    words = rejected - (1 << (n - 3))
     balanced = 2 * np.bitwise_count(words).astype(np.int64) == word_len
     valid = _balance_ok(words, word_len) & balanced
     if not bool(np.all(valid)):
-        bad = rejected[int(np.nonzero(~valid)[0][0])]
+        bad = int(rejected[np.argmin(valid)])
         return Counterexample(bad, "a Dyck word after zeroing the leading bit", "not")
     return None
 

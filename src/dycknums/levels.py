@@ -106,20 +106,24 @@ def level_size(n: int) -> int:
 
 
 @cache
-def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Two int8 tables over the 16-bit chunks c: `lowest[c]`, the lowest
-    ones-minus-zeros balance of a nonempty suffix of c read from bit 0
-    up, and `balance[c]` = 2 * popcount(c) - 16.  Built by doubling: a
-    new high bit adds -1 or +1 to every balance and one more suffix."""
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three int8 tables over the 16-bit chunks c: `lowest[c]`, the
+    lowest ones-minus-zeros balance of a nonempty suffix of c read from
+    bit 0 up; `balance[c]` = 2 * popcount(c) - 16; and `carry[c]`, which
+    is `balance[c]` where `lowest[c] >= 0` and the sentinel -128
+    elsewhere.  Built by doubling: a new high bit adds -1 or +1 to every
+    balance and one more suffix.  No `lowest` exceeds 1, so the sentinel
+    plus the `lowest` of the next chunk is negative."""
     lowest = np.array([127], dtype=np.int8)  # the empty chunk has no suffix
     balance = np.zeros(1, dtype=np.int8)
     for _ in range(16):
         down, up = balance - 1, balance + 1
         lowest = np.concatenate([np.minimum(lowest, down), np.minimum(lowest, up)])
         balance = np.concatenate([down, up])
-    lowest.flags.writeable = False
-    balance.flags.writeable = False
-    return lowest, balance
+    carry = np.where(lowest >= 0, balance, np.int8(-128))
+    for table in (lowest, balance, carry):
+        table.flags.writeable = False
+    return lowest, balance, carry
 
 
 def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
@@ -130,20 +134,24 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     That changes no suffix of `nbits` bits or fewer, and every longer
     suffix is the full `nbits` suffix plus ones, so its balance is
     higher; the predicate over the filled word is the same.  Each term
-    is then read one 16-bit chunk at a time: its lowest suffix balance
-    inside chunk i is `lowest[c_i]` plus the balance of the chunks
-    below, which `balance` sums.  Terms go through in blocks of
-    `_BLOCK`, so every temporary is block-sized."""
+    is then read one 16-bit chunk at a time.  Chunk 0 is one gather from
+    `carry`: its balance if no suffix inside it dips below 0, else a
+    sentinel that fails the test of chunk 1.  Chunk i >= 1 passes where
+    `lowest[c_i]` plus the balance of the chunks below it, which
+    `balance` sums onto the carry, is nonnegative; a term passes where
+    every chunk does.  A term of up to 16 bits costs one gather, one of
+    up to 32 bits two gathers, one add and one comparison.  Terms go
+    through in blocks of `_BLOCK`, so every temporary is block-sized."""
     if not 0 <= nbits <= 64:
         raise ValueError(f"nbits must be in 0..64, got {nbits}")
-    lowest, balance = _chunk_tables()
-    chunks = -(-nbits // 16)
+    lowest, balance, carry = _chunk_tables()
+    chunks = max(1, -(-nbits // 16))  # nbits = 0 reads one all-ones chunk
     fill = (1 << 16 * chunks) - (1 << nbits)
     # Casting keeps the low bits, negatives included; little-endian words
     # view as their 16-bit chunks, lowest first.
     word = np.dtype("<u4" if nbits <= 32 else "<u8")
     flat = values.reshape(-1)
-    ok = np.ones(flat.shape, dtype=bool)
+    ok = np.empty(flat.shape, dtype=bool)
     size = min(flat.size, _BLOCK)
     index = np.empty(size, dtype=np.intp)
     below = np.empty(size, dtype=np.int16)
@@ -152,11 +160,20 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
         block |= fill
         m = len(block)
         ok_m, index_m, below_m = ok[start : start + m], index[:m], below[:m]
-        below_m[...] = 0
-        for i, chunk in enumerate(block.view("<u2").reshape(m, -1).T[:chunks], 1):
-            index_m[...] = chunk  # `take` gathers faster by intp than by uint16
-            ok_m &= lowest.take(index_m) + below_m >= 0
-            if i < chunks:
+        parts = block.view("<u2").reshape(m, -1).T[:chunks]
+        index_m[...] = parts[0]  # `take` gathers faster by intp than by uint16
+        if chunks == 1:
+            np.greater_equal(carry.take(index_m), 0, out=ok_m)
+            continue
+        below_m[...] = carry.take(index_m)
+        for i in range(1, chunks):
+            index_m[...] = parts[i]
+            low = lowest.take(index_m) + below_m
+            if i == 1:
+                np.greater_equal(low, 0, out=ok_m)
+            else:
+                ok_m &= low >= 0
+            if i + 1 < chunks:
                 below_m += balance.take(index_m)
     return ok.reshape(values.shape)
 
@@ -179,13 +196,19 @@ def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Level n-2 for even n >= 4, and the mask of its terms whose
     00-fragment image is a term of level n; the rest are rejected."""
     src = _level_array(n - 2)
+    shift = Fragment.F00.shift(n)
     # Dynamics 2 * ones - (n - 2) >= _F00_MIN_DYNAMICS, counted in uint8;
     # n is even, so the bound on the ones is exact.
-    keep = np.bitwise_count(src) >= (n - 2 + _F00_MIN_DYNAMICS) // 2
-    # Dual route: the dynamics shortcut must agree with an explicit
-    # suffix-balance check of the constructed codes.
-    if not np.array_equal(_balance_ok(src + Fragment.F00.shift(n), n), keep):
-        raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
+    min_ones = (n - 2 + _F00_MIN_DYNAMICS) // 2
+    keep = np.empty(len(src), dtype=bool)
+    # Dual route, one block at a time so that no temporary is full-size:
+    # the dynamics shortcut must agree with an explicit suffix-balance
+    # check of the constructed codes.
+    for start in range(0, len(src), _BLOCK):
+        block, kept = src[start : start + _BLOCK], keep[start : start + _BLOCK]
+        np.greater_equal(np.bitwise_count(block), min_ones, out=kept)
+        if not np.array_equal(_balance_ok(block + shift, n), kept):
+            raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
     return src, keep
 
 

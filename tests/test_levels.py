@@ -100,6 +100,38 @@ def test_even_level_is_built_without_a_full_size_temporary(monkeypatch):
     assert peak < level_24.nbytes + 2 * level_22.nbytes
 
 
+def test_fragment_00_cross_check_covers_every_block(monkeypatch):
+    # An even value in level 20's second block, with enough ones for the
+    # dynamics shortcut to keep it, though its image ends in a 0: the two
+    # routes disagree there and nowhere else.
+    level_20 = levels._level_array(20).copy()
+    second = level_20[_BLOCK:]
+    assert len(second) and len(second) <= _BLOCK
+    i = _BLOCK + int(np.argmax(np.bitwise_count(second) >= 13))
+    level_20[i] -= 1
+    monkeypatch.setattr(levels, "_array_cache", {20: level_20})
+    with pytest.raises(AssertionError, match="fragment-00 rejection mismatch at level 22"):
+        levels._f00_mask(22)
+
+
+def test_fragment_00_mask_needs_no_full_size_temporary(monkeypatch):
+    # From a resident level 24 (1.35M terms), the mask itself is one byte
+    # a term; the route check runs one block at a time beside it.  A
+    # full-size dynamics count, or `src + shift` (8 bytes a term), would
+    # exceed the bound.
+    level_24 = levels._level_array(24)
+    monkeypatch.setattr(levels, "_array_cache", {24: level_24})
+    tracemalloc.start()
+    try:
+        src, keep = levels._f00_mask(26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert src is level_24
+    assert np.count_nonzero(keep) == level_size(26) - 3 * len(level_24)
+    assert peak < 4 * len(level_24)
+
+
 def test_level_bounds_and_top():
     for n in range(1, 17):
         level = level_structural(n)
@@ -290,14 +322,29 @@ def test_table_predicate_agrees_with_passes(case):
 
 
 def test_chunk_tables_match_their_definition():
-    lowest, balance = _chunk_tables()
+    lowest, balance, carry = _chunk_tables()
     chunks = np.arange(1 << 16)
     steps = 2 * ((chunks[:, None] >> np.arange(16)) & 1) - 1  # bit 0 first
     suffix_balances = np.cumsum(steps, axis=1)
-    assert lowest.dtype == balance.dtype == np.int8
-    assert not (lowest.flags.writeable or balance.flags.writeable)
+    assert lowest.dtype == balance.dtype == carry.dtype == np.int8
+    assert not (lowest.flags.writeable or balance.flags.writeable or carry.flags.writeable)
     assert np.array_equal(lowest, suffix_balances.min(axis=1))
     assert np.array_equal(balance, suffix_balances[:, -1])
+    valid = suffix_balances.min(axis=1) >= 0
+    assert np.array_equal(carry[valid], suffix_balances[valid, -1])
+    assert np.all(carry[~valid] == -128)
+
+
+@pytest.mark.parametrize("nbits", [17, 32, 33, 64])
+def test_table_predicate_every_low_chunk_under_ones(nbits):
+    """Every low chunk under high chunks of ones, which raise the balance
+    the most: the verdict rests on the chunk-0 test, and a failing low
+    chunk must stay failed however much the chunks above it add."""
+    ones_above = ((1 << nbits) - 1) & ~0xFFFF
+    values = (np.arange(1 << 16, dtype=np.uint64) | np.uint64(ones_above)).view(np.int64)
+    ok = _balance_ok(values, nbits)
+    assert np.array_equal(ok, _balance_ok_passes(values, nbits))
+    assert 0 < np.count_nonzero(ok) < len(values)
 
 
 @pytest.mark.parametrize("nbits", range(1, 17))
