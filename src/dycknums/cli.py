@@ -8,9 +8,11 @@ a request beyond a fixed bound included.
 from __future__ import annotations
 
 import argparse
+import codecs
 import itertools
 import re
 import sys
+import threading
 from collections.abc import Iterator
 from functools import cache
 from importlib import resources
@@ -20,7 +22,7 @@ import numpy as np
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
 from .errors import BoundError, DyckError, UsageError
-from .levels import DEFAULT_SCAN_BOUND, _stream_array, level_index, level_scan, level_structural
+from .levels import DEFAULT_SCAN_BOUND, _stream_parts, level_index, level_scan, level_structural
 from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
 
 DEFAULT_MAX_N = 22
@@ -56,6 +58,29 @@ def _digit_groups() -> np.ndarray:
     return table
 
 
+class _TextWork(threading.local):
+    """The buffers of the formatter, one set per thread and reused by
+    every chunk (fresh buffers of this size would come from new pages on
+    every call): for `_put_digits` of up to _CHUNK values, three int64
+    rows for the value, quotient and remainder, viewed as int32 when the
+    values fit, and room for five 4-digit groups a value; for
+    `_decimal_rows`, the text of one chunk, grown when a chunk needs
+    more."""
+
+    def __init__(self) -> None:
+        self.rows = np.empty((3, _CHUNK), dtype=np.int64)
+        self.digits = np.empty(5 * _CHUNK, dtype="<u4")
+        self.text = np.empty(0, dtype=np.uint8)
+
+    def text_buffer(self, size: int) -> np.ndarray:
+        if len(self.text) < size:
+            self.text = np.empty(size, dtype=np.uint8)
+        return self.text
+
+
+_text_work = _TextWork()
+
+
 def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
     """Write values, each exactly out.shape[1] decimal digits wide, into
     the uint8 matrix out as ASCII, one value per row.  The last axis of
@@ -66,33 +91,40 @@ def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
     four digits, then each group goes into its columns of out."""
     m, width = out.shape
     groups = -(-width // 4)
+    if m <= _CHUNK:
+        rows, digits = _text_work.rows, _text_work.digits
+    else:
+        rows, digits = np.empty((3, m), dtype=np.int64), np.empty(5 * m, dtype="<u4")
     # A copy, in 32 bits when the values fit: narrower division is faster.
-    v = values.astype(np.int32 if width <= 9 else np.int64)
-    q, r = np.empty_like(v), np.empty_like(v)
+    v, q, r = (rows.view(np.int32) if width <= 9 else rows)[:, :m]
+    v[...] = values
     table = _digit_groups()
-    block = np.empty((groups, m), dtype="<u4")
+    block = digits[: groups * m].reshape(groups, m)
     for g in range(groups - 1, 0, -1):
         np.floor_divide(v, 10**4, out=q)
-        np.subtract(v, q * 10**4, out=r)
+        np.multiply(q, 10**4, out=r)
+        np.subtract(v, r, out=r)
         table.take(r, out=block[g], mode="clip")  # r is in 0 .. 9999
         v, q = q, v
     table.take(v, out=block[0], mode="clip")
     # Each group as one void item per row, the leading group without its
     # padding: copying m items of 4 bytes is far faster than copying m
     # rows of 4 one-byte items.
-    for g, digits in enumerate(block.view(np.uint8).reshape(groups, m, 4)):
+    for g, chunk in enumerate(block.view(np.uint8).reshape(groups, m, 4)):
         end = width - 4 * (groups - 1 - g)
         size = min(end, 4)
         item = f"V{size}"
-        out[:, end - size : end].view(item)[...] = digits[:, 4 - size :].view(item)
+        out[:, end - size : end].view(item)[...] = chunk[:, 4 - size :].view(item)
 
 
-def _decimal_rows(*fields) -> str:
-    """One row of text per term.  A row is the fields in order; a str
-    field is repeated in every row, and an array field (ascending
-    nonnegative int64, all of one length) gives each row one element in
-    decimal.  The rows in which every array element has the same width
-    are contiguous, and each such run is filled as one uint8 matrix."""
+def _decimal_rows(*fields) -> np.ndarray:
+    """One row of ASCII text per term, as a view of the thread's text
+    buffer that is valid until the next call.  A row is the fields in
+    order; a str field is repeated in every row, and an array field
+    (ascending nonnegative int64, all of one length) gives each row one
+    element in decimal.  The rows in which every array element has the
+    same width are contiguous, and each such run is filled as one uint8
+    matrix."""
     arrays = [f for f in fields if not isinstance(f, str)]
     for a in arrays:
         if len(a) and (a[0] < 0 or bool(np.any(a[1:] < a[:-1]))):
@@ -100,12 +132,18 @@ def _decimal_rows(*fields) -> str:
     edges = np.unique(np.concatenate(
         [[0, len(arrays[0])], *(np.searchsorted(a, _POW10) for a in arrays)]
     ))
-    runs = []
+
+    def width(field, i: int) -> int:
+        if isinstance(field, str):
+            return len(field)
+        return 1 + int(np.searchsorted(_POW10, field[i], "right"))
+
+    # No row is wider than the last, whose array elements are the largest.
+    rows = len(arrays[0])
+    text = _text_work.text_buffer(rows * sum(width(f, -1) for f in fields) if rows else 0)
+    pos = 0
     for lo, hi in itertools.pairwise(edges.tolist()):
-        widths = [
-            len(f) if isinstance(f, str) else 1 + int(np.searchsorted(_POW10, f[lo], "right"))
-            for f in fields
-        ]
+        widths = [width(f, lo) for f in fields]
         cols = list(itertools.accumulate(widths, initial=0))
         # The str fields go into one template row, and the template into
         # every row by doubling the filled prefix: a few long copies in
@@ -114,8 +152,8 @@ def _decimal_rows(*fields) -> str:
         for field, left, right in zip(fields, cols, cols[1:]):
             if isinstance(field, str):
                 template[left:right] = np.frombuffer(field.encode("ascii"), np.uint8)
-        matrix = np.empty((hi - lo, len(template)), dtype=np.uint8)
-        flat = matrix.reshape(-1)
+        flat = text[pos : pos + (hi - lo) * len(template)]
+        matrix = flat.reshape(hi - lo, len(template))
         flat[: len(template)] = template
         filled = len(template)
         while filled < flat.size:
@@ -125,40 +163,59 @@ def _decimal_rows(*fields) -> str:
         for field, left, right in zip(fields, cols, cols[1:]):
             if not isinstance(field, str):
                 _put_digits(matrix[:, left:right], field[lo:hi])
-        runs.append(matrix.tobytes())
-    return b"".join(runs).decode("ascii")
+        pos += flat.size
+    return text[:pos]
 
 
-def _term_text(terms: np.ndarray, layout: str, prefix: str = "") -> Iterator[str]:
-    """The decimal text of ascending terms, in chunks of at most _CHUNK
-    terms.  Layouts: "text" is one line of space-separated terms;
-    "records" is one `prefix index term` row per term, tab-separated,
-    indexed from 1."""
-    for start in range(0, len(terms), _CHUNK):
-        chunk = terms[start:start + _CHUNK]
-        if layout == "records":
-            index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
-            yield _decimal_rows(prefix, index, "\t", chunk, "\n")
-        else:
-            text = _decimal_rows(" ", chunk)
-            yield text if start else text[1:]
+def _term_chunks(terms, layout: str, prefix: str = "") -> Iterator[memoryview]:
+    """The decimal text of ascending terms, one array or a sequence of
+    arrays read as one, as ASCII in chunks of at most _CHUNK terms; each
+    chunk is a view of the text buffer, valid until the next is drawn.
+    Layouts: "text" is one line of space-separated terms; "records" is
+    one `prefix index term` row per term, tab-separated, indexed from 1."""
+    start = 0
+    for part in [terms] if isinstance(terms, np.ndarray) else terms:
+        for lo in range(0, len(part), _CHUNK):
+            chunk = part[lo : lo + _CHUNK]
+            if layout == "records":
+                index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
+                yield memoryview(_decimal_rows(prefix, index, "\t", chunk, "\n"))
+            else:
+                text = memoryview(_decimal_rows(" ", chunk))
+                yield text if start else text[1:]
+            start += len(chunk)
     if layout == "text":
-        yield "\n"
+        yield memoryview(b"\n")
+
+
+def _term_text(terms, layout: str, prefix: str = "") -> Iterator[str]:
+    """`_term_chunks` as str."""
+    return (str(chunk, "ascii") for chunk in _term_chunks(terms, layout, prefix))
 
 
 # -- command implementations -------------------------------------------------
 
 
-def _emit_terms(kind: str, n: int, terms: np.ndarray, fmt: str) -> None:
+def _emit_terms(kind: str, n: int, terms, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "records":
-        sys.stdout.write("kind\tn\tindex\tterm\n")
-    sys.stdout.writelines(_term_text(terms, fmt, f"{kind}\t{n}\t"))
+        out.write("kind\tn\tindex\tterm\n")
+    prefix = f"{kind}\t{n}\t"
+    binary = getattr(out, "buffer", None)
+    if binary is None or codecs.lookup(out.encoding).name not in ("utf-8", "ascii"):
+        out.writelines(_term_text(terms, fmt, prefix))
+        return
+    # The ASCII chunks go straight to the byte stream: a str of each, and
+    # its encoded copy, would be two fresh allocations a chunk.
+    out.flush()
+    for chunk in _term_chunks(terms, fmt, prefix):
+        binary.write(chunk)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count is not None:
         kind, n = "stream", args.count
-        terms = _stream_array(args.count)
+        terms = _stream_parts(args.count)
     else:
         kind, n = ("level", args.level) if args.level is not None else ("core", args.core)
         terms = level_structural(n).arr if kind == "level" else cores.core(n).arr

@@ -21,8 +21,9 @@ from .levels import (
     DEFAULT_STRUCTURAL_BOUND,
     _BLOCK,
     _balance_ok,
+    _core_blocks,
     _f00_mask,
-    _level_array,
+    _level_blocks,
     core_top,
     level_size,
 )
@@ -36,7 +37,13 @@ from .patterns import (
     verify_eq1,
     verify_eq2,
 )
-from .report import Counterexample, VerificationOutcome, check, first_mismatch
+from .report import (
+    Counterexample,
+    VerificationOutcome,
+    check,
+    first_block_mismatch,
+    first_mismatch,
+)
 
 __all__ = [
     "VerificationOutcome",
@@ -63,23 +70,34 @@ def check_prop12(n: int) -> Counterexample | None:
     segment of its level interval."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    src = _level_array(n)
-    # One block of terms at a time, so that no temporary is full-size.
-    blocks = [src[start : start + _BLOCK] for start in range(0, len(src), _BLOCK)]
-    for delta in (-1, 1, 3):
-        for block in blocks:
-            # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
-            found = _balance_ok(4 * block + delta, n + 2)
-            if not bool(np.all(found)):
-                bad = int(block[~found][0])
-                return Counterexample(bad, f"{4 * bad + delta} in level {n + 2}", "absent")
-    for block in blocks:
-        quarter_src = (block - (1 << (n - 1))) >> (n - 3)
-        quarter_dst = (4 * block + 3 - (1 << (n + 1))) >> (n - 1)
-        if not bool(np.all(quarter_src == quarter_dst)):
-            i = np.nonzero(quarter_src != quarter_dst)[0][0]
-            return Counterexample(int(block[i]), int(quarter_src[i]), int(quarter_dst[i]))
-    return None
+    # Level n is read once, as blocks, keeping the first failure of each
+    # of the four tests (delta -1, 1, 3, then the quarter); a test is
+    # reported only when the ones before it hold on every block.
+    found: list[Counterexample | None] = [None] * 4
+    four, lifted, quarter = (np.empty(_BLOCK, dtype=np.int64) for _ in range(3))
+    for block in _level_blocks(n):
+        m = len(block)
+        np.multiply(block, 4, out=four[:m])
+        for test, delta in enumerate((-1, 1, 3)):
+            if found[test] is None:
+                # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
+                ok = _balance_ok(np.add(four[:m], delta, out=lifted[:m]), n + 2)
+                if not ok.all():
+                    bad = int(block[np.argmin(ok)])
+                    lift = f"{4 * bad + delta} in level {n + 2}"
+                    found[test] = Counterexample(bad, lift, "absent")
+        if found[3] is None:
+            quarter_src = np.subtract(block, 1 << (n - 1), out=quarter[:m])
+            quarter_src >>= n - 3
+            quarter_dst = np.add(four[:m], 3 - (1 << (n + 1)), out=lifted[:m])
+            quarter_dst >>= n - 1
+            differ = quarter_src != quarter_dst
+            if differ.any():
+                i = int(np.argmax(differ))
+                found[3] = Counterexample(int(block[i]), int(quarter_src[i]), int(quarter_dst[i]))
+        if found[0] is not None:
+            break
+    return next((f for f in found if f is not None), None)
 
 
 @check("conj16")
@@ -89,16 +107,21 @@ def check_conj16(n: int) -> Counterexample | None:
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
     base = core(n).arr
-    segs = core(n + 2).segments
+    # The (n+2)-core is read one subsegment at a time, as blocks: its
+    # subsegments are the value intervals of length 2**(n-3) below its top.
+    top, quarter = core_top(n + 2), 1 << (n - 3)
     for seg_index, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
-        actual = segs[seg_index]
-        if len(actual) != core_size(n):
-            return Counterexample(
-                f"subsegment {seg_index + 1} cardinality", core_size(n), len(actual)
-            )
-        mismatch = first_mismatch(base + offset, actual)
+        copies = (base[s : s + _BLOCK] + offset for s in range(0, len(base), _BLOCK))
+        segment = _core_blocks(
+            n + 2, top - (4 - seg_index) * quarter, top - (3 - seg_index) * quarter
+        )
+        mismatch, size, actual = first_block_mismatch(copies, segment)
+        if actual != core_size(n):
+            return Counterexample(f"subsegment {seg_index + 1} cardinality", core_size(n), actual)
         if mismatch is not None:
             return mismatch
+        if size != actual:
+            return Counterexample("cardinality", size, actual)
     return None
 
 
@@ -206,7 +229,8 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
-# level above n.  The checkers look the check functions up when called,
+# level above n - 1 and no core above n: level n and the (n+2)-core are
+# read as blocks.  The checkers look the check functions up when called,
 # so a wrapper rebound over a module function (as perfbench/spans.py
 # does) sees every call.
 CHECKS = {

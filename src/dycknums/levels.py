@@ -8,13 +8,19 @@ rebuilds each level from smaller ones: an odd level is two shifted copies
 of the level below it, an even level is the union of the four 2-bit
 fragment images of the level two below (with the 00 fragment rejecting
 terms of low dynamics).  The two must agree element for element.  The
-fragment rule lives only here (`Fragment`, `_f00_mask`, `_core_array`).
+fragment rule lives only here (`Fragment`, `_f00_keep`, `_f00_mask`).
+
+A level is described once, as its ordered parts (`_level_parts`).
+`_level_array` writes them into one array; `_level_blocks` reads them
+one block at a time, so a check that reads level n in order never needs
+level n itself resident, only level n-1 or n-2.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -34,6 +40,28 @@ _F00_MIN_DYNAMICS = 4
 _BASE_LEVELS = {1: (1,), 2: (3,)}
 
 _array_cache: dict[int, np.ndarray] = {}
+# n -> (level n-2, its fragment-00 mask).  An entry serves only the very
+# array it was made from, so a level swapped or copied is checked again.
+_mask_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+class _Work(threading.local):
+    """Block-sized buffers of one thread, allocated once and reused by
+    every call of the membership kernel and the fragment-00 rule, so
+    that no hot loop allocates a block-sized array."""
+
+    def __init__(self) -> None:
+        self.word = np.empty(_BLOCK, dtype="<u8")
+        self.index = np.empty(_BLOCK, dtype=np.intp)
+        self.below = np.empty(_BLOCK, dtype=np.int16)
+        self.low = np.empty(_BLOCK, dtype=np.int16)
+        self.gather = np.empty(_BLOCK, dtype=np.int8)
+        self.passed = np.empty(_BLOCK, dtype=bool)
+        self.ones = np.empty(_BLOCK, dtype=np.uint8)
+        self.image = np.empty(_BLOCK, dtype=np.int64)
+
+
+_work = _Work()
 
 
 class TermArray:
@@ -141,40 +169,51 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     `balance` sums onto the carry, is nonnegative; a term passes where
     every chunk does.  A term of up to 16 bits costs one gather, one of
     up to 32 bits two gathers, one add and one comparison.  Terms go
-    through in blocks of `_BLOCK`, so every temporary is block-sized."""
+    through in blocks of `_BLOCK`, into the buffers of `_work`; only
+    the result is allocated."""
     if not 0 <= nbits <= 64:
         raise ValueError(f"nbits must be in 0..64, got {nbits}")
     lowest, balance, carry = _chunk_tables()
     chunks = max(1, -(-nbits // 16))  # nbits = 0 reads one all-ones chunk
     fill = (1 << 16 * chunks) - (1 << nbits)
+    work = _work
     # Casting keeps the low bits, negatives included; little-endian words
     # view as their 16-bit chunks, lowest first.
-    word = np.dtype("<u4" if nbits <= 32 else "<u8")
+    words = work.word.view("<u4" if nbits <= 32 else "<u8")
     flat = values.reshape(-1)
     ok = np.empty(flat.shape, dtype=bool)
-    size = min(flat.size, _BLOCK)
-    index = np.empty(size, dtype=np.intp)
-    below = np.empty(size, dtype=np.int16)
     for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK].astype(word)
+        terms = flat[start : start + _BLOCK]
+        m = len(terms)
+        block = words[:m]
+        np.copyto(block, terms, casting="unsafe")
         block |= fill
-        m = len(block)
-        ok_m, index_m, below_m = ok[start : start + m], index[:m], below[:m]
+        ok_m, index, below = ok[start : start + m], work.index[:m], work.below[:m]
+        low, gather, passed = work.low[:m], work.gather[:m], work.passed[:m]
         parts = block.view("<u2").reshape(m, -1).T[:chunks]
-        index_m[...] = parts[0]  # `take` gathers faster by intp than by uint16
+        index[...] = parts[0]  # `take` gathers faster by intp than by uint16
+        # mode="clip" writes straight into `out`; "raise" would buffer it.
+        carry.take(index, out=gather, mode="clip")
         if chunks == 1:
-            np.greater_equal(carry.take(index_m), 0, out=ok_m)
+            np.greater_equal(gather, 0, out=ok_m)
             continue
-        below_m[...] = carry.take(index_m)
+        below[...] = gather
         for i in range(1, chunks):
-            index_m[...] = parts[i]
-            low = lowest.take(index_m) + below_m
+            index[...] = parts[i]
+            lowest.take(index, out=gather, mode="clip")
+            # Widened by a plain copy: a ufunc mixing int8 and int16
+            # would cast through a buffer it allocates on every call.
+            low[...] = gather
+            low += below
             if i == 1:
                 np.greater_equal(low, 0, out=ok_m)
             else:
-                ok_m &= low >= 0
+                np.greater_equal(low, 0, out=passed)
+                ok_m &= passed
             if i + 1 < chunks:
-                below_m += balance.take(index_m)
+                balance.take(index, out=gather, mode="clip")
+                low[...] = gather
+                below += low
     return ok.reshape(values.shape)
 
 
@@ -192,23 +231,35 @@ class Fragment(enum.Enum):
         return (1 << (n - 1)) + (self.value - 1) * (1 << (n - 3))
 
 
-def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level n-2 for even n >= 4, and the mask of its terms whose
-    00-fragment image is a term of level n; the rest are rejected."""
-    src = _level_array(n - 2)
-    shift = Fragment.F00.shift(n)
+def _f00_keep(src: np.ndarray, n: int, kept: np.ndarray) -> None:
+    """Write into kept the mask of the level-(n-2) terms in src, at most
+    one block, whose 00-fragment image is a term of level n: those of
+    dynamics at least `_F00_MIN_DYNAMICS`.  Raise unless an explicit
+    suffix-balance check of the images agrees (the dual route)."""
+    m = len(src)
+    ones, image = _work.ones[:m], _work.image[:m]
     # Dynamics 2 * ones - (n - 2) >= _F00_MIN_DYNAMICS, counted in uint8;
     # n is even, so the bound on the ones is exact.
-    min_ones = (n - 2 + _F00_MIN_DYNAMICS) // 2
+    np.bitwise_count(src, out=ones)
+    np.greater_equal(ones, (n - 2 + _F00_MIN_DYNAMICS) // 2, out=kept)
+    np.add(src, Fragment.F00.shift(n), out=image)
+    if not np.array_equal(_balance_ok(image, n), kept):
+        raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
+
+
+def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level n-2 for even n >= 4, and the read-only mask of its terms
+    whose 00-fragment image is a term of level n; the rest are rejected.
+    Made one block at a time, once per level n-2 array."""
+    src = _level_array(n - 2)
+    cached = _mask_cache.get(n)
+    if cached is not None and cached[0] is src:
+        return cached
     keep = np.empty(len(src), dtype=bool)
-    # Dual route, one block at a time so that no temporary is full-size:
-    # the dynamics shortcut must agree with an explicit suffix-balance
-    # check of the constructed codes.
     for start in range(0, len(src), _BLOCK):
-        block, kept = src[start : start + _BLOCK], keep[start : start + _BLOCK]
-        np.greater_equal(np.bitwise_count(block), min_ones, out=kept)
-        if not np.array_equal(_balance_ok(block + shift, n), kept):
-            raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
+        _f00_keep(src[start : start + _BLOCK], n, keep[start : start + _BLOCK])
+    keep.flags.writeable = False
+    _mask_cache[n] = src, keep
     return src, keep
 
 
@@ -219,7 +270,29 @@ def _core_array(n: int) -> np.ndarray:
     if level is not None:
         return level[: len(level) - 3 * level_size(n - 2)]
     src, keep = _f00_mask(n)
-    return src[keep] + Fragment.F00.shift(n)
+    arr = src[keep]
+    arr += Fragment.F00.shift(n)
+    return arr
+
+
+def _core_blocks(n: int, lo: int, hi: int):
+    """The n-core's terms in (lo, hi], hi at most `core_top(n)`, one
+    block at a time, as `_level_blocks` gives them.  When the mask of
+    the resident level n-2 is not at hand, they are the 00-fragment
+    images of the level-(n-2) terms under them, and the dual route is
+    checked on those blocks only."""
+    cached = _mask_cache.get(n)
+    if cached is not None and cached[0] is _array_cache.get(n - 2):
+        yield from _level_blocks(n, lo, hi)
+        return
+    shift = Fragment.F00.shift(n)
+    images, keep = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=bool)
+    for block in _level_blocks(n - 2, lo - shift, hi - shift):
+        kept = keep[: len(block)]
+        _f00_keep(block, n, kept)
+        out = images[: np.count_nonzero(kept)]
+        _put_part(block, kept, shift, out)
+        yield out
 
 
 def core_top(n: int) -> int:
@@ -232,8 +305,19 @@ def core_top(n: int) -> int:
 def _scan_array(n: int) -> np.ndarray:
     lo, hi = mersenne(n - 1), mersenne(n)
     start = lo + 1 if lo % 2 == 0 else lo + 2
-    candidates = np.arange(start, hi + 1, 2, dtype=np.int64)
-    return candidates[_balance_ok(candidates, n)]
+    count = (hi - start) // 2 + 1
+    # The odd candidates one block at a time, stepped in place: no
+    # candidate array is level-sized, only a byte per candidate.
+    member = np.empty(count, dtype=bool)
+    candidates = np.arange(start, start + 2 * _BLOCK, 2, dtype=np.int64)
+    for i in range(0, count, _BLOCK):
+        block = candidates[: count - i]
+        member[i : i + len(block)] = _balance_ok(block, n)
+        candidates += 2 * _BLOCK
+    terms = np.flatnonzero(member).astype(np.int64, copy=False)
+    terms *= 2
+    terms += start
+    return terms
 
 
 def level_scan(n: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> Level:
@@ -246,6 +330,31 @@ def level_scan(n: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> Level:
     return Level(n, _scan_array(n))
 
 
+def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
+    """Level n as its ascending parts (source, fragment-00 mask or None,
+    shift), each the terms source[mask] + shift.  Odd n: two copies of
+    level n-1.  Even n: the core (level n-2 under the fragment-00 mask),
+    then the 01, 10 and 11 images of level n-2."""
+    if n <= 2:
+        return [(np.array(_BASE_LEVELS[n], dtype=np.int64), None, 0)]
+    if n % 2:
+        prev = _level_array(n - 1)
+        return [(prev, None, 1 << (n - 2)), (prev, None, 1 << (n - 1))]
+    src, keep = _f00_mask(n)
+    return [(src, keep, Fragment.F00.shift(n))] + [
+        (src, None, f.shift(n)) for f in list(Fragment)[1:]
+    ]
+
+
+def _put_part(src: np.ndarray, keep: np.ndarray | None, shift: int, out: np.ndarray) -> None:
+    """Write src[keep] + shift, or src + shift without a mask, into out."""
+    if keep is None:
+        np.add(src, shift, out=out)
+    else:
+        np.compress(keep, src, out=out)
+        out += shift
+
+
 def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -256,30 +365,56 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
     cached = _array_cache.get(n)
     if cached is not None:
         return cached
-    if n <= 2:
-        arr = np.array(_BASE_LEVELS[n], dtype=np.int64)
-    elif n % 2:
-        prev = _level_array(n - 1, structural_bound)
-        arr = np.empty(level_size(n), dtype=np.int64)
-        for half, shift in zip(arr.reshape(2, -1), (n - 2, n - 1)):
-            np.add(prev, 1 << shift, out=half)
-    else:
-        # Each part is written once, into its place in the level: the
-        # core (the 00-fragment survivors of level n-2), then the 01, 10
-        # and 11 images.
-        src, keep = _f00_mask(n)
-        arr = np.empty(level_size(n), dtype=np.int64)
-        head = arr[: len(arr) - 3 * len(src)]
-        if np.count_nonzero(keep) != len(head):
-            raise AssertionError(f"level {n} construction keeps the wrong number of core terms")
-        np.add(src[keep], Fragment.F00.shift(n), out=head)
-        for image, f in zip(arr[len(head) :].reshape(3, -1), list(Fragment)[1:]):
-            np.add(src, f.shift(n), out=image)
+    # Each part is written once, into its place in the level.
+    parts = _level_parts(n)
+    sizes = [len(src) if keep is None else np.count_nonzero(keep) for src, keep, _ in parts]
+    if sum(sizes) != level_size(n):
+        raise AssertionError(f"level {n} construction makes {sum(sizes)} terms")
+    arr = np.empty(level_size(n), dtype=np.int64)
+    for (src, keep, shift), part in zip(parts, np.split(arr, np.cumsum(sizes)[:-1])):
+        _put_part(src, keep, shift, part)
     if not bool(np.all(arr[1:] > arr[:-1])):
         raise AssertionError(f"level {n} construction is not strictly ascending")
     arr.flags.writeable = False
     _array_cache[n] = arr
     return arr
+
+
+def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
+    """The terms of level n in (lo, hi], ascending, at most `_BLOCK` at
+    a time; no bound means the whole level.  A resident level yields
+    views of itself.  Otherwise each block is made from the level's
+    parts into one reused buffer, so no block may be held past the next,
+    and strict ascent is checked inside every block and across every
+    seam."""
+    def bounds(arr: np.ndarray, shift: int) -> range:
+        i = 0 if lo is None else int(np.searchsorted(arr, lo - shift, side="right"))
+        j = len(arr) if hi is None else int(np.searchsorted(arr, hi - shift, side="right"))
+        return range(i, j, _BLOCK)
+
+    level = _array_cache.get(n)
+    if level is not None:
+        span = bounds(level, 0)
+        for start in span:
+            yield level[start : min(start + _BLOCK, span.stop)]
+        return
+    buf, up = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=bool)
+    prev = None
+    for src, keep, shift in _level_parts(n):
+        span = bounds(src, shift)
+        for start in span:
+            stop = min(start + _BLOCK, span.stop)
+            kept = None if keep is None else keep[start:stop]
+            block = buf[: stop - start if kept is None else np.count_nonzero(kept)]
+            _put_part(src[start:stop], kept, shift, block)
+            m = len(block)
+            if not m:
+                continue
+            ascending = np.greater(block[1:], block[:-1], out=up[: m - 1])
+            if (prev is not None and block[0] <= prev) or not ascending.all():
+                raise AssertionError(f"level {n} construction is not strictly ascending")
+            prev = int(block[-1])
+            yield block
 
 
 def level_structural(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> Level:
@@ -306,7 +441,11 @@ def stream_limit(structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> int:
     return 1 + sum(level_size(k) for k in range(1, structural_bound + 1))
 
 
-def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
+def _stream_parts(
+    count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND
+) -> list[np.ndarray]:
+    """The first `count` terms as views: the term 0, then the resident
+    levels from 1 up, the last one cut short."""
     if count < 1:
         raise ValueError("count must be >= 1")
     limit = stream_limit(structural_bound)
@@ -319,10 +458,14 @@ def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) 
     total, n = 1, 1
     while total < count:
         arr = _level_array(n, structural_bound)
-        parts.append(arr)
+        parts.append(arr[: count - total])
         total += len(arr)
         n += 1
-    return np.concatenate(parts)[:count]
+    return parts
+
+
+def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
+    return np.concatenate(_stream_parts(count, structural_bound))
 
 
 def stream_terms(count: int) -> tuple[int, ...]:

@@ -10,7 +10,8 @@ above its core is three copies of level n-2 ending at M_n (eq2).  Each
 is checked against the definition of a level, the members between two
 bounds: the copies are made a block at a time and certified as exactly
 the members from the first bound to M_n, by membership, ascent and the
-exact count of `_rank`.  Neither builds an odd level or keeps a copy.
+exact count of `_rank`.  Neither builds an odd level or keeps a copy,
+and eq2 reads level n itself only as blocks.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from .levels import (
     TermArray,
     _balance_ok,
     _level_array,
+    _level_blocks,
     core_top,
     mersenne,
 )
-from .report import Counterexample, check
+from .report import Counterexample, check, first_block_mismatch
 
 # `_shifted` adds its offset in int64 only below this value, where the
 # sum cannot overflow; above it, in exact Python ints.
@@ -223,12 +225,12 @@ def lift_copy(p: Pattern) -> Pattern:
     return _shifted(p, p.top + (1 << p.level))
 
 
-def _certify_copies(
-    src: np.ndarray, k: int, top: int, first: int, nbits: int, built: np.ndarray | None = None
-) -> Counterexample | None:
+def _certify_copies(src: np.ndarray, k: int, top: int, first: int, nbits: int,
+                    built=None) -> Counterexample | None:
     """Check that k copies of the run src, the top one ending at top and
     each lower one a span below the next, are exactly the members from
-    first to top, both of nbits bits; with `built`, that they equal it.
+    first to top, both of nbits bits; with `built`, an array or a
+    stream of blocks, that they equal it term by term.
 
     The span is top minus the predecessor of the top copy's first term.
     Up front: top is a member, the lowest copy starts at first, and the
@@ -237,7 +239,9 @@ def _certify_copies(
     every term must be a member and above the one before it, across the
     block seams too.  Ascending members from first to top, as many as
     there are, are all of them.  No copy is kept, so the check needs one
-    block of memory beyond src and built."""
+    block of memory beyond src and built.  A built stream of the wrong
+    length is reported first, then the first term where it differs from
+    the copies, which lies below any failing copy block."""
     if not is_dyck_number(top):
         return _construction_failure(f"{top} is not a term of the sequence")
     shift = top - int(src[-1])
@@ -251,32 +255,38 @@ def _certify_copies(
     count = _rank(top) - _rank(first) + 1
     if k * len(src) != count:
         return Counterexample("cardinality", count, k * len(src))
-    if built is not None and len(built) != count:
-        return Counterexample("cardinality", len(built), count)
-    buf = np.empty(min(len(src), _BLOCK), dtype=np.int64)
-    ok_buf = np.empty(len(buf), dtype=bool)
-    pos, prev = 0, first - 1
-    for offset in range(shift - (k - 1) * span, shift + 1, span):
-        for start in range(0, len(src), _BLOCK):
-            block = np.add(src[start : start + _BLOCK], offset, out=buf[: len(src) - start])
-            ok = ok_buf[: len(block)]
-            ok[0] = block[0] > prev
-            np.greater(block[1:], block[:-1], out=ok[1:])
-            ok &= _balance_ok(block, nbits)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                t, below = int(block[i]), int(block[i - 1]) if i else prev
-                if t <= below:
-                    return _construction_failure(f"{t} does not ascend from {below}")
-                return _construction_failure(f"{t} is not a term of the sequence")
-            if built is not None:
-                expected = built[pos : pos + len(block)]
-                differ = expected != block
-                if differ.any():
-                    i = int(np.argmax(differ))
-                    return Counterexample(f"index {pos + i}", int(expected[i]), int(block[i]))
-            pos, prev = pos + len(block), int(block[-1])
-    return None
+    failure = []
+
+    def copies():
+        buf = np.empty(min(len(src), _BLOCK), dtype=np.int64)
+        ok_buf = np.empty(len(buf), dtype=bool)
+        prev = first - 1
+        for offset in range(shift - (k - 1) * span, shift + 1, span):
+            for start in range(0, len(src), _BLOCK):
+                block = np.add(src[start : start + _BLOCK], offset, out=buf[: len(src) - start])
+                ok = ok_buf[: len(block)]
+                ok[0] = block[0] > prev
+                np.greater(block[1:], block[:-1], out=ok[1:])
+                ok &= _balance_ok(block, nbits)
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    t, below = int(block[i]), int(block[i - 1]) if i else prev
+                    failure.append(_construction_failure(
+                        f"{t} does not ascend from {below}" if t <= below
+                        else f"{t} is not a term of the sequence"
+                    ))
+                    return
+                prev = int(block[-1])
+                yield block
+
+    if built is None:
+        for _ in copies():
+            pass
+        return failure[0] if failure else None
+    mismatch, size, _ = first_block_mismatch(built, copies())
+    if size != count:
+        return Counterexample("cardinality", size, count)
+    return mismatch or (failure[0] if failure else None)
 
 
 @check("eq1")
@@ -292,13 +302,13 @@ def verify_eq1(n: int) -> Counterexample | None:
 def verify_eq2(n: int) -> Counterexample | None:
     """Check that the tail of even level n above the core senior term
     M_{n-1} + 2**(n-3) is three copies of level n-2, the top one ending
-    at M_n, and that the built level n holds exactly them."""
+    at M_n, and that the construction of level n, read as blocks, holds
+    exactly them."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
-    terms = _level_array(n)
-    tail = terms[np.searchsorted(terms, core_top(n), side="right") :]
     return _certify_copies(
-        _level_array(n - 2), 3, mersenne(n), dyck_succ(core_top(n)), n, built=tail
+        _level_array(n - 2), 3, mersenne(n), dyck_succ(core_top(n)), n,
+        built=_level_blocks(n, lo=core_top(n)),
     )
 
 

@@ -105,3 +105,38 @@ def first_mismatch(expected, actual) -> Counterexample | None:
     if len(expected) != len(actual):
         return Counterexample("cardinality", len(expected), len(actual))
     return None
+
+
+def first_block_mismatch(expected, actual) -> tuple[Counterexample | None, int, int]:
+    """The first position in the common prefix where two streams of
+    int64 blocks disagree (None when they agree there), and the number
+    of terms in each.  An array is a stream of one block.  Blocks may
+    have any sizes; both streams are read to their ends, and a block is
+    read before the next one is drawn from its stream, so a stream may
+    reuse one buffer."""
+    streams = tuple(iter([s] if isinstance(s, np.ndarray) else s) for s in (expected, actual))
+    sizes = [0, 0]
+
+    def draw(side: int) -> np.ndarray | None:
+        for block in streams[side]:
+            if len(block):
+                sizes[side] += len(block)
+                return block
+        return None
+
+    found, pos = None, 0
+    x, y = draw(0), draw(1)
+    while x is not None and y is not None:
+        m = min(len(x), len(y))
+        if found is None:
+            differ = x[:m] != y[:m]
+            if differ.any():
+                i = int(np.argmax(differ))
+                found = Counterexample(f"index {pos + i}", int(x[i]), int(y[i]))
+        pos += m
+        x, y = x[m:], y[m:]
+        x, y = (x if len(x) else draw(0)), (y if len(y) else draw(1))
+    for side in (0, 1):
+        while draw(side) is not None:
+            pass
+    return found, sizes[0], sizes[1]

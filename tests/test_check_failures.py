@@ -3,7 +3,8 @@ level or core it reads is corrupted.
 
 Each test swaps the function a checker reads its input through for one
 that drops or shifts a single term; the memoized levels and cores
-themselves are never touched.
+themselves are never touched.  A reader of blocks is swapped for one
+that changes the terms it reads and yields them again as blocks.
 """
 
 import numpy as np
@@ -46,6 +47,39 @@ def corrupt_level(monkeypatch, n, change):
         return change(real(m, *args)) if m == n else real(m, *args)
 
     monkeypatch.setattr(patterns, "_level_array", level_array)
+
+
+def changed_blocks(blocks, change):
+    """The terms of a stream of blocks, changed, as blocks again.  Each
+    block is copied as it comes, since a stream may reuse its buffer."""
+    copies = [block.copy() for block in blocks]
+    terms = change(np.concatenate(copies) if copies else np.empty(0, dtype=np.int64))
+    return iter([terms[s : s + levels._BLOCK] for s in range(0, len(terms), levels._BLOCK)])
+
+
+def corrupt_level_blocks(monkeypatch, module, n, change):
+    """`module._level_blocks(n, ...)`, the reader of level n as blocks,
+    yields the terms it reads changed."""
+    real = module._level_blocks
+
+    def level_blocks(m, *args, **kwargs):
+        blocks = real(m, *args, **kwargs)
+        return changed_blocks(blocks, change) if m == n else blocks
+
+    monkeypatch.setattr(module, "_level_blocks", level_blocks)
+
+
+def corrupt_core_segment(monkeypatch, n, segment, change):
+    """`conjectures._core_blocks(n, lo, hi)` yields the terms of segment
+    `segment` (from 0) of the n-core changed."""
+    real = conjectures._core_blocks
+    lo = levels.core_top(n) - (4 - segment) * (1 << (n - 5))
+
+    def core_blocks(m, low, high):
+        blocks = real(m, low, high)
+        return changed_blocks(blocks, change) if (m, low) == (n, lo) else blocks
+
+    monkeypatch.setattr(conjectures, "_core_blocks", core_blocks)
 
 
 def corrupt_core(monkeypatch, n, change, segment=None):
@@ -92,7 +126,7 @@ def test_eq1_reports_a_broken_construction(monkeypatch):
 
 
 def test_eq2_reports_a_dropped_tail_term(monkeypatch):
-    corrupt_level(monkeypatch, 8, drop(-1))
+    corrupt_level_blocks(monkeypatch, patterns, 8, drop(-1))
     assert_fails(verify_eq2(8), "eq2", 8, Counterexample("cardinality", 29, 30))
 
 
@@ -110,18 +144,16 @@ def test_eq2_reports_a_tail_mismatch_by_its_index_in_the_tail(monkeypatch):
     level = levels._level_array(22)
     tail_start = int(np.searchsorted(level, levels.core_top(22), side="right"))
     i = 2 * levels._BLOCK + 7
-    corrupt_level(monkeypatch, 22, shift(tail_start + i))
+    corrupt_level_blocks(monkeypatch, patterns, 22, shift(i))
     assert_fails(verify_eq2(22), "eq2", 22, Counterexample(
         f"index {i}", int(level[tail_start + i]) + 2, int(level[tail_start + i])
     ))
 
 
 def test_prop12_reports_a_missing_triplet_member(monkeypatch):
-    real = conjectures._level_array
     # level 6 starts 39, 43; 41 = 101001 lifts to 163 = 10100011, whose
     # suffix 00011 dips negative
-    monkeypatch.setattr(conjectures, "_level_array",
-                        lambda n: shift(0)(real(n)) if n == 6 else real(n))
+    corrupt_level_blocks(monkeypatch, conjectures, 6, shift(0))
     assert_fails(check_prop12(6), "prop12", 6, Counterexample(41, "163 in level 8", "absent"))
 
 
@@ -129,30 +161,45 @@ def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
     # Level 20 spans two blocks of the check.  In the first, 526304 (even)
     # lifts to members for delta -1 only; in the second, 933649 (not a
     # term) lifts to no member.  delta -1 is tested over every block first.
-    real = conjectures._level_array
-
-    def corrupted(n):
-        arr = real(n)
-        if n == 20:
-            arr = arr.copy()
-            arr[5], arr[70000] = 526304, 933649
+    def corrupted(arr):
+        arr[5], arr[70000] = 526304, 933649
         return arr
 
-    assert levels._BLOCK < 70000 < len(real(20))
-    monkeypatch.setattr(conjectures, "_level_array", corrupted)
+    assert levels._BLOCK < 70000 < levels.level_size(20)
+    corrupt_level_blocks(monkeypatch, conjectures, 20, corrupted)
     assert_fails(check_prop12(20), "prop12", 20,
                  Counterexample(933649, f"{4 * 933649 - 1} in level 22", "absent"))
 
 
 def test_conj16_reports_a_short_subsegment(monkeypatch):
-    corrupt_core(monkeypatch, 10, drop(0), segment=1)
+    corrupt_core_segment(monkeypatch, 10, 1, drop(0))
     assert_fails(check_conj16(8), "conj16", 8,
                  Counterexample("subsegment 2 cardinality", 5, 4))
 
 
 def test_conj16_reports_a_shifted_copy_term(monkeypatch):
-    corrupt_core(monkeypatch, 10, shift(1), segment=2)
+    corrupt_core_segment(monkeypatch, 10, 2, shift(1))
     assert_fails(check_conj16(8), "conj16", 8, Counterexample("index 1", 599, 601))
+
+
+def test_conj16_cross_checks_the_fragment_00_rule_on_the_blocks_it_reads(monkeypatch):
+    # conj16(22) reads subsegment 3 of the 24-core as 00-fragment images
+    # of the level-22 terms under it.  A level-22 copy with one term made
+    # even in the second block under that subsegment, keeping enough ones
+    # for the dynamics rule to keep it though its image ends in a 0: the
+    # mask cached for the real level 22 does not serve the copy, and the
+    # dual route disagrees on that block.
+    level_22 = levels._level_array(22).copy()
+    shift_24 = levels.Fragment.F00.shift(24)
+    lo = levels.core_top(24) - 2 * (1 << 19) - shift_24
+    second = int(np.searchsorted(level_22, lo, side="right")) + levels._BLOCK
+    i = second + int(np.argmax(np.bitwise_count(level_22[second:]) >= 14))
+    assert level_22[i] + shift_24 <= levels.core_top(24) - (1 << 19)
+    level_22[i] -= 1
+    monkeypatch.setattr(levels, "_array_cache", {22: level_22})
+    monkeypatch.setattr(cores, "_core_cache", {})
+    with pytest.raises(AssertionError, match="fragment-00 rejection mismatch at level 24"):
+        check_conj16(22)
 
 
 def test_conj18_reports_a_broken_construction(monkeypatch):
@@ -229,7 +276,7 @@ def test_size_identities_report_a_wrong_size(monkeypatch, attr, bad, failures):
 
 
 def test_verify_conj16_exits_1_on_a_corrupted_core(monkeypatch, capsys):
-    corrupt_core(monkeypatch, 10, drop(0), segment=1)
+    corrupt_core_segment(monkeypatch, 10, 1, drop(0))
     assert main(["verify", "conj16", "--max-n", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2

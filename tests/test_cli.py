@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -397,6 +398,17 @@ def test_gen_output_is_str_of_each_term(capsys, argv, kind, n, terms):
     assert code == 0 and out == text_of(expected)
     code, out, _ = run(capsys, "gen", *argv, "--format", "records")
     assert code == 0 and out == RECORDS_HEADER + records_of(kind, n, expected)
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_gen_output_to_a_text_stream_without_a_byte_buffer(monkeypatch, capsys, fmt):
+    # Text chunks go straight to sys.stdout.buffer when there is one; a
+    # stream without it gets the same text as str.
+    code, expected, _ = run(capsys, "gen", "--count", "100000", "--format", fmt)
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["gen", "--count", "100000", "--format", fmt]) == 0
+    assert code == 0 and stream.getvalue() == expected
 
 
 @pytest.mark.slow

@@ -153,17 +153,20 @@ def test_first_mismatch_is_exact_above_int64():
 
 
 def test_run_all_builds_no_level_above_max_n(monkeypatch):
+    # Level max_n and the (max_n + 2)-core are only read as blocks.
     monkeypatch.setattr(levels, "_array_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
     assert all(o.passed for o in run_all(12))
-    assert max(levels._array_cache) == 12
+    assert max(levels._array_cache) == 10
+    assert max(cores._core_cache) <= 12
 
 
 def test_run_all_builds_no_odd_level_and_nothing_above_max_n(monkeypatch):
     monkeypatch.setattr(levels, "_array_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
     assert all(o.passed for o in run_all(24))
-    assert max(levels._array_cache) == 24
+    assert max(levels._array_cache) == 22
+    assert max(cores._core_cache) <= 24
     assert [n for n in levels._array_cache if n >= 3 and n % 2] == []
 
 

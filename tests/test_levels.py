@@ -394,3 +394,73 @@ def test_table_predicate_on_level_26_candidates():
     for start in range((1 << 25) + 1, 1 << 26, 2 * step):
         candidates = np.arange(start, start + 2 * step, 2, dtype=np.int64)
         assert np.array_equal(_balance_ok(candidates, 26), _balance_ok_passes(candidates, 26))
+
+
+@st.composite
+def level_windows(draw):
+    """(n, lo, hi): a level of 1..24 and bounds around its value range,
+    either of which may be None."""
+    n = draw(st.integers(1, 24))
+    bound = st.one_of(st.none(), st.integers(mersenne(n - 1) - 2, mersenne(n) + 2))
+    return n, draw(bound), draw(bound)
+
+
+def read_blocks(blocks):
+    """The terms of a stream of blocks, each copied as it comes: a
+    stream may reuse one buffer."""
+    copies = [block.copy() for block in blocks]
+    assert all(0 < len(block) <= _BLOCK for block in copies)
+    return np.concatenate(copies) if copies else np.empty(0, dtype=np.int64)
+
+
+@given(level_windows())
+@settings(max_examples=60, deadline=None)
+def test_level_blocks_read_the_slice_of_the_level(window):
+    n, lo, hi = window
+    level = levels._level_array(n)
+    i = 0 if lo is None else int(np.searchsorted(level, lo, side="right"))
+    j = len(level) if hi is None else int(np.searchsorted(level, hi, side="right"))
+    expected = level[i:max(i, j)]
+    assert np.array_equal(read_blocks(levels._level_blocks(n, lo, hi)), expected)
+    # Without level n resident, the blocks are made from its parts.
+    resident = levels._array_cache
+    levels._array_cache = {k: v for k, v in resident.items() if k != n}
+    try:
+        streamed = read_blocks(levels._level_blocks(n, lo, hi))
+        assert n not in levels._array_cache
+    finally:
+        levels._array_cache = resident
+    assert np.array_equal(streamed, expected)
+
+
+def test_level_blocks_check_ascent_inside_a_block_and_across_a_seam(monkeypatch):
+    level_6 = levels._level_array(6)
+    swapped = level_6.copy()
+    swapped[[2, 3]] = swapped[[3, 2]]
+    monkeypatch.setattr(levels, "_array_cache", {6: swapped})
+    with pytest.raises(AssertionError, match="level 7 construction is not strictly ascending"):
+        list(levels._level_blocks(7))
+    # 63 raised to 103: the lower copy of level 6 in level 7 ends at 135,
+    # above the first term 103 of the upper copy.
+    raised = level_6.copy()
+    raised[-1] = 103
+    monkeypatch.setattr(levels, "_array_cache", {6: raised})
+    blocks = levels._level_blocks(7)
+    assert next(blocks)[-1] == 135
+    with pytest.raises(AssertionError, match="level 7 construction is not strictly ascending"):
+        next(blocks)
+
+
+@pytest.mark.parametrize("nbits", [16, 26, 40])
+def test_table_predicate_allocates_only_its_result(nbits):
+    block = (level_structural(26).arr[:_BLOCK] if nbits == 26
+             else np.arange(1, 2 * _BLOCK, 2, dtype=np.int64) | (1 << (nbits - 1)))
+    expected = _balance_ok(block, nbits)  # warm-up: tables and buffers
+    tracemalloc.start()
+    try:
+        ok = _balance_ok(block, nbits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ok, expected)
+    assert peak < ok.nbytes + 4096
