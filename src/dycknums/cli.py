@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import itertools
+import os
 import re
 import sys
 import threading
@@ -82,24 +83,24 @@ _text_work = _TextWork()
 
 
 def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
-    """Write values, each exactly out.shape[1] decimal digits wide, into
-    the uint8 matrix out as ASCII, one value per row.  The last axis of
-    out must be contiguous; its rows may be strided.
+    """Write values, at most _CHUNK of them, each exactly out.shape[1]
+    decimal digits wide, into the uint8 matrix out as ASCII, one value
+    per row.  The last axis of out must be contiguous; its rows may be
+    strided.
 
     The values are first written as 4-digit groups into a contiguous
     `(groups, m)` uint32 block, zero-padded on the left to a multiple of
     four digits, then each group goes into its columns of out."""
     m, width = out.shape
     groups = -(-width // 4)
-    if m <= _CHUNK:
-        rows, digits = _text_work.rows, _text_work.digits
-    else:
-        rows, digits = np.empty((3, m), dtype=np.int64), np.empty(5 * m, dtype="<u4")
+    if m > _CHUNK:
+        raise ValueError(f"at most {_CHUNK} values at a time, got {m}")
     # A copy, in 32 bits when the values fit: narrower division is faster.
+    rows = _text_work.rows
     v, q, r = (rows.view(np.int32) if width <= 9 else rows)[:, :m]
     v[...] = values
     table = _digit_groups()
-    block = digits[: groups * m].reshape(groups, m)
+    block = _text_work.digits[: groups * m].reshape(groups, m)
     for g in range(groups - 1, 0, -1):
         np.floor_divide(v, 10**4, out=q)
         np.multiply(q, 10**4, out=r)
@@ -110,11 +111,11 @@ def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
     # Each group as one void item per row, the leading group without its
     # padding: copying m items of 4 bytes is far faster than copying m
     # rows of 4 one-byte items.
-    for g, chunk in enumerate(block.view(np.uint8).reshape(groups, m, 4)):
+    for g, digits in enumerate(block.view(np.uint8).reshape(groups, m, 4)):
         end = width - 4 * (groups - 1 - g)
         size = min(end, 4)
         item = f"V{size}"
-        out[:, end - size : end].view(item)[...] = chunk[:, 4 - size :].view(item)
+        out[:, end - size : end].view(item)[...] = digits[:, 4 - size :].view(item)
 
 
 def _decimal_rows(*fields) -> np.ndarray:
@@ -201,12 +202,18 @@ def _emit_terms(kind: str, n: int, terms, fmt: str) -> None:
     if fmt == "records":
         out.write("kind\tn\tindex\tterm\n")
     prefix = f"{kind}\t{n}\t"
+    # The ASCII chunks go straight to the byte stream under stdout when it
+    # would store them unchanged (UTF-8 or ASCII, no newline translation):
+    # a str of each chunk and its encoded copy would be two fresh
+    # allocations a chunk.
     binary = getattr(out, "buffer", None)
-    if binary is None or codecs.lookup(out.encoding).name not in ("utf-8", "ascii"):
+    if (
+        binary is None
+        or os.linesep != "\n"
+        or codecs.lookup(out.encoding).name not in ("utf-8", "ascii")
+    ):
         out.writelines(_term_text(terms, fmt, prefix))
         return
-    # The ASCII chunks go straight to the byte stream: a str of each, and
-    # its encoded copy, would be two fresh allocations a chunk.
     out.flush()
     for chunk in _term_chunks(terms, fmt, prefix):
         binary.write(chunk)

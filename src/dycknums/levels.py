@@ -277,14 +277,9 @@ def _core_array(n: int) -> np.ndarray:
 
 def _core_blocks(n: int, lo: int, hi: int):
     """The n-core's terms in (lo, hi], hi at most `core_top(n)`, one
-    block at a time, as `_level_blocks` gives them.  When the mask of
-    the resident level n-2 is not at hand, they are the 00-fragment
-    images of the level-(n-2) terms under them, and the dual route is
-    checked on those blocks only."""
-    cached = _mask_cache.get(n)
-    if cached is not None and cached[0] is _array_cache.get(n - 2):
-        yield from _level_blocks(n, lo, hi)
-        return
+    block at a time into one reused buffer: the 00-fragment images of
+    the level-(n-2) terms under them, with the dual route checked on
+    those blocks only."""
     shift = Fragment.F00.shift(n)
     images, keep = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=bool)
     for block in _level_blocks(n - 2, lo - shift, hi - shift):

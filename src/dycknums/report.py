@@ -96,20 +96,15 @@ def first_mismatch(expected, actual) -> Counterexample | None:
     disagree, else a length mismatch; None when they are equal.  One
     vector comparison of the common prefix, so the cost in memory is a
     byte per term whatever the dtype (exact object arrays included)."""
-    expected, actual = np.asarray(expected), np.asarray(actual)
-    common = min(len(expected), len(actual))
-    differ = expected[:common] != actual[:common]
-    if differ.any():
-        i = int(np.argmax(differ))
-        return Counterexample(f"index {i}", expected.item(i), actual.item(i))
-    if len(expected) != len(actual):
-        return Counterexample("cardinality", len(expected), len(actual))
-    return None
+    found, size, actual_size = first_block_mismatch(np.asarray(expected), np.asarray(actual))
+    if found is None and size != actual_size:
+        return Counterexample("cardinality", size, actual_size)
+    return found
 
 
 def first_block_mismatch(expected, actual) -> tuple[Counterexample | None, int, int]:
     """The first position in the common prefix where two streams of
-    int64 blocks disagree (None when they agree there), and the number
+    blocks of terms disagree (None when they agree there), and the number
     of terms in each.  An array is a stream of one block.  Blocks may
     have any sizes; both streams are read to their ends, and a block is
     read before the next one is drawn from its stream, so a stream may

@@ -400,15 +400,23 @@ def test_gen_output_is_str_of_each_term(capsys, argv, kind, n, terms):
     assert code == 0 and out == RECORDS_HEADER + records_of(kind, n, expected)
 
 
+@pytest.mark.parametrize("encoding", [None, "utf-8", "utf-16"])
 @pytest.mark.parametrize("fmt", ["text", "records"])
-def test_gen_output_to_a_text_stream_without_a_byte_buffer(monkeypatch, capsys, fmt):
-    # Text chunks go straight to sys.stdout.buffer when there is one; a
-    # stream without it gets the same text as str.
-    code, expected, _ = run(capsys, "gen", "--count", "100000", "--format", fmt)
-    stream = io.StringIO()
+def test_gen_output_on_any_text_stream(monkeypatch, fmt, encoding):
+    # A UTF-8 stream takes the text on its byte stream; a stream without
+    # one (StringIO) or whose encoding is neither UTF-8 nor ASCII takes it
+    # as str.  Either way the text is str() of each term.
+    raw = io.BytesIO()
+    stream = io.StringIO() if encoding is None else io.TextIOWrapper(raw, encoding=encoding)
     monkeypatch.setattr(sys, "stdout", stream)
     assert main(["gen", "--count", "100000", "--format", fmt]) == 0
-    assert code == 0 and stream.getvalue() == expected
+    stream.flush()
+    text = stream.getvalue() if encoding is None else raw.getvalue().decode(encoding)
+    terms = stream_terms(100000)
+    if fmt == "text":
+        assert text == text_of(terms)
+    else:
+        assert text == RECORDS_HEADER + records_of("stream", 100000, terms)
 
 
 @pytest.mark.slow
@@ -479,6 +487,24 @@ def test_put_digits_at_every_edge_value():
         cli._put_digits(matrix[:, 1:width + 1], values)
         rows = matrix[:, 1:width + 1].tobytes().decode("ascii")
         assert rows == "".join(str(v) for v in values.tolist()), width
+
+
+def test_term_text_reads_a_sequence_of_arrays_as_one():
+    # Parts that end inside and on a chunk edge, and an empty part: the
+    # chunks, the leading space and the record index run on across parts.
+    terms = np.arange(1, 2 * cli._CHUNK + 10, 2, dtype=np.int64)
+    cuts = [0, 1, cli._CHUNK + 1, cli._CHUNK + 1, len(terms)]
+    parts = [terms[a:b] for a, b in zip(cuts, cuts[1:])]
+    values = terms.tolist()
+    assert "".join(cli._term_text(parts, "text")) == text_of(values)
+    records = "".join(cli._term_text(parts, "records", "stream\t9\t"))
+    assert records == records_of("stream", 9, values)
+
+
+def test_put_digits_takes_at_most_a_chunk():
+    values = np.ones(cli._CHUNK + 1, dtype=np.int64)
+    with pytest.raises(ValueError):
+        cli._put_digits(np.zeros((len(values), 1), dtype=np.uint8), values)
 
 
 def test_term_text_of_19_digit_terms():
