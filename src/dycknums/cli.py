@@ -23,8 +23,10 @@ import numpy as np
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
 from .errors import BoundError, DyckError, UsageError
-from .levels import DEFAULT_SCAN_BOUND, _stream_parts, level_index, level_scan, level_structural
-from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
+from .levels import (DEFAULT_SCAN_BOUND, _level_blocks, _stream_blocks, level_index, level_scan,
+                     level_size, level_structural)
+from .report import (RECORD_HEADER, Counterexample, VerificationOutcome, check,
+                     first_block_mismatch, first_mismatch)
 
 DEFAULT_MAX_N = 22
 STANDARD_SEQUENCES = (
@@ -64,12 +66,13 @@ class _TextWork(threading.local):
     every chunk (fresh buffers of this size would come from new pages on
     every call): for `_put_digits` of up to _CHUNK values, three int64
     rows for the value, quotient and remainder, viewed as int32 when the
-    values fit, and room for five 4-digit groups a value; for
-    `_decimal_rows`, the text of one chunk, grown when a chunk needs
-    more."""
+    values fit, an intp row for the table index, and room for five
+    4-digit groups a value; for `_decimal_rows`, the text of one chunk,
+    grown when a chunk needs more."""
 
     def __init__(self) -> None:
         self.rows = np.empty((3, _CHUNK), dtype=np.int64)
+        self.index = np.empty(_CHUNK, dtype=np.intp)
         self.digits = np.empty(5 * _CHUNK, dtype="<u4")
         self.text = np.empty(0, dtype=np.uint8)
 
@@ -101,13 +104,17 @@ def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
     v[...] = values
     table = _digit_groups()
     block = _text_work.digits[: groups * m].reshape(groups, m)
+    # `take` converts an index array of another dtype than intp through a
+    # fresh copy, so int32 indices go through this buffer.
+    index = _text_work.index[:m]
     for g in range(groups - 1, 0, -1):
         np.floor_divide(v, 10**4, out=q)
         np.multiply(q, 10**4, out=r)
-        np.subtract(v, r, out=r)
-        table.take(r, out=block[g], mode="clip")  # r is in 0 .. 9999
+        np.subtract(v, r, out=index)
+        table.take(index, out=block[g], mode="clip")  # index is in 0 .. 9999
         v, q = q, v
-    table.take(v, out=block[0], mode="clip")
+    index[...] = v
+    table.take(index, out=block[0], mode="clip")
     # Each group as one void item per row, the leading group without its
     # padding: copying m items of 4 bytes is far faster than copying m
     # rows of 4 one-byte items.
@@ -122,17 +129,18 @@ def _decimal_rows(*fields) -> np.ndarray:
     """One row of ASCII text per term, as a view of the thread's text
     buffer that is valid until the next call.  A row is the fields in
     order; a str field is repeated in every row, and an array field
-    (ascending nonnegative int64, all of one length) gives each row one
-    element in decimal.  The rows in which every array element has the
-    same width are contiguous, and each such run is filled as one uint8
-    matrix."""
+    (strictly ascending nonnegative int64, all of one length) gives each
+    row one element in decimal.  The rows in which every array element
+    has the same width are contiguous, and each such run is filled as
+    one uint8 matrix."""
     arrays = [f for f in fields if not isinstance(f, str)]
     for a in arrays:
-        if len(a) and (a[0] < 0 or bool(np.any(a[1:] < a[:-1]))):
-            raise ValueError("terms must be ascending and nonnegative")
-    edges = np.unique(np.concatenate(
-        [[0, len(arrays[0])], *(np.searchsorted(a, _POW10) for a in arrays)]
-    ))
+        if len(a) and (a[0] < 0 or bool(np.any(a[1:] <= a[:-1]))):
+            raise ValueError("terms must be strictly ascending and nonnegative")
+    # A set of a few dozen ints: np.unique would import numpy.ma on its
+    # first call, a cost of milliseconds in every process.
+    cuts = (np.searchsorted(a, _POW10).tolist() for a in arrays)
+    edges = sorted({0, len(arrays[0])}.union(*cuts))
 
     def width(field, i: int) -> int:
         if isinstance(field, str):
@@ -143,7 +151,7 @@ def _decimal_rows(*fields) -> np.ndarray:
     rows = len(arrays[0])
     text = _text_work.text_buffer(rows * sum(width(f, -1) for f in fields) if rows else 0)
     pos = 0
-    for lo, hi in itertools.pairwise(edges.tolist()):
+    for lo, hi in itertools.pairwise(edges):
         widths = [width(f, lo) for f in fields]
         cols = list(itertools.accumulate(widths, initial=0))
         # The str fields go into one template row, and the template into
@@ -169,15 +177,19 @@ def _decimal_rows(*fields) -> np.ndarray:
 
 
 def _term_chunks(terms, layout: str, prefix: str = "") -> Iterator[memoryview]:
-    """The decimal text of ascending terms, one array or a sequence of
-    arrays read as one, as ASCII in chunks of at most _CHUNK terms; each
-    chunk is a view of the text buffer, valid until the next is drawn.
-    Layouts: "text" is one line of space-separated terms; "records" is
-    one `prefix index term` row per term, tab-separated, indexed from 1."""
-    start = 0
+    """The decimal text of strictly ascending terms, one array or a
+    sequence of arrays read as one, as ASCII in chunks of at most _CHUNK
+    terms; each chunk is a view of the text buffer, valid until the next
+    is drawn.  Layouts: "text" is one line of space-separated terms;
+    "records" is one `prefix index term` row per term, tab-separated,
+    indexed from 1."""
+    start, last = 0, -1
     for part in [terms] if isinstance(terms, np.ndarray) else terms:
         for lo in range(0, len(part), _CHUNK):
             chunk = part[lo : lo + _CHUNK]
+            if chunk[0] <= last:  # across chunks; `_decimal_rows` checks inside one
+                raise ValueError("terms must be strictly ascending and nonnegative")
+            last = chunk[-1]
             if layout == "records":
                 index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
                 yield memoryview(_decimal_rows(prefix, index, "\t", chunk, "\n"))
@@ -219,20 +231,46 @@ def _emit_terms(kind: str, n: int, terms, fmt: str) -> None:
         binary.write(chunk)
 
 
+def _gen_blocks(kind: str, n: int):
+    """The terms `gen` prints, as ascending blocks, every bound checked
+    before the first block is drawn.  A level is read from its parts, so
+    no printed level is materialized: an odd level from level n-1, an
+    even one as its core (made once and kept, as for `gen --core`) and
+    then the three other images of level n-2."""
+    if kind == "stream":
+        return _stream_blocks(n)
+    if kind == "core":
+        return [cores.core(n).arr]
+    if n < 6 or n % 2:
+        return _whole_level(n, _level_blocks(n))
+    # The images are cut at the core's top: a term of theirs at or below
+    # it would be lost unseen but for the count.
+    images = _level_blocks(n, lo=cores.core_top(n))
+    return _whole_level(n, itertools.chain([cores.core(n).arr], images))
+
+
+def _whole_level(n: int, blocks):
+    """The blocks of level n, then an error unless they held all its terms."""
+    total = 0
+    for block in blocks:
+        total += len(block)
+        yield block
+    if total != level_size(n):
+        raise AssertionError(f"level {n} streams {total} terms, not {level_size(n)}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count is not None:
         kind, n = "stream", args.count
-        terms = _stream_parts(args.count)
     else:
         kind, n = ("level", args.level) if args.level is not None else ("core", args.core)
-        terms = level_structural(n).arr if kind == "level" else cores.core(n).arr
-    _emit_terms(kind, n, terms, args.format)
+    _emit_terms(kind, n, _gen_blocks(kind, n), args.format)
     if args.check:
-        return _run_gen_check(kind, n, terms)
+        return _run_gen_check(kind, n)
     return 0
 
 
-def _run_gen_check(kind: str, n: int, terms) -> int:
+def _run_gen_check(kind: str, n: int) -> int:
     if kind == "stream":
         print("check: not applicable to --count output", file=sys.stderr)
         return 0
@@ -242,7 +280,9 @@ def _run_gen_check(kind: str, n: int, terms) -> int:
     scanned = level_scan(n).arr
     if kind == "core":
         scanned = scanned[: np.searchsorted(scanned, cores.core_top(n), side="right")]
-    if not np.array_equal(terms, scanned):
+    # The printed terms are read again as blocks, never as one array.
+    found, size, printed = first_block_mismatch(scanned, _gen_blocks(kind, n))
+    if found is not None or size != printed:
         print(f"check: {kind} {n} disagrees with the scan oracle", file=sys.stderr)
         return 1
     print(f"check: {kind} {n} matches the scan oracle", file=sys.stderr)

@@ -10,10 +10,12 @@ fragment images of the level two below (with the 00 fragment rejecting
 terms of low dynamics).  The two must agree element for element.  The
 fragment rule lives only here (`Fragment`, `_f00_keep`, `_f00_mask`).
 
-A level is described once, as its ordered parts (`_level_parts`).
-`_level_array` writes them into one array; `_level_blocks` reads them
-one block at a time, so a check that reads level n in order never needs
-level n itself resident, only level n-1 or n-2.
+A level is described once, as its ordered parts (`_level_parts`), and
+made one block at a time from them (`_part_blocks`).  `_level_array`
+writes the blocks into one array; `_level_blocks` hands them out in one
+reused buffer, so a check or a printout that reads level n in order
+never needs level n itself resident, only level n-1 or n-2.  A level is
+materialized only as the source of another level.
 """
 
 from __future__ import annotations
@@ -285,9 +287,8 @@ def _core_blocks(n: int, lo: int, hi: int):
     for block in _level_blocks(n - 2, lo - shift, hi - shift):
         kept = keep[: len(block)]
         _f00_keep(block, n, kept)
-        out = images[: np.count_nonzero(kept)]
-        _put_part(block, kept, shift, out)
-        yield out
+        terms = block[kept]
+        yield np.add(terms, shift, out=images[: len(terms)])
 
 
 def core_top(n: int) -> int:
@@ -325,90 +326,100 @@ def level_scan(n: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> Level:
     return Level(n, _scan_array(n))
 
 
-def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
-    """Level n as its ascending parts (source, fragment-00 mask or None,
-    shift), each the terms source[mask] + shift.  Odd n: two copies of
-    level n-1.  Even n: the core (level n-2 under the fragment-00 mask),
-    then the 01, 10 and 11 images of level n-2."""
-    if n <= 2:
-        return [(np.array(_BASE_LEVELS[n], dtype=np.int64), None, 0)]
-    if n % 2:
-        prev = _level_array(n - 1)
-        return [(prev, None, 1 << (n - 2)), (prev, None, 1 << (n - 1))]
-    src, keep = _f00_mask(n)
-    return [(src, keep, Fragment.F00.shift(n))] + [
-        (src, None, f.shift(n)) for f in list(Fragment)[1:]
-    ]
-
-
-def _put_part(src: np.ndarray, keep: np.ndarray | None, shift: int, out: np.ndarray) -> None:
-    """Write src[keep] + shift, or src + shift without a mask, into out."""
-    if keep is None:
-        np.add(src, shift, out=out)
-    else:
-        np.compress(keep, src, out=out)
-        out += shift
-
-
-def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
+def _check_level(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > structural_bound:
         raise BoundError(f"level {n} exceeds the structural bound {structural_bound}")
+
+
+def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
+    """Level n as its ascending parts (source, fragment-00 mask or None,
+    shift), each the terms source[mask] + shift.  Odd n: two copies of
+    level n-1.  Even n: the core (level n-2 under the fragment-00 mask),
+    then the 01, 10 and 11 images of level n-2.  Raises unless the parts
+    hold as many terms as level n."""
+    if n <= 2:
+        parts = [(np.array(_BASE_LEVELS[n], dtype=np.int64), None, 0)]
+    elif n % 2:
+        prev = _level_array(n - 1)
+        parts = [(prev, None, 1 << (n - 2)), (prev, None, 1 << (n - 1))]
+    else:
+        src, keep = _f00_mask(n)
+        parts = [(src, keep, Fragment.F00.shift(n))] + [
+            (src, None, f.shift(n)) for f in list(Fragment)[1:]
+        ]
+    total = sum(len(src) if keep is None else np.count_nonzero(keep) for src, keep, _ in parts)
+    if total != level_size(n):
+        raise AssertionError(f"level {n} construction makes {total} terms")
+    return parts
+
+
+def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
+    _check_level(n, structural_bound)
     if level_size(n) > MAX_MATERIALIZED_TERMS:
         raise BoundError(f"level {n} would materialize more than 2**28 terms")
     cached = _array_cache.get(n)
     if cached is not None:
         return cached
-    # Each part is written once, into its place in the level.
-    parts = _level_parts(n)
-    sizes = [len(src) if keep is None else np.count_nonzero(keep) for src, keep, _ in parts]
-    if sum(sizes) != level_size(n):
-        raise AssertionError(f"level {n} construction makes {sum(sizes)} terms")
+    # Each block is written once, into its place in the level.
     arr = np.empty(level_size(n), dtype=np.int64)
-    for (src, keep, shift), part in zip(parts, np.split(arr, np.cumsum(sizes)[:-1])):
-        _put_part(src, keep, shift, part)
-    if not bool(np.all(arr[1:] > arr[:-1])):
-        raise AssertionError(f"level {n} construction is not strictly ascending")
+    for _ in _part_blocks(n, _level_parts(n), out=arr):
+        pass
     arr.flags.writeable = False
     _array_cache[n] = arr
     return arr
 
 
+def _span(arr: np.ndarray, shift: int, lo: int | None, hi: int | None) -> range:
+    """The block starts of the terms of arr + shift in (lo, hi]."""
+    i = 0 if lo is None else int(np.searchsorted(arr, lo - shift, side="right"))
+    j = len(arr) if hi is None else int(np.searchsorted(arr, hi - shift, side="right"))
+    return range(i, j, _BLOCK)
+
+
 def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
     """The terms of level n in (lo, hi], ascending, at most `_BLOCK` at
-    a time; no bound means the whole level.  A resident level yields
-    views of itself.  Otherwise each block is made from the level's
-    parts into one reused buffer, so no block may be held past the next,
-    and strict ascent is checked inside every block and across every
-    seam."""
-    def bounds(arr: np.ndarray, shift: int) -> range:
-        i = 0 if lo is None else int(np.searchsorted(arr, lo - shift, side="right"))
-        j = len(arr) if hi is None else int(np.searchsorted(arr, hi - shift, side="right"))
-        return range(i, j, _BLOCK)
-
+    a time; no bound means the whole level.  The bound and the parts'
+    size are checked, and the levels under the parts built, on the call;
+    the blocks are made as they are drawn.  A resident level yields
+    views of itself, any other level the blocks of `_part_blocks` in one
+    reused buffer, so no block may be held past the next."""
+    _check_level(n)
     level = _array_cache.get(n)
     if level is not None:
-        span = bounds(level, 0)
-        for start in span:
-            yield level[start : min(start + _BLOCK, span.stop)]
-        return
-    buf, up = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=bool)
-    prev = None
-    for src, keep, shift in _level_parts(n):
-        span = bounds(src, shift)
+        span = _span(level, 0, lo, hi)
+        return (level[start : min(start + _BLOCK, span.stop)] for start in span)
+    return _part_blocks(n, _level_parts(n), lo, hi)
+
+
+def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, out=None):
+    """The terms of the parts of level n in (lo, hi] as blocks, each the
+    terms of at most `_BLOCK` source terms: written one after another
+    into `out` when it is given (it takes the whole level), else each
+    into one reused buffer.  Strict ascent is checked inside every block
+    and across every seam."""
+    reuse = out is None
+    if reuse:
+        out = np.empty(_BLOCK, dtype=np.int64)
+    up = np.empty(_BLOCK, dtype=bool)
+    prev, pos = None, 0
+    for src, keep, shift in parts:
+        span = _span(src, shift, lo, hi)
         for start in span:
             stop = min(start + _BLOCK, span.stop)
-            kept = None if keep is None else keep[start:stop]
-            block = buf[: stop - start if kept is None else np.count_nonzero(kept)]
-            _put_part(src[start:stop], kept, shift, block)
+            block = src[start:stop]
+            if keep is not None:
+                block = block[keep[start:stop]]  # boolean indexing beats np.compress
             m = len(block)
             if not m:
                 continue
+            block = np.add(block, shift, out=out[pos : pos + m])
             ascending = np.greater(block[1:], block[:-1], out=up[: m - 1])
             if (prev is not None and block[0] <= prev) or not ascending.all():
                 raise AssertionError(f"level {n} construction is not strictly ascending")
             prev = int(block[-1])
+            pos = 0 if reuse else pos + m
             yield block
 
 
@@ -430,37 +441,42 @@ def central_terms(n: int) -> CentralTerms:
     )
 
 
-def stream_limit(structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> int:
-    """The number of terms up to the structural bound, the term 0
-    included: the most `stream_terms` can produce."""
-    return 1 + sum(level_size(k) for k in range(1, structural_bound + 1))
-
-
-def _stream_parts(
-    count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND
-) -> list[np.ndarray]:
-    """The first `count` terms as views: the term 0, then the resident
-    levels from 1 up, the last one cut short."""
+def _stream_blocks(count: int):
+    """The first `count` terms as ascending blocks: the term 0, then
+    each level from 1 up as `_level_blocks` reads it, the last one cut
+    short.  The count is checked against the structural bound on the
+    call."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    limit = stream_limit(structural_bound)
+    # The term 0 and every level up to the structural bound.
+    limit = 1 + sum(level_size(k) for k in range(1, DEFAULT_STRUCTURAL_BOUND + 1))
     if count > limit:
         raise BoundError(
-            f"the first {count} terms reach above level {structural_bound}; "
+            f"the first {count} terms reach above level {DEFAULT_STRUCTURAL_BOUND}; "
             f"at most {limit} terms"
         )
-    parts = [np.zeros(1, dtype=np.int64)]
-    total, n = 1, 1
-    while total < count:
-        arr = _level_array(n, structural_bound)
-        parts.append(arr[: count - total])
-        total += len(arr)
-        n += 1
-    return parts
+
+    def blocks():
+        yield np.zeros(1, dtype=np.int64)
+        left, n = count - 1, 0
+        while left:
+            n += 1
+            for block in _level_blocks(n):
+                yield block[:left]
+                left -= min(left, len(block))
+                if not left:
+                    break
+
+    return blocks()
 
 
-def _stream_array(count: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
-    return np.concatenate(_stream_parts(count, structural_bound))
+def _stream_array(count: int) -> np.ndarray:
+    blocks = _stream_blocks(count)  # checks the count before the allocation
+    arr, pos = np.empty(count, dtype=np.int64), 0
+    for block in blocks:
+        arr[pos : pos + len(block)] = block
+        pos += len(block)
+    return arr
 
 
 def stream_terms(count: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Every checker reports FAIL, with its first counterexample, when the
-level or core it reads is corrupted.
+level or core it reads is corrupted, and `gen` prints no corrupted
+level with exit code 0.
 
 Each test swaps the function a checker reads its input through for one
 that drops or shifts a single term; the memoized levels and cores
@@ -288,3 +289,45 @@ def test_verify_conj16_exits_1_on_a_corrupted_core(monkeypatch, capsys):
 def test_run_all_times_every_outcome():
     outcomes = run_all(12)
     assert outcomes and all(o.elapsed > 0 for o in outcomes)
+
+
+# -- gen ----------------------------------------------------------------------
+
+
+def repeat(i):
+    """Term i made equal to term i - 1."""
+    def repeated(arr):
+        out = arr.copy()
+        out[i] = out[i - 1]
+        return out
+
+    return repeated
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_gen_level_raises_on_a_stream_short_of_a_term(monkeypatch, n):
+    # Level 20 reads its core, then the images above it as blocks.
+    size = levels.level_size(n)
+    corrupt_level_blocks(monkeypatch, cli, n, drop(levels._BLOCK + 5))
+    with pytest.raises(AssertionError, match=f"level {n} streams {size - 1} terms, not {size}"):
+        main(["gen", "--level", str(n)])
+
+
+# inside the first block, at the seam of the first two, inside the second
+@pytest.mark.parametrize("i", [5, levels._BLOCK, levels._BLOCK + 5])
+def test_gen_level_refuses_a_stream_that_stops_ascending(monkeypatch, capsys, i):
+    corrupt_level_blocks(monkeypatch, cli, 21, repeat(i))
+    assert main(["gen", "--level", "21"]) == 1
+    assert "terms must be strictly ascending" in capsys.readouterr().err
+
+
+def test_gen_level_raises_on_a_block_made_out_of_order(monkeypatch):
+    # Level 21 is read as two copies of level 20; two terms of its
+    # source swapped in the second block break ascent in the block that
+    # `levels._level_blocks` makes from them.
+    level_20 = levels._level_array(20).copy()
+    i = levels._BLOCK + 5
+    level_20[[i, i + 1]] = level_20[[i + 1, i]]
+    monkeypatch.setattr(levels, "_array_cache", {20: level_20})
+    with pytest.raises(AssertionError, match="level 21 construction is not strictly ascending"):
+        main(["gen", "--level", "21"])

@@ -1,13 +1,15 @@
 import io
+import itertools
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dycknums import cli, conjectures, levels
+from dycknums import cli, conjectures, cores, levels
 from dycknums.cli import main
 from dycknums.errors import BoundError
 from dycknums.levels import level_structural, stream_terms
@@ -419,6 +421,92 @@ def test_gen_output_on_any_text_stream(monkeypatch, fmt, encoding):
         assert text == RECORDS_HEADER + records_of("stream", 100000, terms)
 
 
+# -- gen prints every level from its parts ------------------------------------
+
+
+@pytest.fixture
+def no_resident_level(monkeypatch):
+    """Empty level, mask and core caches for the test."""
+    monkeypatch.setattr(levels, "_array_cache", {})
+    monkeypatch.setattr(levels, "_mask_cache", {})
+    monkeypatch.setattr(cores, "_core_cache", {})
+
+
+def first_terms(count):
+    """The term 0 and the materialized levels from 1 up, cut at count."""
+    levels_up = itertools.chain.from_iterable(level_structural(n).terms for n in itertools.count(1))
+    return tuple(itertools.islice(itertools.chain((0,), levels_up), count))
+
+
+def test_gen_level_keeps_no_level_above_n_minus_2_resident(no_resident_level, capsys):
+    code, out, _ = run(capsys, "gen", "--level", "16")
+    assert code == 0
+    # The sources of the printed level: level 14 and the levels under it,
+    # and the 16-core, made once and kept as `gen --core 16` would.
+    assert sorted(levels._array_cache) == list(range(2, 15, 2))
+    assert sorted(cores._core_cache) == [16]
+    assert out == text_of(level_structural(16).terms)
+
+
+def test_gen_count_into_an_odd_level_builds_no_odd_level(no_resident_level, capsys):
+    count = 1 + sum(levels.level_size(n) for n in range(1, 17)) + 10  # 10 terms of level 17
+    code, out, _ = run(capsys, "gen", "--count", str(count))
+    assert code == 0
+    # Level 16 is materialized only as the source of level 17.
+    assert sorted(levels._array_cache) == list(range(2, 17, 2))
+    assert out == text_of(first_terms(count))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_streamed_gen_level_is_str_of_the_materialized_terms(no_resident_level, capsys, n):
+    _, text, _ = run(capsys, "gen", "--level", str(n))
+    _, records, _ = run(capsys, "gen", "--level", str(n), "--format", "records")
+    assert n not in levels._array_cache
+    terms = level_structural(n).terms
+    assert text == text_of(terms)
+    assert records == RECORDS_HEADER + records_of("level", n, terms)
+
+
+# 44 ends level 7, 45 starts level 8; 2**16 + 3 crosses a block edge
+@pytest.mark.parametrize("count", [1, 2, 44, 45, 2**16 + 3, 100000])
+def test_streamed_gen_count_is_str_of_the_materialized_terms(no_resident_level, capsys, count):
+    _, text, _ = run(capsys, "gen", "--count", str(count))
+    _, records, _ = run(capsys, "gen", "--count", str(count), "--format", "records")
+    terms = first_terms(count)
+    assert text == text_of(terms)
+    assert records == RECORDS_HEADER + records_of("stream", count, terms)
+
+
+def test_gen_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, milliseconds of every
+    # process that prints terms
+    script = (
+        "import sys; from dycknums.cli import main; main(['gen', '--level', '6']); "
+        "print('numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout == "39 43 45 47 51 53 55 59 61 63\n"
+    assert result.stderr.split() == ["False"]
+
+
+@pytest.mark.slow
+def test_gen_level_28_peak_stays_under_200_mb():
+    # Level 28 (20,058,300 terms, 153 MiB as int64) is printed from level
+    # 26 and never materialized; materialized, the run peaks at 263 MB.
+    script = (
+        "import resource, sys; from dycknums.cli import main; "
+        "code = main(['gen', '--level', '28']); sys.stdout.flush(); "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+    )
+    code, peak_kib = result.stderr.split()[-2:]
+    assert code == "0"
+    assert int(peak_kib) < 200 * 1024
+
+
 @pytest.mark.slow
 def test_gen_level_24_is_str_of_each_term(capsys):
     # 1,352,078 terms; 10**7 lies inside level 24
@@ -478,6 +566,23 @@ def test_put_digits_matches_one_pass_per_column(case):
     assert np.array_equal(matrix, expected)
     digits = matrix[:, column:column + width].tobytes().decode("ascii")
     assert digits == "".join(str(v) for v in values.tolist())
+
+
+@pytest.mark.parametrize("width", [7, 13])
+def test_put_digits_allocates_nothing(width):
+    # 7 digits run in int32, 13 in int64.  A table index of a dtype other
+    # than intp would make `take` copy it, 8 bytes a value.
+    values = np.arange(10 ** (width - 1), 10 ** (width - 1) + 7 * cli._CHUNK, 7, dtype=np.int64)
+    out = np.empty((len(values), width), dtype=np.uint8)
+    cli._put_digits(out, values)  # warm-up: the table and the buffers
+    tracemalloc.start()
+    try:
+        cli._put_digits(out, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[-1].tobytes().decode("ascii") == str(values[-1])
+    assert peak < 64 * 1024
 
 
 def test_put_digits_at_every_edge_value():
