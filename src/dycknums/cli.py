@@ -25,6 +25,7 @@ from .dyck_core import classify, dyck_pred, dyck_succ
 from .errors import BoundError, DyckError, UsageError
 from .levels import (DEFAULT_SCAN_BOUND, _level_blocks, _stream_blocks, level_index, level_scan,
                      level_size, level_structural)
+from .patterns import Pattern
 from .report import (RECORD_HEADER, Counterexample, VerificationOutcome, check,
                      first_block_mismatch, first_mismatch)
 
@@ -308,11 +309,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         target = cores.core(n)
         library = cores.standard_library(max(n - 2, 4))
         for seg in target.segments or ():
-            print(cores.format_expr(cores.decompose(seg, library)))
-        print(cores.format_expr(cores.decompose(target.arr, library)))
+            print(cores.format_expr(cores.decompose(Pattern(seg), library)))
+        print(cores.format_expr(cores.decompose(Pattern(target.arr), library)))
     else:
         n = args.level
-        terms = level_structural(n).arr
+        terms = Pattern(level_structural(n).arr)
         library = cores.standard_library(n if n % 2 == 0 else n - 1)
         print(cores.format_expr(cores.decompose(terms, library)))
     return 0
@@ -439,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification harness")
     verify.add_argument(
         "selector",
-        choices=("all", "eq1", "eq2", "prop12", "conj16", "conj18",
-                 "appendix", "sizes", "oeis"),
+        choices=("all", *conjectures.CHECKS, "appendix", "sizes", "oeis"),
     )
     verify.add_argument("sequence_id", nargs="?",
                         help="sequence id for the oeis selector")

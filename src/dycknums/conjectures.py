@@ -15,35 +15,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cores import core, core_size
-from .errors import BoundError, PatternError
+from .cores import core_size
+from .dyck_core import _rank
+from .errors import BoundError
 from .levels import (
     DEFAULT_STRUCTURAL_BOUND,
     _BLOCK,
     _balance_ok,
+    _core_array,
     _core_blocks,
     _f00_mask,
     _level_blocks,
     core_top,
     level_size,
+    subsegment_bounds,
 )
 from .oeis_ref import a001405, a002054, catalan
-from .patterns import (
-    Pattern,
-    _construction_failure,
-    copy_at,
-    join,
-    power,
-    verify_eq1,
-    verify_eq2,
-)
-from .report import (
-    Counterexample,
-    VerificationOutcome,
-    check,
-    first_block_mismatch,
-    first_mismatch,
-)
+from .patterns import verify_eq1, verify_eq2
+from .report import Counterexample, VerificationOutcome, check, first_block_mismatch
 
 __all__ = [
     "VerificationOutcome",
@@ -100,49 +89,51 @@ def check_prop12(n: int) -> Counterexample | None:
     return next((f for f in found if f is not None), None)
 
 
+def _core_copies(n: int, seg: int, copies, size: int) -> Counterexample | None:
+    """Check that the copies, (source array, offset) pairs in order, are
+    subsegment `seg` (from 0) of the n-core as `_core_blocks` reads it,
+    and that it holds the claimed `size` terms: as many as `_rank` counts
+    members between its bounds, which are members, so the copies are
+    contiguous.  The copies are made a block at a time."""
+    lo, hi = subsegment_bounds(n, seg)
+    members = _rank(hi) - _rank(lo)
+    if size != members:
+        return Counterexample(f"subsegment {seg + 1} members", size, members)
+    blocks = (src[s : s + _BLOCK] + offset
+              for src, offset in copies for s in range(0, len(src), _BLOCK))
+    mismatch, copied, actual = first_block_mismatch(blocks, _core_blocks(n, lo, hi))
+    if actual != size:
+        return Counterexample(f"subsegment {seg + 1} cardinality", size, actual)
+    if mismatch is None and copied != actual:
+        return Counterexample("cardinality", copied, actual)
+    return mismatch
+
+
 @check("conj16")
 def check_conj16(n: int) -> Counterexample | None:
     """Subsegments 2 and 3 of the (n+2)-core are copies of the n-core
     at offsets 13*2**(n-3) and 7*2**(n-2)."""
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
-    base = core(n).arr
-    # The (n+2)-core is read one subsegment at a time, as blocks: its
-    # subsegments are the value intervals of length 2**(n-3) below its top.
-    top, quarter = core_top(n + 2), 1 << (n - 3)
-    for seg_index, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
-        copies = (base[s : s + _BLOCK] + offset for s in range(0, len(base), _BLOCK))
-        segment = _core_blocks(
-            n + 2, top - (4 - seg_index) * quarter, top - (3 - seg_index) * quarter
-        )
-        mismatch, size, actual = first_block_mismatch(copies, segment)
-        if actual != core_size(n):
-            return Counterexample(f"subsegment {seg_index + 1} cardinality", core_size(n), actual)
-        if mismatch is not None:
-            return mismatch
-        if size != actual:
-            return Counterexample("cardinality", size, actual)
-    return None
+    base, size = _core_array(n), core_size(n)
+    return (_core_copies(n + 2, 1, [(base, 13 << (n - 3))], size)
+            or _core_copies(n + 2, 2, [(base, 7 << (n - 2))], size))
 
 
 @check("conj18")
 def check_conj18(n: int) -> Counterexample | None:
-    """The top subsegment of the n-core is the (n-4)-core placed three
-    subsegment lengths below the core top, joined with the cube of the
-    previous core's top subsegment ending at the core top."""
+    """The top subsegment of the n-core is a copy of the (n-4)-core, then
+    three copies of the (n-2)-core's top subsegment, each a subsegment
+    length of the (n-2)-core long, the last ending at the core top."""
     if n < 12 or n % 2:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
-    top = core_top(n)
-    actual = core(n).segments[3]
-    try:
-        low = copy_at(Pattern(core(n - 4).arr), top - 3 * (1 << (n - 7)))
-        high = power(copy_at(Pattern(core(n - 2).segments[3]), top), 3)
-        built = join(low, high).arr
-    except PatternError as exc:
-        return _construction_failure(exc)
-    if len(actual) != a001405(n - 5):
-        return Counterexample("cardinality", a001405(n - 5), len(actual))
-    return first_mismatch(actual, built)
+    lo, prev_top = subsegment_bounds(n - 2, 3)
+    top, length = core_top(n), prev_top - lo
+    prev = _core_array(n - 2)
+    cube = prev[np.searchsorted(prev, lo, side="right") :]
+    copies = [(_core_array(n - 4), top - 3 * length - core_top(n - 4))]
+    copies += [(cube, top - k * length - prev_top) for k in (2, 1, 0)]
+    return _core_copies(n, 3, copies, a001405(n - 5))
 
 
 @check("rejection")
@@ -229,7 +220,7 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
-# level above n - 1 and no core above n: level n and the (n+2)-core are
+# level above n - 1 and no `Core`: level n and the cores compared are
 # read as blocks.  The checkers look the check functions up when called,
 # so a wrapper rebound over a module function (as perfbench/spans.py
 # does) sees every call.

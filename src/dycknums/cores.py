@@ -33,6 +33,7 @@ from .levels import (
     core_top,
     level_size,
     level_structural,
+    subsegment_bounds,
 )
 from .oeis_ref import catalan
 from .patterns import Pattern, _shifted, make_pattern, pattern_len, power
@@ -97,10 +98,8 @@ def core(n: int) -> Core:
     assert arr.size and arr[-1] == top, "core must end at its senior term"
     segments = None
     if n >= 10:
-        # Every core term lies above M_{n-1} = top - 4 * quarter, so
-        # the three inner bounds split the core into the four intervals.
-        quarter = 1 << (n - 5)
-        inner = [top - 3 * quarter, top - 2 * quarter, top - quarter]
+        # Every term lies above M_{n-1}, where subsegment 0 starts.
+        inner = [subsegment_bounds(n, i)[1] for i in range(3)]
         segments = tuple(np.split(arr, np.searchsorted(arr, inner, side="right")))
     result = Core(n=n, arr=arr, top=top, segments=segments)
     _core_cache[n] = result
@@ -279,15 +278,15 @@ def _match_at(run: np.ndarray, i: int, shape: NamedShape) -> bool:
 
 
 def decompose(
-    terms: tuple[int, ...] | list[int] | np.ndarray, library: PatternLibrary
+    terms: Pattern | tuple[int, ...] | list[int] | np.ndarray, library: PatternLibrary
 ) -> DecompositionExpr:
     """Greedy decomposition of a contiguous run against the library,
-    working from the senior term downwards.
-
-    Single-term shapes never match (a lone term prints as itself), and
-    adjacent matches of the same shape collapse into a power.
+    working from the senior term downwards.  A `Pattern` is taken as the
+    valid run it is; any other input is validated first.  Single-term
+    shapes never match (a lone term prints as itself), and adjacent
+    matches of the same shape collapse into a power.
     """
-    run = make_pattern(terms).arr
+    run = terms.arr if isinstance(terms, Pattern) else make_pattern(terms).arr
     shapes = [s for s in library.by_priority() if s.cardinality >= 2]
     pieces: list[NamedPattern | Singleton] = []
     i = len(run) - 1

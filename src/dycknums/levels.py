@@ -298,6 +298,15 @@ def core_top(n: int) -> int:
     return mersenne(n - 1) + (1 << (n - 3))
 
 
+def subsegment_bounds(n: int, i: int) -> tuple[int, int]:
+    """The interval (lo, hi] of subsegment i (from 0) of the n-core, even
+    n >= 10: four intervals of length 2**(n-5) from M_{n-1} to the top."""
+    if n < 10 or n % 2 or not 0 <= i <= 3:
+        raise DomainError("subsegments 0..3 are defined for cores with even n >= 10")
+    lo = mersenne(n - 1) + (i << (n - 5))
+    return lo, lo + (1 << (n - 5))
+
+
 def _scan_array(n: int) -> np.ndarray:
     lo, hi = mersenne(n - 1), mersenne(n)
     start = lo + 1 if lo % 2 == 0 else lo + 2

@@ -21,7 +21,6 @@ from dycknums.conjectures import (
     run_all,
     size_identity_checks,
 )
-from dycknums.cores import Core
 from dycknums.patterns import verify_eq1, verify_eq2
 from dycknums.report import Counterexample
 
@@ -74,7 +73,7 @@ def corrupt_core_segment(monkeypatch, n, segment, change):
     """`conjectures._core_blocks(n, lo, hi)` yields the terms of segment
     `segment` (from 0) of the n-core changed."""
     real = conjectures._core_blocks
-    lo = levels.core_top(n) - (4 - segment) * (1 << (n - 5))
+    lo = levels.subsegment_bounds(n, segment)[0]
 
     def core_blocks(m, low, high):
         blocks = real(m, low, high)
@@ -83,22 +82,15 @@ def corrupt_core_segment(monkeypatch, n, segment, change):
     monkeypatch.setattr(conjectures, "_core_blocks", core_blocks)
 
 
-def corrupt_core(monkeypatch, n, change, segment=None):
-    """`conjectures.core(n)` returns the n-core with its terms changed,
-    or only one of its segments when `segment` is given."""
-    real = cores.core
+def corrupt_core_array(monkeypatch, n, change):
+    """`conjectures._core_array(n)`, the n-core a check copies from,
+    returns the n-core changed."""
+    real = conjectures._core_array
 
-    def core(m):
-        c = real(m)
-        if m != n:
-            return c
-        if segment is None:
-            return Core(n=c.n, arr=change(c.arr), top=c.top, segments=c.segments)
-        segments = list(c.segments)
-        segments[segment] = change(segments[segment])
-        return Core(n=c.n, arr=c.arr, top=c.top, segments=tuple(segments))
+    def core_array(m):
+        return change(real(m)) if m == n else real(m)
 
-    monkeypatch.setattr(conjectures, "core", core)
+    monkeypatch.setattr(conjectures, "_core_array", core_array)
 
 
 def construction_failure(message):
@@ -198,26 +190,54 @@ def test_conj16_cross_checks_the_fragment_00_rule_on_the_blocks_it_reads(monkeyp
     assert level_22[i] + shift_24 <= levels.core_top(24) - (1 << 19)
     level_22[i] -= 1
     monkeypatch.setattr(levels, "_array_cache", {22: level_22})
-    monkeypatch.setattr(cores, "_core_cache", {})
     with pytest.raises(AssertionError, match="fragment-00 rejection mismatch at level 24"):
         check_conj16(22)
 
 
-def test_conj18_reports_a_broken_construction(monkeypatch):
-    corrupt_core(monkeypatch, 8, drop(2))
-    assert_fails(check_conj18(12), "conj18", 12, construction_failure(
-        "no copy of the pattern exists at top 2463: run 2447..2463 skips intermediate terms"
-    ))
+# conj18(12) compares the top subsegment of the 12-core, 2447 .. 2559,
+# with the 8-core (143, 151, 155, 157, 159) shifted by 2304, then three
+# copies of the top subsegment of the 10-core, 615 .. 639, ending at
+# 2495, 2527 and 2559.
+
+
+def test_conj18_reports_a_dropped_lower_core_term(monkeypatch):
+    corrupt_core_array(monkeypatch, 8, drop(2))
+    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 2", 2461, 2459))
+
+
+def test_conj18_reports_a_shifted_lower_core_term(monkeypatch):
+    corrupt_core_array(monkeypatch, 8, shift(4))
+    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 4", 2465, 2463))
+
+
+def test_conj18_reports_a_shifted_cube_source_term(monkeypatch):
+    # 615 is the first term of the 10-core's top subsegment
+    core_10 = levels._core_array(10)
+    corrupt_core_array(monkeypatch, 10, shift(int(np.searchsorted(core_10, 615))))
+    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 5", 2473, 2471))
 
 
 def test_conj18_reports_a_short_top_subsegment(monkeypatch):
-    corrupt_core(monkeypatch, 12, drop(-1), segment=3)
-    assert_fails(check_conj18(12), "conj18", 12, Counterexample("cardinality", 35, 34))
+    corrupt_core_segment(monkeypatch, 12, 3, drop(-1))
+    assert_fails(check_conj18(12), "conj18", 12,
+                 Counterexample("subsegment 4 cardinality", 35, 34))
 
 
 def test_conj18_reports_a_shifted_top_subsegment_term(monkeypatch):
-    corrupt_core(monkeypatch, 12, shift(4), segment=3)
-    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 4", 2465, 2463))
+    corrupt_core_segment(monkeypatch, 12, 3, shift(4))
+    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 4", 2463, 2465))
+
+
+@pytest.mark.parametrize("checker, n, attr, detail", [
+    (check_conj16, 8, "core_size", Counterexample("subsegment 2 members", 6, 5)),
+    (check_conj18, 12, "a001405", Counterexample("subsegment 4 members", 36, 35)),
+])
+def test_core_copies_report_a_claimed_size_that_is_not_the_member_count(
+    monkeypatch, checker, n, attr, detail
+):
+    real = getattr(conjectures, attr)
+    monkeypatch.setattr(conjectures, attr, lambda k: real(k) + 1)
+    assert_fails(checker(n), checker.__name__.removeprefix("check_"), n, detail)
 
 
 def corrupt_source_level(monkeypatch, n, change):

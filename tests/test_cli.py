@@ -1,5 +1,7 @@
+import hashlib
 import io
 import itertools
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dycknums import cli, conjectures, cores, levels
+from dycknums import cli, conjectures, cores, levels, patterns
 from dycknums.cli import main
 from dycknums.errors import BoundError
 from dycknums.levels import level_structural, stream_terms
@@ -155,6 +157,25 @@ def test_decompose_level(capsys):
     assert out.strip() == "μ8(159) ⊕ π6(255)^3"
 
 
+# sha256 of the output of `decompose --core 20` and `--level 12`
+DECOMPOSE_SHA256 = {
+    ("--core", "20"): "bc1b2dd4a181185f64392abae5e3c90ddffc49223de2e8cdec8498cf707d28d1",
+    ("--level", "12"): "30d89106e21e879b0a9dfa49a7ee6e014d67f0fda60e72610b96e61829cf5d8e",
+}
+
+
+@pytest.mark.parametrize("argv", list(DECOMPOSE_SHA256))
+def test_decompose_validates_no_run_it_built(monkeypatch, capsys, argv):
+    # The core, its segments and the level are runs by construction.
+    def no_validation(arr):
+        raise AssertionError("a run was validated")
+
+    monkeypatch.setattr(patterns, "_validate_run", no_validation)
+    code, out, _ = run(capsys, "decompose", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_SHA256[argv]
+
+
 def test_verify_appendix(capsys):
     code, out, _ = run(capsys, "verify", "appendix")
     assert code == 0
@@ -167,6 +188,14 @@ def test_verify_conj16_count(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert all(line.startswith("PASS conj16") for line in lines)
+
+
+def test_verify_rejection_is_a_selector(capsys):
+    code, out, _ = run(capsys, "verify", "rejection", "--max-n", "10")
+    assert code == 0
+    assert [line.split(" (")[0] for line in out.splitlines()] == [
+        "PASS rejection n=6", "PASS rejection n=8", "PASS rejection n=10"
+    ]
 
 
 def test_verify_eq1_builds_no_odd_level(monkeypatch, capsys):
@@ -505,6 +534,24 @@ def test_gen_level_28_peak_stays_under_200_mb():
     code, peak_kib = result.stderr.split()[-2:]
     assert code == "0"
     assert int(peak_kib) < 200 * 1024
+
+
+@pytest.mark.slow
+def test_verify_all_max_n_30_peak_stays_under_450_mb():
+    # conj16 at 30 copies the 30-core (139 MB) from level 28; conj18
+    # reads its copy sources as views of levels 26 and 28.  Built as
+    # `Core`s, with conj18's patterns, the run peaks at 526 MB.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dycknums.cli", "verify", "all", "--max-n", "30", "--offline"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert out.count("PASS ") == 86 and "FAIL" not in out
+    assert usage.ru_maxrss < 450 * 1024
 
 
 @pytest.mark.slow

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dycknums import cores, levels
+from dycknums import cores, levels, patterns
 from dycknums.conjectures import (
     check_catalan_rejection,
     check_conj16,
@@ -153,12 +153,12 @@ def test_first_mismatch_is_exact_above_int64():
 
 
 def test_run_all_builds_no_level_above_max_n(monkeypatch):
-    # Level max_n and the (max_n + 2)-core are only read as blocks.
+    # Level max_n and the cores are only read as blocks.
     monkeypatch.setattr(levels, "_array_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
     assert all(o.passed for o in run_all(12))
     assert max(levels._array_cache) == 10
-    assert max(cores._core_cache) <= 12
+    assert cores._core_cache == {}
 
 
 def test_run_all_builds_no_odd_level_and_nothing_above_max_n(monkeypatch):
@@ -166,8 +166,18 @@ def test_run_all_builds_no_odd_level_and_nothing_above_max_n(monkeypatch):
     monkeypatch.setattr(cores, "_core_cache", {})
     assert all(o.passed for o in run_all(24))
     assert max(levels._array_cache) == 22
-    assert max(cores._core_cache) <= 24
+    assert cores._core_cache == {}
     assert [n for n in levels._array_cache if n >= 3 and n % 2] == []
+
+
+def test_run_all_validates_no_pattern(monkeypatch):
+    # conj16 and conj18 compare blocks; no copy, power or join is made.
+    def no_validation(arr):
+        raise AssertionError("a run was validated")
+
+    monkeypatch.setattr(patterns, "_validate_run", no_validation)
+    outcomes = run_all(24)
+    assert len(outcomes) == 61 and all(o.passed for o in outcomes)
 
 
 @pytest.mark.parametrize("max_n,level", [(31, 31), (40, 40)])

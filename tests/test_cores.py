@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dycknums import cores, levels
+from dycknums import cores, levels, patterns
 from dycknums.cores import (
     Fragment,
     Join,
@@ -22,9 +22,10 @@ from dycknums.cores import (
     subsegments,
 )
 from dycknums.dyck_core import dyck_pred
-from dycknums.errors import DomainError, LevelMismatch, NotMember
+from dycknums.errors import DomainError, LevelMismatch, NotContiguous, NotMember
 from dycknums.levels import level_structural, mersenne
 from dycknums.oeis_ref import a002054, catalan
+from dycknums.patterns import Pattern
 
 CORE_SIZES = (1, 5, 21, 84, 330, 1287, 5005, 19448, 75582, 293930, 1144066, 4457400)
 
@@ -196,6 +197,25 @@ def test_decompose_core_14_subsegments():
 def test_decompose_whole_level():
     lib = standard_library(8)
     assert format_expr(decompose(level_structural(8).terms, lib)) == "μ8(159) ⊕ π6(255)^3"
+
+
+def test_decompose_takes_a_pattern_as_it_is(monkeypatch):
+    lib = standard_library(10)
+    expected = format_expr(decompose(core(12).terms, lib))
+
+    def no_validation(arr):
+        raise AssertionError("a run was validated")
+
+    monkeypatch.setattr(patterns, "_validate_run", no_validation)
+    assert format_expr(decompose(Pattern(core(12).arr), lib)) == expected
+
+
+def test_decompose_validates_any_other_run():
+    gap = core(10).terms[:3] + core(10).terms[4:8]
+    with pytest.raises(NotContiguous):
+        decompose(gap, standard_library(8))
+    with pytest.raises(NotContiguous):
+        decompose(np.array(gap), standard_library(8))
 
 
 def test_decompose_singletons_stay_bare():

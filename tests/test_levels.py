@@ -20,6 +20,7 @@ from dycknums.levels import (
     level_structural,
     mersenne,
     stream_terms,
+    subsegment_bounds,
 )
 
 from conftest import FIRST_48
@@ -190,6 +191,25 @@ def test_central_terms_recurrence_and_membership():
             assert is_dyck_number(ct.h)
             assert is_dyck_number(ct.upper_center)
             assert is_dyck_number(ct.core_top)
+
+
+def test_subsegment_bounds_are_members_splitting_the_core_from_m_n_minus_1():
+    # The checks that read a subsegment count its members by `_rank`,
+    # which takes members only.
+    assert [subsegment_bounds(10, i) for i in range(4)] == [
+        (511, 543), (543, 575), (575, 607), (607, 639)
+    ]
+    for n in range(10, 65, 2):
+        bounds = [subsegment_bounds(n, i) for i in range(4)]
+        assert bounds[0][0] == mersenne(n - 1) and bounds[3][1] == central_terms(n).core_top
+        assert all(hi - lo == 1 << (n - 5) for lo, hi in bounds)
+        assert all(is_dyck_number(t) for bound in bounds for t in bound), n
+
+
+@pytest.mark.parametrize("n,i", [(8, 0), (11, 0), (12, -1), (12, 4)])
+def test_subsegment_bounds_domain(n, i):
+    with pytest.raises(DomainError):
+        subsegment_bounds(n, i)
 
 
 def test_central_terms_domain():
