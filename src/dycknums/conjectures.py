@@ -22,8 +22,6 @@ from .levels import (
     DEFAULT_STRUCTURAL_BOUND,
     _BLOCK,
     _balance_ok,
-    _core_array,
-    _core_blocks,
     _f00_mask,
     _level_blocks,
     core_top,
@@ -31,8 +29,8 @@ from .levels import (
     subsegment_bounds,
 )
 from .oeis_ref import a001405, a002054, catalan
-from .patterns import verify_eq1, verify_eq2
-from .report import Counterexample, VerificationOutcome, check, first_block_mismatch
+from .patterns import _certify_copies, verify_eq1, verify_eq2
+from .report import Counterexample, VerificationOutcome, check
 
 __all__ = [
     "VerificationOutcome",
@@ -89,24 +87,16 @@ def check_prop12(n: int) -> Counterexample | None:
     return next((f for f in found if f is not None), None)
 
 
-def _core_copies(n: int, seg: int, copies, size: int) -> Counterexample | None:
-    """Check that the copies, (source array, offset) pairs in order, are
-    subsegment `seg` (from 0) of the n-core as `_core_blocks` reads it,
-    and that it holds the claimed `size` terms: as many as `_rank` counts
-    members between its bounds, which are members, so the copies are
-    contiguous.  The copies are made a block at a time."""
+def _subsegment_copies(n: int, seg: int, copies, size: int) -> Counterexample | None:
+    """Check that the copies, (source, offset) pairs in order, are
+    subsegment `seg` (from 0) of the n-core, the members in its interval
+    as `_certify_copies` certifies them, and that the subsegment holds
+    the claimed `size` terms: as many as `_rank` counts there."""
     lo, hi = subsegment_bounds(n, seg)
     members = _rank(hi) - _rank(lo)
     if size != members:
         return Counterexample(f"subsegment {seg + 1} members", size, members)
-    blocks = (src[s : s + _BLOCK] + offset
-              for src, offset in copies for s in range(0, len(src), _BLOCK))
-    mismatch, copied, actual = first_block_mismatch(blocks, _core_blocks(n, lo, hi))
-    if actual != size:
-        return Counterexample(f"subsegment {seg + 1} cardinality", size, actual)
-    if mismatch is None and copied != actual:
-        return Counterexample("cardinality", copied, actual)
-    return mismatch
+    return _certify_copies(copies, lo, hi, n)
 
 
 @check("conj16")
@@ -115,9 +105,13 @@ def check_conj16(n: int) -> Counterexample | None:
     at offsets 13*2**(n-3) and 7*2**(n-2)."""
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
-    base, size = _core_array(n), core_size(n)
-    return (_core_copies(n + 2, 1, [(base, 13 << (n - 3))], size)
-            or _core_copies(n + 2, 2, [(base, 7 << (n - 2))], size))
+    for seg, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
+        # The n-core is the leading part of level n, read as blocks.
+        source = _level_blocks(n, hi=core_top(n))
+        found = _subsegment_copies(n + 2, seg, [(source, offset)], core_size(n))
+        if found:
+            return found
+    return None
 
 
 @check("conj18")
@@ -129,11 +123,9 @@ def check_conj18(n: int) -> Counterexample | None:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
     lo, prev_top = subsegment_bounds(n - 2, 3)
     top, length = core_top(n), prev_top - lo
-    prev = _core_array(n - 2)
-    cube = prev[np.searchsorted(prev, lo, side="right") :]
-    copies = [(_core_array(n - 4), top - 3 * length - core_top(n - 4))]
-    copies += [(cube, top - k * length - prev_top) for k in (2, 1, 0)]
-    return _core_copies(n, 3, copies, a001405(n - 5))
+    copies = [(_level_blocks(n - 4, hi=core_top(n - 4)), top - 3 * length - core_top(n - 4))]
+    copies += [(_level_blocks(n - 2, lo, prev_top), top - k * length - prev_top) for k in (2, 1, 0)]
+    return _subsegment_copies(n, 3, copies, a001405(n - 5))
 
 
 @check("rejection")
@@ -144,16 +136,20 @@ def check_catalan_rejection(n: int) -> Counterexample | None:
     if n < 6 or n % 2:
         raise ValueError("rejection counts are checked for even n >= 6")
     src, keep = _f00_mask(n)
-    rejected = src[~keep]
-    expected_count = catalan(n // 2 - 1)
-    if len(rejected) != expected_count:
-        return Counterexample("cardinality", expected_count, len(rejected))
-    word_len = n - 2  # zeroing keeps the code length, so the word is even
-    words = rejected - (1 << (n - 3))
-    balanced = 2 * np.bitwise_count(words).astype(np.int64) == word_len
-    valid = _balance_ok(words, word_len) & balanced
-    if not bool(np.all(valid)):
-        bad = int(rejected[np.argmin(valid)])
+    # Zeroing keeps the code length, so the word has n - 2 bits, half of
+    # them ones.  Read a block at a time: nothing level-sized is made.
+    rejected, bad = 0, None
+    for start in range(0, len(src), _BLOCK):
+        dropped = src[start : start + _BLOCK][~keep[start : start + _BLOCK]]
+        rejected += len(dropped)
+        if bad is None and len(dropped):
+            words = dropped - (1 << (n - 3))
+            valid = _balance_ok(words, n - 2) & (np.bitwise_count(words) == n // 2 - 1)
+            if not valid.all():
+                bad = int(dropped[np.argmin(valid)])
+    if rejected != catalan(n // 2 - 1):
+        return Counterexample("cardinality", catalan(n // 2 - 1), rejected)
+    if bad is not None:
         return Counterexample(bad, "a Dyck word after zeroing the leading bit", "not")
     return None
 
@@ -220,8 +216,8 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
-# level above n - 1 and no `Core`: level n and the cores compared are
-# read as blocks.  The checkers look the check functions up when called,
+# level above n - 1 and no core: level n and the copy sources are read
+# as blocks.  The checkers look the check functions up when called,
 # so a wrapper rebound over a module function (as perfbench/spans.py
 # does) sees every call.
 CHECKS = {

@@ -8,7 +8,7 @@ rebuilds each level from smaller ones: an odd level is two shifted copies
 of the level below it, an even level is the union of the four 2-bit
 fragment images of the level two below (with the 00 fragment rejecting
 terms of low dynamics).  The two must agree element for element.  The
-fragment rule lives only here (`Fragment`, `_f00_keep`, `_f00_mask`).
+fragment rule lives only here (`Fragment`, `_f00_mask`).
 
 A level is described once, as its ordered parts (`_level_parts`), and
 made one block at a time from them (`_part_blocks`).  `_level_array`
@@ -233,33 +233,27 @@ class Fragment(enum.Enum):
         return (1 << (n - 1)) + (self.value - 1) * (1 << (n - 3))
 
 
-def _f00_keep(src: np.ndarray, n: int, kept: np.ndarray) -> None:
-    """Write into kept the mask of the level-(n-2) terms in src, at most
-    one block, whose 00-fragment image is a term of level n: those of
-    dynamics at least `_F00_MIN_DYNAMICS`.  Raise unless an explicit
-    suffix-balance check of the images agrees (the dual route)."""
-    m = len(src)
-    ones, image = _work.ones[:m], _work.image[:m]
-    # Dynamics 2 * ones - (n - 2) >= _F00_MIN_DYNAMICS, counted in uint8;
-    # n is even, so the bound on the ones is exact.
-    np.bitwise_count(src, out=ones)
-    np.greater_equal(ones, (n - 2 + _F00_MIN_DYNAMICS) // 2, out=kept)
-    np.add(src, Fragment.F00.shift(n), out=image)
-    if not np.array_equal(_balance_ok(image, n), kept):
-        raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
-
-
 def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Level n-2 for even n >= 4, and the read-only mask of its terms
-    whose 00-fragment image is a term of level n; the rest are rejected.
-    Made one block at a time, once per level n-2 array."""
+    whose 00-fragment image is a term of level n: those of dynamics at
+    least `_F00_MIN_DYNAMICS`; the rest are rejected.  Made one block at
+    a time, once per level n-2 array, and raises unless an explicit
+    suffix-balance check of the images agrees (the dual route)."""
     src = _level_array(n - 2)
     cached = _mask_cache.get(n)
     if cached is not None and cached[0] is src:
         return cached
     keep = np.empty(len(src), dtype=bool)
     for start in range(0, len(src), _BLOCK):
-        _f00_keep(src[start : start + _BLOCK], n, keep[start : start + _BLOCK])
+        block, kept = src[start : start + _BLOCK], keep[start : start + _BLOCK]
+        ones, image = _work.ones[: len(block)], _work.image[: len(block)]
+        # Dynamics 2 * ones - (n - 2) >= _F00_MIN_DYNAMICS, counted in uint8;
+        # n is even, so the bound on the ones is exact.
+        np.bitwise_count(block, out=ones)
+        np.greater_equal(ones, (n - 2 + _F00_MIN_DYNAMICS) // 2, out=kept)
+        np.add(block, Fragment.F00.shift(n), out=image)
+        if not np.array_equal(_balance_ok(image, n), kept):
+            raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
     keep.flags.writeable = False
     _mask_cache[n] = src, keep
     return src, keep
@@ -275,20 +269,6 @@ def _core_array(n: int) -> np.ndarray:
     arr = src[keep]
     arr += Fragment.F00.shift(n)
     return arr
-
-
-def _core_blocks(n: int, lo: int, hi: int):
-    """The n-core's terms in (lo, hi], hi at most `core_top(n)`, one
-    block at a time into one reused buffer: the 00-fragment images of
-    the level-(n-2) terms under them, with the dual route checked on
-    those blocks only."""
-    shift = Fragment.F00.shift(n)
-    images, keep = np.empty(_BLOCK, dtype=np.int64), np.empty(_BLOCK, dtype=bool)
-    for block in _level_blocks(n - 2, lo - shift, hi - shift):
-        kept = keep[: len(block)]
-        _f00_keep(block, n, kept)
-        terms = block[kept]
-        yield np.add(terms, shift, out=images[: len(terms)])
 
 
 def core_top(n: int) -> int:

@@ -8,10 +8,11 @@ down by the pattern length).  The identities: an odd level n is two
 copies of level n-1 ending at M_n (eq1), and the tail of an even level n
 above its core is three copies of level n-2 ending at M_n (eq2).  Each
 is checked against the definition of a level, the members between two
-bounds: the copies are made a block at a time and certified as exactly
-the members from the first bound to M_n, by membership, ascent and the
-exact count of `_rank`.  Neither builds an odd level or keeps a copy,
-and eq2 reads level n itself only as blocks.
+bounds, by the interval certificate `_certify_copies` that also checks
+conj16 and conj18: the copies are made a block at a time and certified
+as exactly the members in (lo, hi], by membership, ascent and the exact
+count of `_rank`.  Neither builds an odd level or keeps a copy, and eq2
+reads level n itself only as blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck_core import _rank, dyck_pred, dyck_succ, is_dyck_number
+from .dyck_core import _rank, dyck_pred, is_dyck_number
 from .errors import (
     DomainError,
     InvalidCopy,
@@ -225,65 +226,75 @@ def lift_copy(p: Pattern) -> Pattern:
     return _shifted(p, p.top + (1 << p.level))
 
 
-def _certify_copies(src: np.ndarray, k: int, top: int, first: int, nbits: int,
-                    built=None) -> Counterexample | None:
-    """Check that k copies of the run src, the top one ending at top and
-    each lower one a span below the next, are exactly the members from
-    first to top, both of nbits bits; with `built`, an array or a
-    stream of blocks, that they equal it term by term.
-
-    The span is top minus the predecessor of the top copy's first term.
-    Up front: top is a member, the lowest copy starts at first, and the
-    k * len(src) terms are as many as `_rank` counts from first to top.
-    Then the copies are made one block of `_BLOCK` terms at a time, and
-    every term must be a member and above the one before it, across the
-    block seams too.  Ascending members from first to top, as many as
-    there are, are all of them.  No copy is kept, so the check needs one
-    block of memory beyond src and built.  A built stream of the wrong
-    length is reported first, then the first term where it differs from
-    the copies, which lies below any failing copy block."""
-    if not is_dyck_number(top):
-        return _construction_failure(f"{top} is not a term of the sequence")
+def _copy_chain(src: np.ndarray, k: int, top: int):
+    """k copies of the run src as (src, offset) pairs, lowest first: the
+    top one ends at top, and each lower one lies a span below the next,
+    the span being top minus the predecessor of the top copy's first
+    term.  Made as drawn: a first term that has no predecessor raises
+    NotMember or DomainError when the first pair is drawn."""
     shift = top - int(src[-1])
-    try:
-        span = top - dyck_pred(int(src[0]) + shift)
-    except (NotMember, DomainError) as exc:
-        return _construction_failure(exc)
-    lowest = int(src[0]) + shift - (k - 1) * span
-    if lowest != first:
-        return _construction_failure(f"the lowest copy starts at {lowest}, not at {first}")
-    count = _rank(top) - _rank(first) + 1
-    if k * len(src) != count:
-        return Counterexample("cardinality", count, k * len(src))
+    span = top - dyck_pred(int(src[0]) + shift)
+    for j in range(k - 1, -1, -1):
+        yield src, shift - j * span
+
+
+def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counterexample | None:
+    """Check that the copies, (source, offset) pairs in order, each source
+    an array or a stream of blocks, are exactly the members in (lo, hi]
+    of nbits bits; with `built`, an array or a stream of blocks, that
+    they equal it term by term.
+
+    The copies are made one block of at most `_BLOCK` terms at a time.
+    Every term must be a member, at or below hi, and above the one
+    before it, across block and copy seams too, the first above lo; and
+    there must be as many as `_rank` counts in (lo, hi].  Ascending
+    members in (lo, hi], as many as there are, are all of them.  No copy
+    is kept, so the check needs one block of memory beyond the sources
+    and built.  A bound that is no member, or a pair that cannot be
+    drawn, fails the construction up front.  Then reported first is a
+    count of copies other than the members', then a built stream of the
+    wrong length, then the first term where it differs from the copies,
+    which lies below any failing copy block, then the failing term."""
     failure = []
 
-    def copies():
-        buf = np.empty(min(len(src), _BLOCK), dtype=np.int64)
-        ok_buf = np.empty(len(buf), dtype=bool)
-        prev = first - 1
-        for offset in range(shift - (k - 1) * span, shift + 1, span):
-            for start in range(0, len(src), _BLOCK):
-                block = np.add(src[start : start + _BLOCK], offset, out=buf[: len(src) - start])
-                ok = ok_buf[: len(block)]
-                ok[0] = block[0] > prev
-                np.greater(block[1:], block[:-1], out=ok[1:])
-                ok &= _balance_ok(block, nbits)
-                if not ok.all():
-                    i = int(np.argmin(ok))
-                    t, below = int(block[i]), int(block[i - 1]) if i else prev
-                    failure.append(_construction_failure(
-                        f"{t} does not ascend from {below}" if t <= below
-                        else f"{t} is not a term of the sequence"
-                    ))
-                    return
-                prev = int(block[-1])
-                yield block
+    def blocks():
+        buf = np.empty(_BLOCK, dtype=np.int64)
+        ok_buf, in_buf = np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=bool)
+        pieces = ((part[start : start + _BLOCK], offset)
+                  for src, offset in copies
+                  for part in ([src] if isinstance(src, np.ndarray) else src)
+                  for start in range(0, len(part), _BLOCK))
+        prev = lo
+        for piece, offset in pieces:
+            m = len(piece)
+            block, ok = np.add(piece, offset, out=buf[:m]), ok_buf[:m]
+            ok[0] = block[0] > prev
+            np.greater(block[1:], block[:-1], out=ok[1:])
+            ok &= np.less_equal(block, hi, out=in_buf[:m])
+            ok &= _balance_ok(block, nbits)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                t, below = int(block[i]), int(block[i - 1]) if i else prev
+                failure.append(_construction_failure(
+                    f"{t} does not ascend from {below}" if t <= below
+                    else f"{t} lies above {hi}" if t > hi
+                    else f"{t} is not a term of the sequence"
+                ))
+                return
+            prev = int(block[-1])
+            yield block
 
+    try:
+        copies, count = list(copies), _rank(hi) - _rank(lo)
+    except (NotMember, DomainError) as exc:
+        return _construction_failure(exc)
     if built is None:
-        for _ in copies():
-            pass
-        return failure[0] if failure else None
-    mismatch, size, _ = first_block_mismatch(built, copies())
+        mismatch, made = None, sum(len(block) for block in blocks())
+        size = count
+    else:
+        mismatch, size, made = first_block_mismatch(built, blocks())
+    if not failure and made != count:
+        return Counterexample("cardinality", count, made)
     if size != count:
         return Counterexample("cardinality", size, count)
     return mismatch or (failure[0] if failure else None)
@@ -291,23 +302,25 @@ def _certify_copies(src: np.ndarray, k: int, top: int, first: int, nbits: int,
 
 @check("eq1")
 def verify_eq1(n: int) -> Counterexample | None:
-    """Check that odd level n, the members from dyck_succ(M_{n-1}) to
-    M_n, is two copies of level n-1, the top one ending at M_n."""
+    """Check that odd level n, the members in (M_{n-1}, M_n], is two
+    copies of level n-1, the top one ending at M_n."""
     if n < 5 or n % 2 == 0:
         raise ValueError("the doubling identity applies to odd n >= 5")
-    return _certify_copies(_level_array(n - 1), 2, mersenne(n), dyck_succ(mersenne(n - 1)), n)
+    top = mersenne(n)
+    return _certify_copies(_copy_chain(_level_array(n - 1), 2, top), mersenne(n - 1), top, n)
 
 
 @check("eq2")
 def verify_eq2(n: int) -> Counterexample | None:
-    """Check that the tail of even level n above the core senior term
-    M_{n-1} + 2**(n-3) is three copies of level n-2, the top one ending
-    at M_n, and that the construction of level n, read as blocks, holds
-    exactly them."""
+    """Check that the tail of even level n, the members in (M_{n-1} +
+    2**(n-3), M_n] above the core senior term, is three copies of level
+    n-2, the top one ending at M_n, and that the construction of level
+    n, read as blocks, holds exactly them."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
+    top = mersenne(n)
     return _certify_copies(
-        _level_array(n - 2), 3, mersenne(n), dyck_succ(core_top(n)), n,
+        _copy_chain(_level_array(n - 2), 3, top), core_top(n), top, n,
         built=_level_blocks(n, lo=core_top(n)),
     )
 

@@ -69,30 +69,6 @@ def corrupt_level_blocks(monkeypatch, module, n, change):
     monkeypatch.setattr(module, "_level_blocks", level_blocks)
 
 
-def corrupt_core_segment(monkeypatch, n, segment, change):
-    """`conjectures._core_blocks(n, lo, hi)` yields the terms of segment
-    `segment` (from 0) of the n-core changed."""
-    real = conjectures._core_blocks
-    lo = levels.subsegment_bounds(n, segment)[0]
-
-    def core_blocks(m, low, high):
-        blocks = real(m, low, high)
-        return changed_blocks(blocks, change) if (m, low) == (n, lo) else blocks
-
-    monkeypatch.setattr(conjectures, "_core_blocks", core_blocks)
-
-
-def corrupt_core_array(monkeypatch, n, change):
-    """`conjectures._core_array(n)`, the n-core a check copies from,
-    returns the n-core changed."""
-    real = conjectures._core_array
-
-    def core_array(m):
-        return change(real(m)) if m == n else real(m)
-
-    monkeypatch.setattr(conjectures, "_core_array", core_array)
-
-
 def construction_failure(message):
     return Counterexample("construction", "a valid pattern", message)
 
@@ -164,68 +140,68 @@ def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
                  Counterexample(933649, f"{4 * 933649 - 1} in level 22", "absent"))
 
 
+# conj16(8) certifies the 8-core (143, 151, 155, 157, 159), read as the
+# leading part of level 8, shifted by 416 and by 448 as subsegments 2
+# (559 .. 575) and 3 (591 .. 607) of the 10-core.
+
+
 def test_conj16_reports_a_short_subsegment(monkeypatch):
-    corrupt_core_segment(monkeypatch, 10, 1, drop(0))
-    assert_fails(check_conj16(8), "conj16", 8,
-                 Counterexample("subsegment 2 cardinality", 5, 4))
+    corrupt_level_blocks(monkeypatch, conjectures, 8, drop(0))
+    assert_fails(check_conj16(8), "conj16", 8, Counterexample("cardinality", 5, 4))
 
 
 def test_conj16_reports_a_shifted_copy_term(monkeypatch):
-    corrupt_core_segment(monkeypatch, 10, 2, shift(1))
-    assert_fails(check_conj16(8), "conj16", 8, Counterexample("index 1", 599, 601))
+    # 153 = 10011001 dips negative, and so does its copy 569
+    corrupt_level_blocks(monkeypatch, conjectures, 8, shift(1))
+    assert_fails(check_conj16(8), "conj16", 8, construction_failure(
+        "569 is not a term of the sequence"
+    ))
 
 
-def test_conj16_cross_checks_the_fragment_00_rule_on_the_blocks_it_reads(monkeypatch):
-    # conj16(22) reads subsegment 3 of the 24-core as 00-fragment images
-    # of the level-22 terms under it.  A level-22 copy with one term made
-    # even in the second block under that subsegment, keeping enough ones
-    # for the dynamics rule to keep it though its image ends in a 0: the
-    # mask cached for the real level 22 does not serve the copy, and the
-    # dual route disagrees on that block.
-    level_22 = levels._level_array(22).copy()
-    shift_24 = levels.Fragment.F00.shift(24)
-    lo = levels.core_top(24) - 2 * (1 << 19) - shift_24
-    second = int(np.searchsorted(level_22, lo, side="right")) + levels._BLOCK
-    i = second + int(np.argmax(np.bitwise_count(level_22[second:]) >= 14))
-    assert level_22[i] + shift_24 <= levels.core_top(24) - (1 << 19)
-    level_22[i] -= 1
-    monkeypatch.setattr(levels, "_array_cache", {22: level_22})
-    with pytest.raises(AssertionError, match="fragment-00 rejection mismatch at level 24"):
-        check_conj16(22)
+def test_conj16_reports_a_copy_above_the_subsegment(monkeypatch):
+    # 159 shifted to 161 copies to 577, past the subsegment top 575
+    corrupt_level_blocks(monkeypatch, conjectures, 8, shift(4))
+    assert_fails(check_conj16(8), "conj16", 8, construction_failure("577 lies above 575"))
 
 
-# conj18(12) compares the top subsegment of the 12-core, 2447 .. 2559,
-# with the 8-core (143, 151, 155, 157, 159) shifted by 2304, then three
-# copies of the top subsegment of the 10-core, 615 .. 639, ending at
-# 2495, 2527 and 2559.
+# conj18(12) certifies the 8-core shifted by 2304, then three copies of
+# the top subsegment of the 10-core, 615 .. 639, ending at 2495, 2527
+# and 2559, as the top subsegment of the 12-core, 2447 .. 2559.
 
 
 def test_conj18_reports_a_dropped_lower_core_term(monkeypatch):
-    corrupt_core_array(monkeypatch, 8, drop(2))
-    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 2", 2461, 2459))
+    corrupt_level_blocks(monkeypatch, conjectures, 8, drop(2))
+    assert_fails(check_conj18(12), "conj18", 12, Counterexample("cardinality", 35, 34))
 
 
 def test_conj18_reports_a_shifted_lower_core_term(monkeypatch):
-    corrupt_core_array(monkeypatch, 8, shift(4))
-    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 4", 2465, 2463))
+    # 159 shifted to 161 = 10100001; its copy 2465 dips negative
+    corrupt_level_blocks(monkeypatch, conjectures, 8, shift(4))
+    assert_fails(check_conj18(12), "conj18", 12, construction_failure(
+        "2465 is not a term of the sequence"
+    ))
 
 
 def test_conj18_reports_a_shifted_cube_source_term(monkeypatch):
-    # 615 is the first term of the 10-core's top subsegment
-    core_10 = levels._core_array(10)
-    corrupt_core_array(monkeypatch, 10, shift(int(np.searchsorted(core_10, 615))))
-    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 5", 2473, 2471))
+    # 615, the first term of the 10-core's top subsegment, shifted to 617
+    corrupt_level_blocks(monkeypatch, conjectures, 10, shift(0))
+    assert_fails(check_conj18(12), "conj18", 12, construction_failure(
+        "2473 is not a term of the sequence"
+    ))
 
 
 def test_conj18_reports_a_short_top_subsegment(monkeypatch):
-    corrupt_core_segment(monkeypatch, 12, 3, drop(-1))
-    assert_fails(check_conj18(12), "conj18", 12,
-                 Counterexample("subsegment 4 cardinality", 35, 34))
+    # each of the three copies of the 10-core's top subsegment is short
+    corrupt_level_blocks(monkeypatch, conjectures, 10, drop(-1))
+    assert_fails(check_conj18(12), "conj18", 12, Counterexample("cardinality", 35, 32))
 
 
 def test_conj18_reports_a_shifted_top_subsegment_term(monkeypatch):
-    corrupt_core_segment(monkeypatch, 12, 3, shift(4))
-    assert_fails(check_conj18(12), "conj18", 12, Counterexample("index 4", 2463, 2465))
+    # 627 shifted onto 629 repeats 629 + 1856 in the lowest copy
+    corrupt_level_blocks(monkeypatch, conjectures, 10, shift(4))
+    assert_fails(check_conj18(12), "conj18", 12, construction_failure(
+        "2485 does not ascend from 2485"
+    ))
 
 
 @pytest.mark.parametrize("checker, n, attr, detail", [
@@ -297,12 +273,12 @@ def test_size_identities_report_a_wrong_size(monkeypatch, attr, bad, failures):
 
 
 def test_verify_conj16_exits_1_on_a_corrupted_core(monkeypatch, capsys):
-    corrupt_core_segment(monkeypatch, 10, 1, drop(0))
+    corrupt_level_blocks(monkeypatch, conjectures, 8, drop(0))
     assert main(["verify", "conj16", "--max-n", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("FAIL conj16 n=8 (")
-    assert lines[0].endswith("s) at subsegment 2 cardinality: expected 5, got 4")
+    assert lines[0].endswith("s) at cardinality: expected 5, got 4")
     assert lines[1].startswith("PASS conj16 n=10 (")
 
 

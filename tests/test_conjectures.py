@@ -118,6 +118,25 @@ def test_outcome_invariants():
     assert fields[0] == "x" and fields[2] == "0" and fields[4] == "2"
 
 
+def test_conj16_and_conj18_make_their_copies_a_block_at_a_time(monkeypatch):
+    # With levels up to 22 resident, conj16 and conj18 at 24 read their
+    # sources (the 24-core, the 20-core, the 22-core's top subsegment) as
+    # blocks of levels 24, 20 and 22, and certify the copies by blocks.
+    # A copy of the 24-core (293,930 terms, 2.35 MB) would pass the bound.
+    resident = {k: levels._level_array(k) for k in range(1, 23)}
+    monkeypatch.setattr(levels, "_array_cache", resident)
+    monkeypatch.setattr(levels, "_mask_cache", {})
+    tracemalloc.start()
+    try:
+        outcomes = [check_conj16(24), check_conj18(24)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(o.passed for o in outcomes)
+    assert 24 not in levels._array_cache
+    assert peak < 2_500_000
+
+
 def test_first_mismatch_finds_the_last_index_in_a_byte_per_term():
     expected = np.arange(1, 2_000_001, 2, dtype=np.int64)
     actual = expected.copy()

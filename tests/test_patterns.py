@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycknums import levels, patterns
-from dycknums.dyck_core import dyck_succ, is_dyck_number
+from dycknums import cores, levels, patterns
+from dycknums.dyck_core import dyck_pred, dyck_succ, is_dyck_number
 from dycknums.errors import (
     DomainError,
     InvalidCopy,
@@ -22,6 +22,7 @@ from dycknums.patterns import (
     Pattern,
     _certify_copies,
     _construction_failure,
+    _copy_chain,
     copy_at,
     join,
     lift_copy,
@@ -218,20 +219,21 @@ def copies_oracle(src, k, n, expected):
 
 
 def eq_claim(n):
-    """The arguments of eq1 (odd n) or eq2 (even n) after the source:
-    copy count, top, first term, bit length, and the built terms the
-    copies must equal (the whole odd level for the oracle alone)."""
+    """The claim of eq1 (odd n) or eq2 (even n) about its source: copy
+    count, top, the interval's lower bound, bit length, and the built
+    terms the copies must equal (the whole odd level for the oracle
+    alone)."""
     level = levels._level_array(n)
     if n % 2:
-        return 2, mersenne(n), dyck_succ(mersenne(n - 1)), n, level
+        return 2, mersenne(n), mersenne(n - 1), n, level
     tail = level[np.searchsorted(level, core_top(n), side="right") :]
-    return 3, mersenne(n), dyck_succ(core_top(n)), n, tail
+    return 3, mersenne(n), core_top(n), n, tail
 
 
 def certify(n, src):
     """The certificate of eq1 or eq2 at n over the source run src."""
-    k, top, first, nbits, built = eq_claim(n)
-    return _certify_copies(src, k, top, first, nbits, None if n % 2 else built)
+    k, top, lo, nbits, built = eq_claim(n)
+    return _certify_copies(_copy_chain(src, k, top), lo, top, nbits, None if n % 2 else built)
 
 
 def oracle(n, src):
@@ -290,10 +292,10 @@ def test_certificate_fails_for_a_span_off_by_two(monkeypatch):
     real = patterns.dyck_pred
     monkeypatch.setattr(patterns, "dyck_pred", lambda t: real(t) - 2)
     for n in (21, 22):
-        k, _, first, _, _ = eq_claim(n)
-        lowest = first - 2 * (k - 1)
+        k, _, lo, _, _ = eq_claim(n)
+        lowest = dyck_succ(lo) - 2 * (k - 1)  # above lo, below its first member
         assert certify(n, source(n)) == _construction_failure(
-            f"the lowest copy starts at {lowest}, not at {first}"
+            f"{lowest} is not a term of the sequence"
         )
 
 
@@ -316,18 +318,31 @@ def test_certificate_fails_for_a_count_off_by_one(monkeypatch):
 
 
 def test_certificate_fails_for_a_wrong_first_term():
+    # The interval starts at the first copy term instead of below it.
     for n in (21, 22):
-        k, top, first, nbits, _ = eq_claim(n)
-        wrong = dyck_succ(first)
-        assert _certify_copies(source(n), k, top, wrong, nbits) == _construction_failure(
-            f"the lowest copy starts at {first}, not at {wrong}"
+        k, top, lo, nbits, _ = eq_claim(n)
+        first = dyck_succ(lo)
+        copies = _copy_chain(source(n), k, top)
+        assert _certify_copies(copies, first, top, nbits) == _construction_failure(
+            f"{first} does not ascend from {first}"
         )
 
 
 def test_certificate_fails_for_a_top_that_is_no_member():
-    k, top, first, nbits, _ = eq_claim(21)
-    assert _certify_copies(source(21), k, top - 1, first, nbits) == _construction_failure(
+    k, top, lo, nbits, _ = eq_claim(21)
+    copies = _copy_chain(source(21), k, top)
+    assert _certify_copies(copies, lo, top - 1, nbits) == _construction_failure(
         f"{top - 1} is not a term of the sequence"
+    )
+
+
+def test_certificate_fails_for_a_copy_above_the_interval():
+    # The copies end at M_21, one member above the interval's top.
+    k, top, lo, nbits, _ = eq_claim(21)
+    below = dyck_pred(top)
+    copies = _copy_chain(source(21), k, top)
+    assert _certify_copies(copies, lo, below, nbits) == _construction_failure(
+        f"{top} lies above {below}"
     )
 
 
@@ -340,6 +355,65 @@ def test_certificate_fails_for_a_descent_at_a_block_seam():
     assert certify(21, src) == _construction_failure(
         f"{below + offset} does not ascend from {above + offset}"
     )
+
+
+def core_claim(name, n):
+    """The claim of conj16 (`conj16-2`, `conj16-3`: subsegment 2 or 3 of
+    the (n+2)-core) or conj18 (the top subsegment of the n-core): its
+    source arrays, read from `cores.core`, the source each copy reads,
+    the copy offsets, and the core and subsegment (from 0) they must
+    equal."""
+    if name == "conj18":
+        lo, prev_top = levels.subsegment_bounds(n - 2, 3)
+        top, length = core_top(n), prev_top - lo
+        sources = [cores.core(n - 4).arr, cores.core(n - 2).segments[3]]
+        offsets = [top - 3 * length - core_top(n - 4)]
+        offsets += [top - k * length - prev_top for k in (2, 1, 0)]
+        return sources, [0, 1, 1, 1], offsets, n, 3
+    seg = 1 if name == "conj16-2" else 2
+    offset = 13 << (n - 3) if seg == 1 else 7 << (n - 2)
+    return [cores.core(n).arr], [0], [offset], n + 2, seg
+
+
+@st.composite
+def corrupted_core_sources(draw):
+    """conj16 or conj18 at some n with one term of one copy source
+    dropped, shifted by an even amount, swapped with its neighbour, or
+    left as it is; that source is passed whole or as a stream of blocks
+    of random sizes.  Returned with the terms the copies make and the
+    subsegment they must equal."""
+    name = draw(st.sampled_from(("conj16-2", "conj16-3", "conj18")))
+    n = draw(st.sampled_from(range(8, 17, 2) if name != "conj18" else range(12, 19, 2)))
+    sources, uses, offsets, target, seg = core_claim(name, n)
+    j = draw(st.integers(min_value=0, max_value=len(sources) - 1))
+    src = sources[j].copy()
+    i = draw(st.integers(min_value=0, max_value=len(src) - 1))
+    kind = draw(st.sampled_from(("none", "drop", "shift", "swap")))
+    if kind == "drop":
+        src = np.delete(src, i)
+    elif kind == "shift":
+        src[i] += draw(st.sampled_from((-4, -2, 2, 4)))
+    elif kind == "swap" and len(src) > 1:
+        k = i + 1 if i + 1 < len(src) else i - 1
+        src[[i, k]] = src[[k, i]]
+    sources[j] = src
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=len(src)), max_size=3))
+    as_blocks = draw(st.booleans())
+    copies = [
+        (np.split(sources[u], sorted(cuts)) if as_blocks and u == j else sources[u], offset)
+        for u, offset in zip(uses, offsets)
+    ]
+    expected = np.concatenate([sources[u] + offset for u, offset in zip(uses, offsets)])
+    return copies, expected, target, seg
+
+
+@given(corrupted_core_sources())
+@settings(max_examples=200, deadline=None)
+def test_core_copy_certificate_fails_exactly_when_the_core_oracle_does(case):
+    copies, expected, target, seg = case
+    lo, hi = levels.subsegment_bounds(target, seg)
+    found = _certify_copies(copies, lo, hi, target)
+    assert (found is None) == np.array_equal(expected, cores.core(target).segments[seg])
 
 
 def test_verify_eq_rejects_wrong_parity():
