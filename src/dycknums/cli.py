@@ -48,8 +48,11 @@ STANDARD_SEQUENCES = (
 # Terms are formatted this many at a time, so output never holds the
 # text of a whole level at once.
 _CHUNK = 1 << 16
-# 10**1 .. 10**18: a nonnegative int64 below 10**k has at most k digits.
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# Per dtype of a term array, 10**1 .. 10**k in that dtype for the largest
+# power it holds: a nonnegative value below 10**k has at most k digits.
+# An array is searched by probes of its own dtype, or numpy copies it.
+_POW10 = {np.dtype(t): 10 ** np.arange(1, digits, dtype=t)
+          for t, digits in ((np.int32, 10), (np.int64, 19))}
 
 
 @cache
@@ -130,23 +133,23 @@ def _decimal_rows(*fields) -> np.ndarray:
     """One row of ASCII text per term, as a view of the thread's text
     buffer that is valid until the next call.  A row is the fields in
     order; a str field is repeated in every row, and an array field
-    (strictly ascending nonnegative int64, all of one length) gives each
-    row one element in decimal.  The rows in which every array element
-    has the same width are contiguous, and each such run is filled as
-    one uint8 matrix."""
+    (strictly ascending nonnegative int32 or int64, all of one length)
+    gives each row one element in decimal.  The rows in which every
+    array element has the same width are contiguous, and each such run
+    is filled as one uint8 matrix."""
     arrays = [f for f in fields if not isinstance(f, str)]
     for a in arrays:
         if len(a) and (a[0] < 0 or bool(np.any(a[1:] <= a[:-1]))):
             raise ValueError("terms must be strictly ascending and nonnegative")
     # A set of a few dozen ints: np.unique would import numpy.ma on its
     # first call, a cost of milliseconds in every process.
-    cuts = (np.searchsorted(a, _POW10).tolist() for a in arrays)
+    cuts = (np.searchsorted(a, _POW10[a.dtype]).tolist() for a in arrays)
     edges = sorted({0, len(arrays[0])}.union(*cuts))
 
     def width(field, i: int) -> int:
         if isinstance(field, str):
             return len(field)
-        return 1 + int(np.searchsorted(_POW10, field[i], "right"))
+        return 1 + int(np.searchsorted(_POW10[field.dtype], field[i], "right"))
 
     # No row is wider than the last, whose array elements are the largest.
     rows = len(arrays[0])

@@ -64,7 +64,7 @@ def check_prop12(n: int) -> Counterexample | None:
     four, lifted, quarter = (np.empty(_BLOCK, dtype=np.int64) for _ in range(3))
     for block in _level_blocks(n):
         m = len(block)
-        np.multiply(block, 4, out=four[:m])
+        np.multiply(block, 4, out=four[:m], dtype=np.int64)
         for test, delta in enumerate((-1, 1, 3)):
             if found[test] is None:
                 # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
@@ -74,7 +74,7 @@ def check_prop12(n: int) -> Counterexample | None:
                     lift = f"{4 * bad + delta} in level {n + 2}"
                     found[test] = Counterexample(bad, lift, "absent")
         if found[3] is None:
-            quarter_src = np.subtract(block, 1 << (n - 1), out=quarter[:m])
+            quarter_src = np.subtract(block, 1 << (n - 1), out=quarter[:m], dtype=np.int64)
             quarter_src >>= n - 3
             quarter_dst = np.add(four[:m], 3 - (1 << (n + 1)), out=lifted[:m])
             quarter_dst >>= n - 1

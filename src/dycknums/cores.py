@@ -100,7 +100,9 @@ def core(n: int) -> Core:
     if n >= 10:
         # Every term lies above M_{n-1}, where subsegment 0 starts.
         inner = [subsegment_bounds(n, i)[1] for i in range(3)]
-        segments = tuple(np.split(arr, np.searchsorted(arr, inner, side="right")))
+        # The probes in the core's dtype: numpy would copy it to theirs.
+        cuts = np.searchsorted(arr, np.array(inner, dtype=arr.dtype), side="right")
+        segments = tuple(np.split(arr, cuts))
     result = Core(n=n, arr=arr, top=top, segments=segments)
     _core_cache[n] = result
     return result
@@ -147,7 +149,7 @@ class NamedShape:
 
     name: str
     source: Pattern
-    offsets: np.ndarray  # read-only int64, ascending from 0 (senior term first)
+    offsets: np.ndarray  # read-only, ascending from 0 (senior term first)
     span: int
 
     @property
@@ -170,7 +172,10 @@ class PatternLibrary:
     def register(self, name: str, pattern: Pattern) -> NamedShape:
         if name in self._shapes:
             raise ValueError(f"shape {name!r} is already registered")
-        offsets = np.asarray(pattern.arr[-1] - pattern.arr[::-1], dtype=np.int64)
+        # In the source's dtype: the int32 of a stored level or core, like
+        # the runs `decompose` takes from them, since a comparison of
+        # scalars of two dtypes is slower.  A difference cannot overflow.
+        offsets = pattern.arr[-1] - pattern.arr[::-1]
         offsets.flags.writeable = False
         shape = NamedShape(
             name=name,

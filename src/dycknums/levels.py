@@ -15,7 +15,9 @@ made one block at a time from them (`_part_blocks`).  `_level_array`
 writes the blocks into one array; `_level_blocks` hands them out in one
 reused buffer, so a check or a printout that reads level n in order
 never needs level n itself resident, only level n-1 or n-2.  A level is
-materialized only as the source of another level.
+materialized only as the source of another level.  Materialized levels
+and cores are stored in int32 (`TERM_DTYPE`); blocks in flight and every
+operation on a stored term are int64.
 """
 
 from __future__ import annotations
@@ -34,6 +36,18 @@ from .errors import BoundError, DomainError, NotMember
 DEFAULT_SCAN_BOUND = 24
 DEFAULT_STRUCTURAL_BOUND = 30
 MAX_MATERIALIZED_TERMS = 1 << 28
+# The dtype of every materialized level, and of every core but the
+# 32-core.  Level n holds C(n-1, (n-1)//2) terms of at most M_n, and grows
+# with n: level 32, the first with terms above int32, is too large to
+# materialize.  The n-core is built from level n-2 and ends at
+# M_{n-1} + 2**(n-3): the 30-core fits, but the 32-core, built from level
+# 30, passes 2**31 and is the one materialized array kept in int64.  Each
+# operation on a stored array names int64 as its dtype, and each search
+# of one takes its probe in the array's dtype; numpy would otherwise
+# compute in int32 and wrap, or copy the whole array to int64.
+TERM_DTYPE = np.dtype(np.int32)
+assert math.comb(31, 15) > MAX_MATERIALIZED_TERMS >= math.comb(29, 14)
+assert np.iinfo(TERM_DTYPE).max == (1 << 31) - 1
 # Terms per block of the membership predicate: its temporaries stay in cache.
 _BLOCK = 1 << 16
 # The 00 fragment keeps exactly the level-(n-2) terms of at least this dynamics.
@@ -68,8 +82,11 @@ _work = _Work()
 
 class TermArray:
     """Base of the term containers: one read-only ascending ndarray
-    `arr` (int64, or exact Python ints above the int64 range), with
-    `terms` as a tuple view built on first use."""
+    `arr`, with `terms` as a tuple view built on first use.  A level or
+    core built by the construction is stored in `TERM_DTYPE` (int32; the
+    32-core, whose terms pass it, in int64) and widened to int64 by each
+    operation on it; a run made from other terms is int64, or exact
+    Python ints above the int64 range."""
 
     arr: np.ndarray
 
@@ -251,7 +268,7 @@ def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
         # n is even, so the bound on the ones is exact.
         np.bitwise_count(block, out=ones)
         np.greater_equal(ones, (n - 2 + _F00_MIN_DYNAMICS) // 2, out=kept)
-        np.add(block, Fragment.F00.shift(n), out=image)
+        np.add(block, Fragment.F00.shift(n), out=image, dtype=np.int64)
         if not np.array_equal(_balance_ok(image, n), kept):
             raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
     keep.flags.writeable = False
@@ -260,13 +277,16 @@ def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _core_array(n: int) -> np.ndarray:
-    """The n-core for even n >= 4: the 00-fragment survivors of level
+    """The n-core for even n >= 6: the 00-fragment survivors of level
     n-2, or a view of level n's leading block when level n is resident."""
     level = _array_cache.get(n)
     if level is not None:
         return level[: len(level) - 3 * level_size(n - 2)]
     src, keep = _f00_mask(n)
-    arr = src[keep]
+    # In TERM_DTYPE `astype` copies nothing; only the 32-core's terms
+    # pass it, and are widened before the shift (see TERM_DTYPE).
+    fits = core_top(n) <= np.iinfo(TERM_DTYPE).max
+    arr = src[keep].astype(TERM_DTYPE if fits else np.int64, copy=False)
     arr += Fragment.F00.shift(n)
     return arr
 
@@ -329,7 +349,7 @@ def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
     then the 01, 10 and 11 images of level n-2.  Raises unless the parts
     hold as many terms as level n."""
     if n <= 2:
-        parts = [(np.array(_BASE_LEVELS[n], dtype=np.int64), None, 0)]
+        parts = [(np.array(_BASE_LEVELS[n], dtype=TERM_DTYPE), None, 0)]
     elif n % 2:
         prev = _level_array(n - 1)
         parts = [(prev, None, 1 << (n - 2)), (prev, None, 1 << (n - 1))]
@@ -352,7 +372,7 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
     if cached is not None:
         return cached
     # Each block is written once, into its place in the level.
-    arr = np.empty(level_size(n), dtype=np.int64)
+    arr = np.empty(level_size(n), dtype=TERM_DTYPE)
     for _ in _part_blocks(n, _level_parts(n), out=arr):
         pass
     arr.flags.writeable = False
@@ -362,8 +382,9 @@ def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np
 
 def _span(arr: np.ndarray, shift: int, lo: int | None, hi: int | None) -> range:
     """The block starts of the terms of arr + shift in (lo, hi]."""
-    i = 0 if lo is None else int(np.searchsorted(arr, lo - shift, side="right"))
-    j = len(arr) if hi is None else int(np.searchsorted(arr, hi - shift, side="right"))
+    probe = arr.dtype.type
+    i = 0 if lo is None else int(np.searchsorted(arr, probe(lo - shift), side="right"))
+    j = len(arr) if hi is None else int(np.searchsorted(arr, probe(hi - shift), side="right"))
     return range(i, j, _BLOCK)
 
 
@@ -386,8 +407,8 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
     """The terms of the parts of level n in (lo, hi] as blocks, each the
     terms of at most `_BLOCK` source terms: written one after another
     into `out` when it is given (it takes the whole level), else each
-    into one reused buffer.  Strict ascent is checked inside every block
-    and across every seam."""
+    into one reused int64 buffer.  Strict ascent is checked inside every
+    block and across every seam."""
     reuse = out is None
     if reuse:
         out = np.empty(_BLOCK, dtype=np.int64)
@@ -403,7 +424,9 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
             m = len(block)
             if not m:
                 continue
-            block = np.add(block, shift, out=out[pos : pos + m])
+            # In the dtype of `out`: int64 in the reused buffer, and
+            # TERM_DTYPE in a level, where every term fits it.
+            block = np.add(block, shift, out=out[pos : pos + m], dtype=out.dtype)
             ascending = np.greater(block[1:], block[:-1], out=up[: m - 1])
             if (prev is not None and block[0] <= prev) or not ascending.all():
                 raise AssertionError(f"level {n} construction is not strictly ascending")

@@ -91,9 +91,10 @@ def copy_relation(source: Pattern, target: Pattern) -> CopyRelation:
 
 def _run_array(values) -> np.ndarray:
     """A copy of the given terms: int64 when they fit, exact Python ints
-    (object dtype) otherwise."""
-    if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        return values.copy()
+    (object dtype) otherwise.  An array of a dtype that casts safely to
+    int64, a stored level's int32 among them, is one `astype`."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64)
     exact = [int(v) for v in values]
     try:
         return np.array(exact, dtype=np.int64)
@@ -154,7 +155,7 @@ def _shifted(p: Pattern, new_top: int) -> Pattern:
         return p
     delta = new_top - p.top
     if max(new_top, p.top) < _VECTOR_LIMIT:
-        shifted = p.arr + delta
+        shifted = np.add(p.arr, delta, dtype=np.int64)
     else:
         shifted = _run_array([t + delta for t in p.arr.tolist()])
     try:
@@ -210,7 +211,10 @@ def power(p: Pattern, k: int) -> Pattern:
     if k < 2:
         raise ValueError("power requires k >= 2")
     span = pattern_len(p)
-    combined = np.concatenate([p.arr - j * span for j in range(k - 1, -1, -1)])
+    wide = np.result_type(np.int64, p.arr)  # int64, or object for exact Python ints
+    combined = np.concatenate(
+        [np.subtract(p.arr, j * span, dtype=wide) for j in range(k - 1, -1, -1)]
+    )
     try:
         _validate_run(combined)
     except (NotMember, PatternError) as exc:
@@ -267,7 +271,7 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counter
         prev = lo
         for piece, offset in pieces:
             m = len(piece)
-            block, ok = np.add(piece, offset, out=buf[:m]), ok_buf[:m]
+            block, ok = np.add(piece, offset, out=buf[:m], dtype=np.int64), ok_buf[:m]
             ok[0] = block[0] > prev
             np.greater(block[1:], block[:-1], out=ok[1:])
             ok &= np.less_equal(block, hi, out=in_buf[:m])

@@ -520,9 +520,9 @@ def test_gen_imports_no_numpy_ma():
 
 
 @pytest.mark.slow
-def test_gen_level_28_peak_stays_under_200_mb():
-    # Level 28 (20,058,300 terms, 153 MiB as int64) is printed from level
-    # 26 and never materialized; materialized, the run peaks at 263 MB.
+def test_gen_level_28_peak_stays_under_120_mb():
+    # Level 28 (20,058,300 terms, 77 MiB as int32) is printed from level
+    # 26 and never materialized; materialized, the run peaks at 145 MB.
     script = (
         "import resource, sys; from dycknums.cli import main; "
         "code = main(['gen', '--level', '28']); sys.stdout.flush(); "
@@ -533,15 +533,15 @@ def test_gen_level_28_peak_stays_under_200_mb():
     )
     code, peak_kib = result.stderr.split()[-2:]
     assert code == "0"
-    assert int(peak_kib) < 200 * 1024
+    assert int(peak_kib) < 120 * 1024
 
 
 @pytest.mark.slow
-def test_verify_all_max_n_30_peak_stays_under_300_mb():
+def test_verify_all_max_n_30_peak_stays_under_200_mb():
     # Every copy claim is certified a block at a time against the members
     # of its interval, so no core is built: levels up to 28 and the
-    # fragment-00 masks are what stays resident.  With conj16's source
-    # copied as the 30-core (139 MB), the run peaks at 400 MB.
+    # fragment-00 masks are what stays resident, the levels in int32.
+    # With them in int64, the run peaks at 267 MB.
     proc = subprocess.Popen(
         [sys.executable, "-m", "dycknums.cli", "verify", "all", "--max-n", "30", "--offline"],
         stdout=subprocess.PIPE, text=True,
@@ -552,7 +552,7 @@ def test_verify_all_max_n_30_peak_stays_under_300_mb():
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     assert out.count("PASS ") == 86 and "FAIL" not in out
-    assert usage.ru_maxrss < 300 * 1024
+    assert usage.ru_maxrss < 200 * 1024
 
 
 @pytest.mark.slow

@@ -91,6 +91,7 @@ def test_core_is_level_prefix():
         assert level[len(c)] > core_top(n)
     for n in range(6, 25, 2):
         assert len(core(n)) == core_size(n)
+        assert core(n).arr.dtype == np.int32 and not core(n).arr.flags.writeable
 
 
 def test_core_is_built_from_level_n_minus_2_and_viewed_in_a_resident_level_n(monkeypatch):

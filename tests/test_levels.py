@@ -79,7 +79,7 @@ def level_by_concatenation(n):
 @pytest.mark.parametrize("n", range(1, 23))
 def test_in_place_construction_matches_concatenation(n):
     arr = level_structural(n).arr
-    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert arr.dtype == np.int32 and not arr.flags.writeable
     assert np.array_equal(arr, level_by_concatenation(n))
 
 

@@ -118,6 +118,12 @@ def test_offset_of_examples():
     assert offset_of(mu8(), copy_at(mu8(), 575)) == 416
     with pytest.raises(NotACopy):
         offset_of(a, a)
+    # A stored int32 run at the top of the 30-bit numbers, and its int64
+    # and int32 copies at the top of the 31-bit ones.
+    low = Pattern(level_structural(12).arr + np.int32(mersenne(30) - mersenne(12)))
+    high = lift_copy(low)
+    for q in (high, Pattern(high.arr.astype(np.int32))):
+        assert offset_of(low, q) == mersenne(31) - mersenne(30)
 
 
 def test_offset_requires_span_preservation():
