@@ -19,7 +19,7 @@ from .cores import core_size
 from .dyck_core import _rank
 from .errors import BoundError
 from .levels import (
-    DEFAULT_STRUCTURAL_BOUND,
+    MAX_MATERIALIZED_LEVEL,
     _BLOCK,
     _balance_ok,
     _f00_mask,
@@ -232,14 +232,15 @@ CHECKS = {
 
 def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
     """The (check name, n) pairs the named checks run at up to max_n.
-    Raise BoundError when one would build a level above the structural
-    bound; a check at n builds no level above n."""
+    A check at n builds no level above n - 1 and reads at most level n,
+    as blocks: raise BoundError when one would read a level above
+    `MAX_MATERIALIZED_LEVEL` + 2, the highest that streams."""
     plan = [(name, n) for name in names for n in range(CHECKS[name][1], max_n + 1, 2)]
     top = max((n for _, n in plan), default=0)
-    if top > DEFAULT_STRUCTURAL_BOUND:
+    if top > MAX_MATERIALIZED_LEVEL + 2:
         raise BoundError(
-            f"max_n {max_n} needs level {top}, above the structural bound "
-            f"{DEFAULT_STRUCTURAL_BOUND}"
+            f"max_n {max_n} needs level {top}, above level {MAX_MATERIALIZED_LEVEL + 2}, "
+            "the highest that streams"
         )
     return plan
 
@@ -247,8 +248,8 @@ def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
 def run_all(max_n: int) -> list[VerificationOutcome]:
     """Every level-parameterized check at every applicable n <= max_n,
     ordered by (check name, n).  Size identities run once.  Raise
-    BoundError before any check when max_n is above the structural
-    bound."""
+    BoundError before any check when a check would need a level above
+    `MAX_MATERIALIZED_LEVEL` + 2."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     outcomes = [CHECKS[name][0](n) for name, n in planned_checks(CHECKS, max_n)]

@@ -18,7 +18,6 @@ back to the input exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,13 +73,6 @@ class Core(TermArray):
     top: int
     segments: tuple[np.ndarray, ...] | None
 
-    @cached_property
-    def subsegments(self) -> tuple[tuple[int, ...], ...] | None:
-        """The segments as tuples of Python ints."""
-        if self.segments is None:
-            return None
-        return tuple(tuple(seg.tolist()) for seg in self.segments)
-
 
 _core_cache: dict[int, Core] = {}
 
@@ -127,9 +119,9 @@ def rejected_terms(n: int) -> tuple[int, ...]:
 def subsegments(c: Core) -> tuple[tuple[int, ...], ...]:
     """The 4-way split of a core into value intervals of length
     2**(n-5), defined for n >= 10."""
-    if c.subsegments is None:
+    if c.segments is None:
         raise DomainError("subsegments are defined for cores with n >= 10")
-    return c.subsegments
+    return tuple(tuple(seg.tolist()) for seg in c.segments)
 
 
 def core_subsequence(max_n: int) -> tuple[int, ...]:

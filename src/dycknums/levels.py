@@ -15,9 +15,11 @@ made one block at a time from them (`_part_blocks`).  `_level_array`
 writes the blocks into one array; `_level_blocks` hands them out in one
 reused buffer, so a check or a printout that reads level n in order
 never needs level n itself resident, only level n-1 or n-2.  A level is
-materialized only as the source of another level.  Materialized levels
-and cores are stored in int32 (`TERM_DTYPE`); blocks in flight and every
-operation on a stored term are int64.
+materialized only as the source of another level, and never above
+`MAX_MATERIALIZED_LEVEL` (30), the one bound on levels: levels up to 32
+stream, and cores up to the 32-core are made.  Materialized levels and
+cores are stored in int32 (`TERM_DTYPE`), but for the 32-core; blocks
+in flight and every operation on a stored term are int64.
 """
 
 from __future__ import annotations
@@ -34,20 +36,21 @@ from .dyck_core import is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 
 DEFAULT_SCAN_BOUND = 24
-DEFAULT_STRUCTURAL_BOUND = 30
-MAX_MATERIALIZED_TERMS = 1 << 28
+# The one bound on levels: the highest level ever materialized, checked
+# in `_level_array`.  A level is read from its parts, an odd one from
+# level n-1 and an even one from level n-2, so levels up to this bound
+# + 2 stream, and a core up to this bound + 2 is made.
+MAX_MATERIALIZED_LEVEL = 30
 # The dtype of every materialized level, and of every core but the
-# 32-core.  Level n holds C(n-1, (n-1)//2) terms of at most M_n, and grows
-# with n: level 32, the first with terms above int32, is too large to
-# materialize.  The n-core is built from level n-2 and ends at
-# M_{n-1} + 2**(n-3): the 30-core fits, but the 32-core, built from level
-# 30, passes 2**31 and is the one materialized array kept in int64.  Each
-# operation on a stored array names int64 as its dtype, and each search
-# of one takes its probe in the array's dtype; numpy would otherwise
-# compute in int32 and wrap, or copy the whole array to int64.
+# (MAX_MATERIALIZED_LEVEL + 2)-core.  Every term of a materialized level
+# is at most M_n, which fits (asserted below `mersenne`).  The n-core is
+# built from level n-2 and ends at core_top(n) = M_{n-1} + 2**(n-3): the
+# 32-core, built from level 30, passes 2**31 and is the one materialized
+# array kept in int64.  Each operation on a stored array names int64 as
+# its dtype, and each search of one takes its probe in the array's
+# dtype; numpy would otherwise compute in int32 and wrap, or copy the
+# whole array to int64.
 TERM_DTYPE = np.dtype(np.int32)
-assert math.comb(31, 15) > MAX_MATERIALIZED_TERMS >= math.comb(29, 14)
-assert np.iinfo(TERM_DTYPE).max == (1 << 31) - 1
 # Terms per block of the membership predicate: its temporaries stay in cache.
 _BLOCK = 1 << 16
 # The 00 fragment keeps exactly the level-(n-2) terms of at least this dynamics.
@@ -136,6 +139,9 @@ def mersenne(n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return (1 << n) - 1
+
+
+assert mersenne(MAX_MATERIALIZED_LEVEL) <= np.iinfo(TERM_DTYPE).max
 
 
 def level_index(t: int) -> int:
@@ -283,11 +289,12 @@ def _core_array(n: int) -> np.ndarray:
     if level is not None:
         return level[: len(level) - 3 * level_size(n - 2)]
     src, keep = _f00_mask(n)
-    # In TERM_DTYPE `astype` copies nothing; only the 32-core's terms
-    # pass it, and are widened before the shift (see TERM_DTYPE).
+    # Only the (MAX_MATERIALIZED_LEVEL + 2)-core's terms pass TERM_DTYPE
+    # (see TERM_DTYPE); each block is written once, into its place.
     fits = core_top(n) <= np.iinfo(TERM_DTYPE).max
-    arr = src[keep].astype(TERM_DTYPE if fits else np.int64, copy=False)
-    arr += Fragment.F00.shift(n)
+    arr = np.empty(np.count_nonzero(keep), dtype=TERM_DTYPE if fits else np.int64)
+    for _ in _part_blocks(n, [(src, keep, Fragment.F00.shift(n))], out=arr):
+        pass
     return arr
 
 
@@ -325,21 +332,14 @@ def _scan_array(n: int) -> np.ndarray:
     return terms
 
 
-def level_scan(n: int, scan_bound: int = DEFAULT_SCAN_BOUND) -> Level:
+def level_scan(n: int) -> Level:
     """Enumerate level n by filtering every odd candidate in
     (M_{n-1}, M_n] through the membership predicate."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > scan_bound:
-        raise BoundError(f"level {n} exceeds the scan bound {scan_bound}")
+    if n > DEFAULT_SCAN_BOUND:
+        raise BoundError(f"level {n} exceeds the scan bound {DEFAULT_SCAN_BOUND}")
     return Level(n, _scan_array(n))
-
-
-def _check_level(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > structural_bound:
-        raise BoundError(f"level {n} exceeds the structural bound {structural_bound}")
 
 
 def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
@@ -348,6 +348,7 @@ def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
     level n-1.  Even n: the core (level n-2 under the fragment-00 mask),
     then the 01, 10 and 11 images of level n-2.  Raises unless the parts
     hold as many terms as level n."""
+    size = level_size(n)  # raises below n = 1
     if n <= 2:
         parts = [(np.array(_BASE_LEVELS[n], dtype=TERM_DTYPE), None, 0)]
     elif n % 2:
@@ -359,15 +360,18 @@ def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
             (src, None, f.shift(n)) for f in list(Fragment)[1:]
         ]
     total = sum(len(src) if keep is None else np.count_nonzero(keep) for src, keep, _ in parts)
-    if total != level_size(n):
+    if total != size:
         raise AssertionError(f"level {n} construction makes {total} terms")
     return parts
 
 
-def _level_array(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> np.ndarray:
-    _check_level(n, structural_bound)
-    if level_size(n) > MAX_MATERIALIZED_TERMS:
-        raise BoundError(f"level {n} would materialize more than 2**28 terms")
+def _level_array(n: int) -> np.ndarray:
+    """Level n, materialized once and kept; the one check of
+    `MAX_MATERIALIZED_LEVEL`."""
+    if n > MAX_MATERIALIZED_LEVEL:
+        raise BoundError(
+            f"level {n} exceeds the bound {MAX_MATERIALIZED_LEVEL} on materialized levels"
+        )
     cached = _array_cache.get(n)
     if cached is not None:
         return cached
@@ -390,12 +394,13 @@ def _span(arr: np.ndarray, shift: int, lo: int | None, hi: int | None) -> range:
 
 def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
     """The terms of level n in (lo, hi], ascending, at most `_BLOCK` at
-    a time; no bound means the whole level.  The bound and the parts'
-    size are checked, and the levels under the parts built, on the call;
-    the blocks are made as they are drawn.  A resident level yields
-    views of itself, any other level the blocks of `_part_blocks` in one
-    reused buffer, so no block may be held past the next."""
-    _check_level(n)
+    a time; no bound means the whole level.  The parts' size is checked,
+    and the levels under the parts built, on the call, so a level above
+    `MAX_MATERIALIZED_LEVEL` + 2 is refused there, when its source
+    would be materialized; the blocks are made as they are drawn.  A
+    resident level yields views of itself, any other level the blocks of
+    `_part_blocks` in one reused buffer, so no block may be held past
+    the next."""
     level = _array_cache.get(n)
     if level is not None:
         span = _span(level, 0, lo, hi)
@@ -406,8 +411,8 @@ def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
 def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, out=None):
     """The terms of the parts of level n in (lo, hi] as blocks, each the
     terms of at most `_BLOCK` source terms: written one after another
-    into `out` when it is given (it takes the whole level), else each
-    into one reused int64 buffer.  Strict ascent is checked inside every
+    into `out` when it is given (it takes every term of the parts), else
+    each into one reused int64 buffer.  Strict ascent is checked inside every
     block and across every seam."""
     reuse = out is None
     if reuse:
@@ -424,8 +429,8 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
             m = len(block)
             if not m:
                 continue
-            # In the dtype of `out`: int64 in the reused buffer, and
-            # TERM_DTYPE in a level, where every term fits it.
+            # In the dtype of `out`: int64 in the reused buffer and the
+            # 32-core, and TERM_DTYPE in any other level or core.
             block = np.add(block, shift, out=out[pos : pos + m], dtype=out.dtype)
             ascending = np.greater(block[1:], block[:-1], out=up[: m - 1])
             if (prev is not None and block[0] <= prev) or not ascending.all():
@@ -435,10 +440,10 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
             yield block
 
 
-def level_structural(n: int, structural_bound: int = DEFAULT_STRUCTURAL_BOUND) -> Level:
+def level_structural(n: int) -> Level:
     """Rebuild level n from the base levels 1 and 2 by the shifted-copy
     (odd n) and fragment-image (even n) recursions."""
-    return Level(n, _level_array(n, structural_bound))
+    return Level(n, _level_array(n))
 
 
 def central_terms(n: int) -> CentralTerms:
@@ -456,17 +461,14 @@ def central_terms(n: int) -> CentralTerms:
 def _stream_blocks(count: int):
     """The first `count` terms as ascending blocks: the term 0, then
     each level from 1 up as `_level_blocks` reads it, the last one cut
-    short.  The count is checked against the structural bound on the
-    call."""
+    short.  The count is checked on the call against the term 0 and
+    every level that streams."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    # The term 0 and every level up to the structural bound.
-    limit = 1 + sum(level_size(k) for k in range(1, DEFAULT_STRUCTURAL_BOUND + 1))
+    top = MAX_MATERIALIZED_LEVEL + 2
+    limit = 1 + sum(level_size(k) for k in range(1, top + 1))
     if count > limit:
-        raise BoundError(
-            f"the first {count} terms reach above level {DEFAULT_STRUCTURAL_BOUND}; "
-            f"at most {limit} terms"
-        )
+        raise BoundError(f"the first {count} terms reach above level {top}; at most {limit} terms")
 
     def blocks():
         yield np.zeros(1, dtype=np.int64)

@@ -3,6 +3,8 @@ from importlib import resources
 
 import pytest
 
+from dycknums import levels
+
 # First 48 terms as listed in the sequence itself (levels 0 through 7
 # plus the start of level 8); the independent reference for every
 # generator in the package.
@@ -24,3 +26,15 @@ def appendix_terms() -> tuple[int, ...]:
         .read_text()
     )
     return tuple(int(v) for v in re.findall(r"\d+", text))
+
+
+@pytest.fixture
+def no_block(monkeypatch):
+    """Any block of any level made during the test fails it: a refusal
+    must come before the first block, and a request that was not
+    refused fails at once instead of building levels up to 32."""
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a block was made")
+
+    monkeypatch.setattr(levels, "_part_blocks", no_blocks)

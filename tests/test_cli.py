@@ -1,16 +1,21 @@
 import hashlib
+import importlib
+import inspect
 import io
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import dycknums
 from dycknums import cli, conjectures, cores, levels, patterns
 from dycknums.cli import main
 from dycknums.errors import BoundError
@@ -277,17 +282,17 @@ def test_verify_empty_selection_is_usage_error(capsys, argv):
     "argv,level",
     [
         (("verify", "all", "--max-n", "40", "--offline"), 40),
-        (("verify", "all", "--max-n", "31", "--offline"), 31),
-        (("verify", "eq1", "--max-n", "31"), 31),
+        (("verify", "all", "--max-n", "33", "--offline"), 33),
+        (("verify", "eq1", "--max-n", "33"), 33),
     ],
 )
-def test_verify_max_n_beyond_structural_bound_is_usage_error(capsys, argv, level):
+def test_verify_max_n_beyond_structural_bound_is_usage_error(no_block, capsys, argv, level):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"needs level {level}" in captured.err
+    assert f"needs level {level}, above level 32, the highest that streams" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -314,22 +319,39 @@ def test_verify_all_max_n_30_is_within_the_structural_bound():
     assert max(n for _, n in plan) == 30
 
 
+@pytest.mark.parametrize("max_n", [31, 32])
+def test_verify_max_n_31_and_32_are_planned(max_n):
+    # only planned here: running either builds level 30 and streams
+    # level 31 or 32 (see tests/test_slow_ranges.py)
+    for name in conjectures.CHECKS:
+        plan = conjectures.planned_checks((name,), max_n)
+        assert max(n for _, n in plan) in (max_n - 1, max_n)
+    assert max(n for _, n in conjectures.planned_checks(conjectures.CHECKS, max_n)) == max_n
+
+
 @pytest.mark.parametrize(
     "argv,level",
     [
-        (("gen", "--level", "31"), 31),
+        (("gen", "--level", "33"), 32),  # level 33 comes from level 32
         (("gen", "--core", "34"), 32),  # the 34-core comes from level 32
         (("decompose", "--level", "31"), 31),
         (("decompose", "--core", "34"), 32),
     ],
 )
-def test_structural_bound_breach_is_usage_error(capsys, argv, level):
+def test_structural_bound_breach_is_usage_error(no_block, capsys, argv, level):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"level {level} exceeds the structural bound 30" in captured.err
+    assert f"level {level} exceeds the bound 30 on materialized levels" in captured.err
+
+
+def test_gen_level_0_is_a_domain_error(no_block, capsys):
+    code, out, err = run(capsys, "gen", "--level", "0")
+    assert code == 1
+    assert out == ""
+    assert "n must be >= 1" in err
 
 
 def test_gen_count_zero_is_usage_error(capsys):
@@ -344,14 +366,35 @@ def test_gen_count_zero_is_usage_error(capsys):
     ("decompose", "--level", "8", "--structural-bound", "31"),
 ])
 def test_bound_overrides_are_not_options(capsys, argv):
-    # the scan and structural bounds keep memory bounded; they are not
-    # for the command line to raise
+    # the scan bound and the bound on materialized levels keep memory
+    # bounded; they are not for the command line to raise
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+def test_no_public_function_takes_a_bound():
+    # nor for a caller to raise: no keyword of the package sets a bound
+    package = Path(dycknums.__file__).parent
+    modules = [importlib.import_module(f"dycknums.{m.name}") for m in pkgutil.iter_modules([package])]
+    functions = [
+        (f"{module.__name__}.{name}", obj)
+        for module in modules
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+    ]
+    assert len(functions) > 50
+    bounded = [
+        (name, param)
+        for name, fn in functions
+        for param in inspect.signature(fn).parameters
+        if param.endswith("_bound")
+    ]
+    assert bounded == []
 
 
 def test_gen_check_skips_levels_above_the_scan_bound(capsys):
@@ -667,18 +710,14 @@ def test_term_text_of_19_digit_terms():
     assert records == records_of("level", 63, terms.tolist())
 
 
-def test_gen_count_above_the_structural_bound_builds_no_level(monkeypatch, capsys):
-    # 158,825,372 = 1 + the sizes of levels 1 to 30: the term 0 and
-    # every level up to the structural bound
-    def no_level(*args):
-        raise AssertionError("a level was built")
-
-    monkeypatch.setattr(levels, "_level_array", no_level)
+def test_gen_count_above_the_structural_bound_builds_no_level(no_block, capsys):
+    # 614,483,087 = 1 + the sizes of levels 1 to 32: the term 0 and
+    # every level that streams
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "--count", "158825373"])
+        main(["gen", "--count", "614483088"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "at most 158825372 terms" in captured.err
+    assert "reach above level 32; at most 614483087 terms" in captured.err
     with pytest.raises(BoundError):
-        levels._stream_array(158825373)
+        levels._stream_array(614483088)

@@ -199,11 +199,7 @@ def test_run_all_validates_no_pattern(monkeypatch):
     assert len(outcomes) == 61 and all(o.passed for o in outcomes)
 
 
-@pytest.mark.parametrize("max_n,level", [(31, 31), (40, 40)])
-def test_run_all_refuses_max_n_above_the_structural_bound(monkeypatch, max_n, level):
-    def no_level(*args):
-        raise AssertionError("a level was built")
-
-    monkeypatch.setattr(levels, "_level_array", no_level)
-    with pytest.raises(BoundError, match=f"needs level {level}, above the structural bound 30"):
+@pytest.mark.parametrize("max_n,level", [(33, 33), (40, 40)])
+def test_run_all_refuses_max_n_above_the_structural_bound(no_block, max_n, level):
+    with pytest.raises(BoundError, match=f"needs level {level}, above level 32, the highest that streams"):
         run_all(max_n)

@@ -58,7 +58,7 @@ def test_structural_level_6_and_8():
 
 def test_scan_equals_structural_through_16():
     for n in range(1, 17):
-        assert level_scan(n).terms == level_structural(n, structural_bound=16).terms
+        assert level_scan(n).terms == level_structural(n).terms
 
 
 def level_by_concatenation(n):
@@ -157,13 +157,14 @@ def test_odd_levels_double_the_previous():
 
 
 def test_scan_bound_enforced():
-    with pytest.raises(BoundError):
-        level_scan(25, scan_bound=24)
+    with pytest.raises(BoundError, match="level 25 exceeds the scan bound 24"):
+        level_scan(25)
 
 
-def test_structural_bound_enforced():
-    with pytest.raises(BoundError):
-        level_structural(18, structural_bound=17)
+def test_structural_bound_enforced(no_block):
+    # level 31 streams from level 30, but is never materialized
+    with pytest.raises(BoundError, match="level 31 exceeds the bound 30 on materialized levels"):
+        level_structural(31)
 
 
 @pytest.mark.parametrize(
@@ -258,10 +259,15 @@ def test_vector_scan_agrees_with_scalar_at_int64_boundary():
         assert is_dyck_number(int(v)) == bool(ok)
 
 
-def test_memory_guard_refuses_huge_levels():
-    # level 32 would hold more than 2**28 terms
-    with pytest.raises(BoundError):
-        level_structural(32, structural_bound=40)
+def test_memory_guard_refuses_huge_levels(no_block):
+    # Level 32 holds more than 2**28 terms and is never materialized, so
+    # level 33 (from level 32) and level 34 (from level 32) cannot stream,
+    # and are refused on the call, before a block is drawn.
+    with pytest.raises(BoundError, match="level 32 exceeds the bound 30"):
+        level_structural(32)
+    for n in (33, 34):
+        with pytest.raises(BoundError, match="level 32 exceeds the bound 30"):
+            levels._level_blocks(n)
 
 
 @st.composite

@@ -1,22 +1,65 @@
 """Extended-range invariants, opt-in via `pytest -m slow`.
 
-These materialize levels up to the structural bound (tens of millions
-of terms) and need a couple of GB of memory.
+These materialize levels up to level 30, the bound on materialized
+levels (tens of millions of terms), stream levels 31 and 32 from them,
+and run the claim checks at n = 32; each test peaks under 700 MB.
 """
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dycknums.levels import _level_array, _scan_array, level_size
+from dycknums import cores, levels
+from dycknums.conjectures import run_all
+from dycknums.levels import _level_array, _level_blocks, _scan_array, level_size
 
 pytestmark = pytest.mark.slow
 
 
-def test_level_sizes_to_structural_bound():
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty level, mask and core caches, dropped after the test."""
+    monkeypatch.setattr(levels, "_array_cache", {})
+    monkeypatch.setattr(levels, "_mask_cache", {})
+    monkeypatch.setattr(cores, "_core_cache", {})
+
+
+def test_level_sizes_to_structural_bound(fresh_caches):
     for n in range(25, 31):
         assert len(_level_array(n)) == level_size(n), n
+    # Levels 31 and 32 only stream, from level 30.
+    for n in (31, 32):
+        assert sum(map(len, _level_blocks(n))) == level_size(n), n
+    assert max(levels._array_cache) == 30
 
 
-def test_scan_equals_structural_to_scan_bound():
+def test_scan_equals_structural_to_scan_bound(fresh_caches):
     for n in (23, 24):
         assert np.array_equal(_scan_array(n), _level_array(n)), n
+
+
+def test_run_all_32_materializes_nothing_above_level_30(fresh_caches):
+    outcomes = run_all(32)
+    assert len(outcomes) == 85 and all(o.passed for o in outcomes)
+    assert max(levels._array_cache) == 30
+    assert cores._core_cache == {}
+
+
+def test_verify_all_max_n_32_peak_stays_under_700_mb():
+    # Level 30 (310 MB as int32) is the top resident level; levels 31 and
+    # 32 are read as blocks and no core is built.  The peak is the child's
+    # own VmHWM: its ru_maxrss would start at the peak of this process,
+    # which it is forked from.
+    script = (
+        "import sys; from dycknums.cli import main; "
+        "code = main(['verify', 'all', '--max-n', '32', '--offline']); sys.stdout.flush(); "
+        "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]; "
+        "print(code, *hwm, file=sys.stderr)"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    code, peak_kib = result.stderr.split()[-2:]
+    assert code == "0"
+    assert result.stdout.count("PASS ") == 92 and "FAIL" not in result.stdout
+    assert int(peak_kib) < 700 * 1024
