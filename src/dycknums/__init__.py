@@ -9,6 +9,8 @@ from .conjectures import (
     check_prop12,
     run_all,
     size_identity_checks,
+    verify_eq1,
+    verify_eq2,
 )
 from .cores import (
     Core,
@@ -68,8 +70,6 @@ from .patterns import (
     offset_of,
     pattern_len,
     power,
-    verify_eq1,
-    verify_eq2,
 )
 from .report import Counterexample, VerificationOutcome
 

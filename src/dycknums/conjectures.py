@@ -1,14 +1,18 @@
 """Machine verification of the structural claims, with structured
 pass/fail outcomes.
 
-Checks covered: the triplet lift (every even-level term t yields the
-triplet 4t-1, 4t+1, 4t+3 two levels up in the same quarter segment),
-the copying of a core into subsegments 2 and 3 of the next core at
-offsets 13*2**(n-3) and 7*2**(n-2), the recursive build of the top
-subsegment from the core four levels down plus three copies of the
-previous top subsegment, the Catalan count of fragment-00 rejections,
-and the size identities tying level and core cardinalities to central
-binomial coefficients and Catalan numbers.
+Checks covered: an odd level n as two copies of level n-1 (eq1), the
+tail of an even level n above its core as three copies of level n-2
+(eq2), the triplet lift (every even-level term t yields the triplet
+4t-1, 4t+1, 4t+3 two levels up in the same quarter segment), the
+copying of a core into subsegments 2 and 3 of the next core at offsets
+13*2**(n-3) and 7*2**(n-2), the recursive build of the top subsegment
+from the core four levels down plus three copies of the previous top
+subsegment, the Catalan count of fragment-00 rejections, and the size
+identities tying level and core cardinalities to central binomial
+coefficients and Catalan numbers.  Every copy claim is certified by
+`_certify_copies` as exactly the members between two bounds, a block
+at a time: no check builds an odd level or keeps a copy.
 """
 
 from __future__ import annotations
@@ -17,24 +21,28 @@ import numpy as np
 
 from .cores import core_size
 from .dyck_core import _rank
-from .errors import BoundError
+from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
     _BLOCK,
     _balance_ok,
     _f00_mask,
+    _level_array,
     _level_blocks,
     core_top,
     level_size,
+    mersenne,
     subsegment_bounds,
 )
 from .oeis_ref import a001405, a002054, catalan
-from .patterns import _certify_copies, verify_eq1, verify_eq2
-from .report import Counterexample, VerificationOutcome, check
+from .patterns import _copy_chain
+from .report import Counterexample, VerificationOutcome, check, first_block_mismatch
 
 __all__ = [
     "VerificationOutcome",
     "Counterexample",
+    "verify_eq1",
+    "verify_eq2",
     "check_prop12",
     "check_conj16",
     "check_conj18",
@@ -85,6 +93,97 @@ def check_prop12(n: int) -> Counterexample | None:
         if found[0] is not None:
             break
     return next((f for f in found if f is not None), None)
+
+
+def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counterexample | None:
+    """Check that the copies, (source, offset) pairs in order, each source
+    an array or a stream of blocks, are exactly the members in (lo, hi]
+    of nbits bits; with `built`, an array or a stream of blocks, that
+    they equal it term by term.
+
+    The copies are made one block of at most `_BLOCK` terms at a time.
+    Every term must be a member, at or below hi, and above the one
+    before it, across block and copy seams too, the first above lo; and
+    there must be as many as `_rank` counts in (lo, hi].  Ascending
+    members in (lo, hi], as many as there are, are all of them.  No copy
+    is kept, so the check needs one block of memory beyond the sources
+    and built.  A bound that is no member, or a pair that cannot be
+    drawn, fails the construction up front.  Then reported first is a
+    count of copies other than the members', then a built stream of the
+    wrong length, then the first term where it differs from the copies,
+    which lies below any failing copy block, then the failing term."""
+    failure = []
+
+    def blocks():
+        buf = np.empty(_BLOCK, dtype=np.int64)
+        ok_buf, in_buf = np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=bool)
+        pieces = ((part[start : start + _BLOCK], offset)
+                  for src, offset in copies
+                  for part in ([src] if isinstance(src, np.ndarray) else src)
+                  for start in range(0, len(part), _BLOCK))
+        prev = lo
+        for piece, offset in pieces:
+            m = len(piece)
+            block, ok = np.add(piece, offset, out=buf[:m], dtype=np.int64), ok_buf[:m]
+            ok[0] = block[0] > prev
+            np.greater(block[1:], block[:-1], out=ok[1:])
+            ok &= np.less_equal(block, hi, out=in_buf[:m])
+            ok &= _balance_ok(block, nbits)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                t, below = int(block[i]), int(block[i - 1]) if i else prev
+                failure.append(_construction_failure(
+                    f"{t} does not ascend from {below}" if t <= below
+                    else f"{t} lies above {hi}" if t > hi
+                    else f"{t} is not a term of the sequence"
+                ))
+                return
+            prev = int(block[-1])
+            yield block
+
+    try:
+        copies, count = list(copies), _rank(hi) - _rank(lo)
+    except (NotMember, DomainError) as exc:
+        return _construction_failure(exc)
+    if built is None:
+        mismatch, made = None, sum(len(block) for block in blocks())
+        size = count
+    else:
+        mismatch, size, made = first_block_mismatch(built, blocks())
+    if not failure and made != count:
+        return Counterexample("cardinality", count, made)
+    if size != count:
+        return Counterexample("cardinality", size, count)
+    return mismatch or (failure[0] if failure else None)
+
+
+def _construction_failure(reason: Exception | str) -> Counterexample:
+    return Counterexample("construction", "a valid pattern", str(reason))
+
+
+@check("eq1")
+def verify_eq1(n: int) -> Counterexample | None:
+    """Check that odd level n, the members in (M_{n-1}, M_n], is two
+    copies of level n-1, the top one ending at M_n."""
+    if n < 5 or n % 2 == 0:
+        raise ValueError("the doubling identity applies to odd n >= 5")
+    top = mersenne(n)
+    return _certify_copies(_copy_chain(_level_array(n - 1), 2, top), mersenne(n - 1), top, n)
+
+
+@check("eq2")
+def verify_eq2(n: int) -> Counterexample | None:
+    """Check that the tail of even level n, the members in (M_{n-1} +
+    2**(n-3), M_n] above the core senior term, is three copies of level
+    n-2, the top one ending at M_n, and that the construction of level
+    n, read as blocks, holds exactly them."""
+    if n < 6 or n % 2:
+        raise ValueError("the tail identity applies to even n >= 6")
+    top = mersenne(n)
+    return _certify_copies(
+        _copy_chain(_level_array(n - 2), 3, top), core_top(n), top, n,
+        built=_level_blocks(n, lo=core_top(n)),
+    )
 
 
 def _subsegment_copies(n: int, seg: int, copies, size: int) -> Counterexample | None:

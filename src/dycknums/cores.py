@@ -35,7 +35,7 @@ from .levels import (
     subsegment_bounds,
 )
 from .oeis_ref import catalan
-from .patterns import Pattern, _shifted, make_pattern, pattern_len, power
+from .patterns import Pattern, _chain, _shifted, make_pattern, pattern_len
 
 
 def fragment_image(t: int, fragment: Fragment, n: int) -> int | None:
@@ -327,8 +327,7 @@ def evaluate(expr: DecompositionExpr, library: PatternLibrary) -> tuple[int, ...
     if isinstance(expr, NamedPattern):
         return _shifted(library[expr.name].source, expr.top).terms
     if isinstance(expr, Power):
-        base = _shifted(library[expr.child.name].source, expr.child.top)
-        return power(base, expr.k).terms
+        return _chain(library[expr.child.name].source, expr.k, expr.child.top).terms
     if isinstance(expr, Join):
         out: list[int] = []
         for part in expr.parts:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import os
 import re
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,7 +26,6 @@ from .errors import (
     NoOverlap,
     ParseError,
 )
-from .files import write_atomic
 from .levels import mersenne, stream_terms
 from .report import Counterexample, VerificationOutcome, check
 
@@ -139,6 +140,22 @@ def _bundled_bfile(sequence_id: str) -> str | None:
     if resource.is_file():
         return resource.read_text()
     return None
+
+
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to path through a temp file in the same
+    directory and `os.replace`, so a crash never leaves a partial file;
+    the temp file is removed on any failure."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def fetch_bfile(

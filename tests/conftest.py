@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -15,6 +17,25 @@ FIRST_48 = (
     103, 107, 109, 111, 115, 117, 119, 123, 125, 127,
     143, 151, 155, 157,
 )
+
+
+def run_cli_fresh(*argv, capture=True):
+    """Run the CLI with argv in a fresh interpreter and return its exit
+    code, its stdout (None unless captured) and its own peak RSS in KiB.
+    The peak is the child's VmHWM, read inside it: its ru_maxrss would
+    start at the peak of the process it is forked from."""
+    script = (
+        "import sys; from dycknums.cli import main; "
+        "code = main(sys.argv[1:]); sys.stdout.flush(); "
+        "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]; "
+        "print(code, *hwm, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE if capture else subprocess.DEVNULL,
+    )
+    code, peak_kib = result.stderr.split()[-2:]
+    return int(code), result.stdout, int(peak_kib)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,8 @@ from dycknums.conjectures import (
     check_conj18,
     check_prop12,
     size_identity_checks,
+    verify_eq1,
+    verify_eq2,
 )
 from dycknums.cores import core, core_subsequence, subsegments
 from dycknums.dyck_core import dyck_succ, succ_of_mersenne
@@ -29,7 +31,6 @@ from dycknums.levels import (
     stream_terms,
 )
 from dycknums.oeis_ref import compare, computed_prefix, fetch_bfile
-from dycknums.patterns import verify_eq1, verify_eq2
 
 from conftest import FIRST_48
 

@@ -11,7 +11,7 @@ that changes the terms it reads and yields them again as blocks.
 import numpy as np
 import pytest
 
-from dycknums import cli, conjectures, cores, levels, patterns
+from dycknums import cli, conjectures, cores, levels
 from dycknums.cli import main
 from dycknums.conjectures import (
     check_catalan_rejection,
@@ -20,8 +20,9 @@ from dycknums.conjectures import (
     check_prop12,
     run_all,
     size_identity_checks,
+    verify_eq1,
+    verify_eq2,
 )
-from dycknums.patterns import verify_eq1, verify_eq2
 from dycknums.report import Counterexample
 
 
@@ -39,14 +40,14 @@ def shift(i, delta=2):
 
 
 def corrupt_level(monkeypatch, n, change):
-    """`patterns._level_array(n)`, a level the eq1 and eq2 certificates
+    """`conjectures._level_array(n)`, a level the eq1 and eq2 certificates
     read, returns level n changed."""
-    real = patterns._level_array
+    real = conjectures._level_array
 
     def level_array(m, *args):
         return change(real(m, *args)) if m == n else real(m, *args)
 
-    monkeypatch.setattr(patterns, "_level_array", level_array)
+    monkeypatch.setattr(conjectures, "_level_array", level_array)
 
 
 def changed_blocks(blocks, change):
@@ -95,7 +96,7 @@ def test_eq1_reports_a_broken_construction(monkeypatch):
 
 
 def test_eq2_reports_a_dropped_tail_term(monkeypatch):
-    corrupt_level_blocks(monkeypatch, patterns, 8, drop(-1))
+    corrupt_level_blocks(monkeypatch, conjectures, 8, drop(-1))
     assert_fails(verify_eq2(8), "eq2", 8, Counterexample("cardinality", 29, 30))
 
 
@@ -113,7 +114,7 @@ def test_eq2_reports_a_tail_mismatch_by_its_index_in_the_tail(monkeypatch):
     level = levels._level_array(22)
     tail_start = int(np.searchsorted(level, levels.core_top(22), side="right"))
     i = 2 * levels._BLOCK + 7
-    corrupt_level_blocks(monkeypatch, patterns, 22, shift(i))
+    corrupt_level_blocks(monkeypatch, conjectures, 22, shift(i))
     assert_fails(verify_eq2(22), "eq2", 22, Counterexample(
         f"index {i}", int(level[tail_start + i]) + 2, int(level[tail_start + i])
     ))

@@ -3,7 +3,6 @@ import importlib
 import inspect
 import io
 import itertools
-import os
 import pkgutil
 import subprocess
 import sys
@@ -20,6 +19,8 @@ from dycknums import cli, conjectures, cores, levels, patterns
 from dycknums.cli import main
 from dycknums.errors import BoundError
 from dycknums.levels import level_structural, stream_terms
+
+from conftest import run_cli_fresh
 
 
 def run(capsys, *argv):
@@ -566,17 +567,9 @@ def test_gen_imports_no_numpy_ma():
 def test_gen_level_28_peak_stays_under_120_mb():
     # Level 28 (20,058,300 terms, 77 MiB as int32) is printed from level
     # 26 and never materialized; materialized, the run peaks at 145 MB.
-    script = (
-        "import resource, sys; from dycknums.cli import main; "
-        "code = main(['gen', '--level', '28']); sys.stdout.flush(); "
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
-    )
-    code, peak_kib = result.stderr.split()[-2:]
-    assert code == "0"
-    assert int(peak_kib) < 120 * 1024
+    code, _, peak_kib = run_cli_fresh("gen", "--level", "28", capture=False)
+    assert code == 0
+    assert peak_kib < 120 * 1024
 
 
 @pytest.mark.slow
@@ -584,18 +577,10 @@ def test_verify_all_max_n_30_peak_stays_under_200_mb():
     # Every copy claim is certified a block at a time against the members
     # of its interval, so no core is built: levels up to 28 and the
     # fragment-00 masks are what stays resident, the levels in int32.
-    # With them in int64, the run peaks at 267 MB.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dycknums.cli", "verify", "all", "--max-n", "30", "--offline"],
-        stdout=subprocess.PIPE, text=True,
-    )
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
+    code, out, peak_kib = run_cli_fresh("verify", "all", "--max-n", "30", "--offline")
+    assert code == 0
     assert out.count("PASS ") == 86 and "FAIL" not in out
-    assert usage.ru_maxrss < 200 * 1024
+    assert peak_kib < 200 * 1024
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ from dycknums.cores import (
     Fragment,
     Join,
     NamedPattern,
+    Power,
     Singleton,
     core,
     core_size,
@@ -167,6 +168,15 @@ def test_decompose_core_10():
     expr = decompose(core(10).terms, lib)
     assert format_expr(expr) == "(543) ⊕ μ8(607)^2 ⊕ π6(639)"
     assert evaluate(expr, lib) == core(10).terms
+
+
+def test_evaluate_validates_a_power_once(monkeypatch):
+    # μ8(607)^2 of the 10-core: one chain of two copies, one validation.
+    lib, calls = standard_library(8), []
+    real = patterns._validate_run
+    monkeypatch.setattr(patterns, "_validate_run", lambda arr: calls.append(len(arr)) or real(arr))
+    assert evaluate(Power(NamedPattern("μ8", 607), 2), lib) == core(10).terms[1:11]
+    assert calls == [10]
 
 
 def test_decompose_core_8_and_6():

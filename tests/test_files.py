@@ -1,6 +1,6 @@
 import pytest
 
-from dycknums.files import write_atomic
+from dycknums.oeis_ref import write_atomic
 
 
 def failing_chunks():

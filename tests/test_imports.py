@@ -3,6 +3,7 @@ module-level function and class is read somewhere else in the package
 or exported by `__init__`."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,40 @@ def test_every_module_level_definition_is_used():
         and not any(node.name in reads for _, other, reads in statements if other is not node)
     ]
     assert not unused, f"definitions nothing in the package reads: {unused}"
+
+
+def package_imports(module: str) -> dict[str, set[str]]:
+    """The names a package module imports from each sibling module."""
+    path = Path(dycknums.__file__).parent / f"{module}.py"
+    found = defaultdict(set)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found[node.module] |= {alias.name for alias in node.names}
+    return found
+
+
+def test_patterns_is_the_algebra_alone():
+    found = package_imports("patterns")
+    assert "report" not in found
+    assert found["levels"] <= {"TermArray", "_balance_ok", "mersenne"}
+
+
+def test_conjectures_takes_only_the_copy_layout_from_patterns():
+    assert package_imports("conjectures")["patterns"] <= {"_copy_chain"}
+
+
+def test_every_check_is_defined_in_conjectures():
+    path = Path(dycknums.__file__).parent / "conjectures.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (checks,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CHECKS" for t in node.targets)
+    ]
+    called = {
+        sub.func.id for sub in ast.walk(checks)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+    }
+    assert len(called) == len(checks.keys)
+    assert called <= defined, f"checks defined elsewhere: {called - defined}"

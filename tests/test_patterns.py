@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycknums import cores, levels, patterns
+from dycknums import conjectures, cores, levels, patterns
+from dycknums.conjectures import (
+    _certify_copies,
+    _construction_failure,
+    verify_eq1,
+    verify_eq2,
+)
 from dycknums.dyck_core import dyck_pred, dyck_succ, is_dyck_number
 from dycknums.errors import (
     DomainError,
@@ -20,8 +26,6 @@ from dycknums.report import Counterexample, first_mismatch
 from dycknums.patterns import (
     _VECTOR_LIMIT,
     Pattern,
-    _certify_copies,
-    _construction_failure,
     _copy_chain,
     copy_at,
     join,
@@ -30,8 +34,6 @@ from dycknums.patterns import (
     offset_of,
     pattern_len,
     power,
-    verify_eq1,
-    verify_eq2,
 )
 
 
@@ -181,6 +183,12 @@ def test_power_failures():
         power(copy_at(make_pattern((11, 13, 15)), 31), 3)
 
 
+def test_power_reaching_below_zero_is_no_copy():
+    # Three copies of (11, 13, 15), a span of 8 apart, would start at -5.
+    with pytest.raises(InvalidCopy):
+        power(make_pattern((11, 13, 15)), 3)
+
+
 def test_lift_copy_is_always_a_copy():
     for terms in ((11, 13, 15), (39,), (143, 151, 155, 157, 159)):
         p = make_pattern(terms)
@@ -315,10 +323,10 @@ def test_certificate_fails_for_a_dropped_block(n):
 
 
 def test_certificate_fails_for_a_count_off_by_one(monkeypatch):
-    real = patterns._rank
+    real = conjectures._rank
     for n in (21, 22):
         k, top, _, _, _ = eq_claim(n)
-        monkeypatch.setattr(patterns, "_rank", lambda t: real(t) + (t == top))
+        monkeypatch.setattr(conjectures, "_rank", lambda t: real(t) + (t == top))
         count = k * len(source(n))
         assert certify(n, source(n)) == Counterexample("cardinality", count + 1, count)
 

@@ -5,15 +5,14 @@ levels (tens of millions of terms), stream levels 31 and 32 from them,
 and run the claim checks at n = 32; each test peaks under 700 MB.
 """
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from dycknums import cores, levels
 from dycknums.conjectures import run_all
 from dycknums.levels import _level_array, _level_blocks, _scan_array, level_size
+
+from conftest import run_cli_fresh
 
 pytestmark = pytest.mark.slow
 
@@ -49,17 +48,8 @@ def test_run_all_32_materializes_nothing_above_level_30(fresh_caches):
 
 def test_verify_all_max_n_32_peak_stays_under_700_mb():
     # Level 30 (310 MB as int32) is the top resident level; levels 31 and
-    # 32 are read as blocks and no core is built.  The peak is the child's
-    # own VmHWM: its ru_maxrss would start at the peak of this process,
-    # which it is forked from.
-    script = (
-        "import sys; from dycknums.cli import main; "
-        "code = main(['verify', 'all', '--max-n', '32', '--offline']); sys.stdout.flush(); "
-        "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]; "
-        "print(code, *hwm, file=sys.stderr)"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    code, peak_kib = result.stderr.split()[-2:]
-    assert code == "0"
-    assert result.stdout.count("PASS ") == 92 and "FAIL" not in result.stdout
-    assert int(peak_kib) < 700 * 1024
+    # 32 are read as blocks and no core is built.
+    code, out, peak_kib = run_cli_fresh("verify", "all", "--max-n", "32", "--offline")
+    assert code == 0
+    assert out.count("PASS ") == 92 and "FAIL" not in out
+    assert peak_kib < 700 * 1024

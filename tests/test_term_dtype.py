@@ -17,9 +17,9 @@ import pytest
 
 from dycknums import cli, conjectures, cores, levels
 from dycknums.levels import core_top, level_structural, mersenne
+from dycknums.conjectures import _certify_copies
 from dycknums.patterns import (
     Pattern,
-    _certify_copies,
     _shifted,
     lift_copy,
     make_pattern,
