@@ -29,6 +29,8 @@ from .levels import (
     _f00_mask,
     _level_array,
     _level_blocks,
+    _lifts_ok,
+    _work,
     core_top,
     level_size,
     mersenne,
@@ -62,31 +64,37 @@ LEVEL_SIZES = (1, 1, 2, 3, 6, 10, 20, 35, 70, 126, 252, 462)
 def check_prop12(n: int) -> Counterexample | None:
     """Every term t of even level n generates the triplet
     (4t-1, 4t+1, 4t+3) in level n+2, landing in the same quarter
-    segment of its level interval."""
+    segment of its level interval.
+
+    Level n is read once, as blocks.  A block that passes `_lifts_ok`
+    holds all three lifts; any other block is tested one lift at a time
+    by `_balance_ok`, which finds the failures that are reported."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    # Level n is read once, as blocks, keeping the first failure of each
-    # of the four tests (delta -1, 1, 3, then the quarter); a test is
-    # reported only when the ones before it hold on every block.
+    # The first failure of each of the four tests (delta -1, 1, 3, then
+    # the quarter) is kept; a test is reported only when the ones before
+    # it hold on every block.  Every temporary is a buffer of `_work`.
     found: list[Counterexample | None] = [None] * 4
-    four, lifted, quarter = (np.empty(_BLOCK, dtype=np.int64) for _ in range(3))
     for block in _level_blocks(n):
         m = len(block)
-        np.multiply(block, 4, out=four[:m], dtype=np.int64)
-        for test, delta in enumerate((-1, 1, 3)):
-            if found[test] is None:
-                # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
-                ok = _balance_ok(np.add(four[:m], delta, out=lifted[:m]), n + 2)
-                if not ok.all():
-                    bad = int(block[np.argmin(ok)])
-                    lift = f"{4 * bad + delta} in level {n + 2}"
-                    found[test] = Counterexample(bad, lift, "absent")
+        lifted = _work.image[:m]
+        if not _lifts_ok(block, n):
+            for test, delta in enumerate((-1, 1, 3)):
+                if found[test] is None:
+                    # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
+                    np.multiply(block, 4, out=lifted, dtype=np.int64)
+                    ok = _balance_ok(np.add(lifted, delta, out=lifted), n + 2)
+                    if not ok.all():
+                        bad = int(block[np.argmin(ok)])
+                        lift = f"{4 * bad + delta} in level {n + 2}"
+                        found[test] = Counterexample(bad, lift, "absent")
         if found[3] is None:
-            quarter_src = np.subtract(block, 1 << (n - 1), out=quarter[:m], dtype=np.int64)
+            quarter_src = np.subtract(block, 1 << (n - 1), out=lifted, dtype=np.int64)
             quarter_src >>= n - 3
-            quarter_dst = np.add(four[:m], 3 - (1 << (n + 1)), out=lifted[:m])
+            quarter_dst = np.multiply(block, 4, out=_work.word.view(np.int64)[:m], dtype=np.int64)
+            quarter_dst += 3 - (1 << (n + 1))
             quarter_dst >>= n - 1
-            differ = quarter_src != quarter_dst
+            differ = np.not_equal(quarter_src, quarter_dst, out=_work.passed[:m])
             if differ.any():
                 i = int(np.argmax(differ))
                 found[3] = Counterexample(int(block[i]), int(quarter_src[i]), int(quarter_dst[i]))

@@ -141,6 +141,43 @@ def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
                  Counterexample(933649, f"{4 * 933649 - 1} in level 22", "absent"))
 
 
+def flip(i, bit, term):
+    """Clear bit `bit` of the term at index i, which must be `term`."""
+    def flipped(arr):
+        assert arr[i] == term
+        arr[i] ^= 1 << bit
+        return arr
+
+    return flipped
+
+
+# prop12 reads the lifts of level 20 as 22-bit words 4t in two 16-bit
+# chunks: bits 0-13 of t fall in chunk 0, bits 14-19 in chunk 1.
+@pytest.mark.parametrize("i,bit,term,flipped", [
+    # 933655 = 11100011111100010111 without bit 4: the suffix 00111 dips
+    (70001, 4, 933655, 933639),
+    # 568277 = 10001010101111010101 without bit 15: the suffix of 17 bits dips
+    (3988, 15, 568277, 535509),
+])
+def test_prop12_reports_a_bit_cleared_in_each_chunk_of_the_lifts(monkeypatch, i, bit, term,
+                                                                 flipped):
+    corrupt_level_blocks(monkeypatch, conjectures, 20, flip(i, bit, term))
+    assert_fails(check_prop12(20), "prop12", 20,
+                 Counterexample(flipped, f"{4 * flipped - 1} in level 22", "absent"))
+
+
+def test_prop12_reports_a_bit_cleared_in_chunk_2_of_34_bit_lifts(monkeypatch):
+    # 0xD5555555 = 1101 0101 ... 0101: every suffix below bit 30 is at 0
+    # or 1, so without bit 30 the suffix of 31 bits dips to -1; in its
+    # 34-bit lifts, bit 30 of t is bit 32 of 4t, in chunk 2.
+    run = np.array([0xD5555555, 0xD5555557, 0xD555555F], dtype=np.int64)
+    monkeypatch.setattr(conjectures, "_level_blocks", lambda level: iter([run]))
+    assert check_prop12(32).passed
+    run[0] ^= 1 << 30
+    assert_fails(check_prop12(32), "prop12", 32,
+                 Counterexample(2505397589, "10021590355 in level 34", "absent"))
+
+
 # conj16(8) certifies the 8-core (143, 151, 155, 157, 159), read as the
 # leading part of level 8, shifted by 416 and by 448 as subsegments 2
 # (559 .. 575) and 3 (591 .. 607) of the 10-core.

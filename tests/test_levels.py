@@ -13,6 +13,8 @@ from dycknums.levels import (
     Fragment,
     _balance_ok,
     _chunk_tables,
+    _lift_table,
+    _lifts_ok,
     central_terms,
     level_index,
     level_scan,
@@ -271,11 +273,11 @@ def test_memory_guard_refuses_huge_levels(no_block):
 
 
 @st.composite
-def codes_near_members(draw):
-    """(value, nbits): a member of level nbits built bit by bit from the
-    low end (a forced 1 whenever the balance below is 0), with one bit
-    then possibly flipped."""
-    nbits = draw(st.integers(min_value=1, max_value=62))
+def codes_near_members(draw, lengths=st.integers(min_value=1, max_value=62)):
+    """(value, nbits): a member of level nbits, drawn from `lengths`,
+    built bit by bit from the low end (a forced 1 whenever the balance
+    below is 0), with one bit then possibly flipped."""
+    nbits = draw(lengths)
     value, balance = 0, 0
     for i in range(nbits - 1):
         bit = 1 if balance == 0 else draw(st.integers(min_value=0, max_value=1))
@@ -293,6 +295,45 @@ def test_vector_predicate_agrees_with_scalar(cases):
     for value, nbits in cases:
         vector = _balance_ok(np.array([value], dtype=np.int64), nbits)[0]
         assert bool(vector) == is_dyck_number(value), (value, nbits)
+
+
+EVEN_LEVELS = st.integers(min_value=3, max_value=16).map(lambda k: 2 * k)
+
+
+@st.composite
+def lift_blocks(draw):
+    """(block, n): terms of n bits for an even n in 6..32, members and
+    near members (`codes_near_members`, odd or even after the flip) and
+    arbitrary n-bit words."""
+    n = draw(EVEN_LEVELS)
+    words = st.integers(min_value=1 << (n - 1), max_value=(1 << n) - 1)
+    near = codes_near_members(st.just(n)).map(lambda case: case[0])
+    return draw(st.lists(st.one_of(near, words), min_size=1, max_size=6)), n
+
+
+@given(lift_blocks())
+@settings(max_examples=300, deadline=None)
+def test_lift_kernel_agrees_with_the_three_lift_tests(case):
+    block, n = case
+    single = []
+    for t in block:
+        lifts = [4 * t + delta for delta in (-1, 1, 3)]
+        ok = _lifts_ok(np.array([t], dtype=np.int64), n)
+        assert ok == all(is_dyck_number(v) for v in lifts), (t, n)
+        assert ok == all(_balance_ok(np.array(lifts, dtype=np.int64), n + 2)), (t, n)
+        single.append(ok)
+    assert _lifts_ok(np.array(block, dtype=np.int64), n) == all(single)
+
+
+def test_lift_table_matches_its_definition():
+    carry = _chunk_tables()[2]
+    table = _lift_table()
+    c = np.arange(1 << 16)
+    odd = c % 8 == 4  # chunk 0 of 4t for an odd t
+    lifts = carry[np.stack([c[odd] - 1, c[odd] + 1, c[odd] + 3])]
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert np.array_equal(table[odd], lifts.min(axis=0))
+    assert np.all(table[~odd] == -128)
 
 
 def _balance_ok_passes(values: np.ndarray, nbits: int) -> np.ndarray:
