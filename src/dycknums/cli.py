@@ -360,6 +360,8 @@ def _planned_checks(selector: str, max_n: int) -> list[tuple[str, int]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n
     selector = args.selector
+    if args.sequence_id and selector != "oeis":
+        raise UsageError(f"a sequence id is taken only by the oeis selector, not by {selector}")
     outcomes: list[VerificationOutcome] = []
     if selector == "all":
         outcomes.extend(conjectures.run_all(max_n))
@@ -445,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         "selector",
         choices=("all", *conjectures.CHECKS, "appendix", "sizes", "oeis"),
     )
-    verify.add_argument("sequence_id", nargs="?",
+    verify.add_argument("sequence_id", nargs="?", choices=STANDARD_SEQUENCES,
                         help="sequence id for the oeis selector")
     verify.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N)
     verify.add_argument("--format", choices=("text", "records"), default="text")
@@ -460,7 +462,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: see "Note on SIGPIPE" in the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, BoundError) as exc:
         parser.error(str(exc))
     except (DyckError, ValueError) as exc:

@@ -4,15 +4,16 @@ pass/fail outcomes.
 Checks covered: an odd level n as two copies of level n-1 (eq1), the
 tail of an even level n above its core as three copies of level n-2
 (eq2), the triplet lift (every even-level term t yields the triplet
-4t-1, 4t+1, 4t+3 two levels up in the same quarter segment), the
-copying of a core into subsegments 2 and 3 of the next core at offsets
-13*2**(n-3) and 7*2**(n-2), the recursive build of the top subsegment
-from the core four levels down plus three copies of the previous top
-subsegment, the Catalan count of fragment-00 rejections, and the size
-identities tying level and core cardinalities to central binomial
-coefficients and Catalan numbers.  Every copy claim is certified by
-`_certify_copies` as exactly the members between two bounds, a block
-at a time: no check builds an odd level or keeps a copy.
+4t-1, 4t+1, 4t+3 two levels up in the same quarter segment, which is
+proven, not computed), the copying of a core into subsegments 2 and 3
+of the next core at offsets 13*2**(n-3) and 7*2**(n-2), the recursive
+build of the top subsegment from the core four levels down plus three
+copies of the previous top subsegment, the Catalan count of
+fragment-00 rejections, and the size identities tying level and core
+cardinalities to central binomial coefficients and Catalan numbers.
+Every copy claim is certified by `_certify_copies` as exactly the
+members between two bounds, a block at a time: no check builds an odd
+level or keeps a copy.
 """
 
 from __future__ import annotations
@@ -68,17 +69,23 @@ def check_prop12(n: int) -> Counterexample | None:
 
     Level n is read once, as blocks.  A block that passes `_lifts_ok`
     holds all three lifts; any other block is tested one lift at a time
-    by `_balance_ok`, which finds the failures that are reported."""
+    by `_balance_ok`, which finds the failures that are reported.
+
+    The quarter is proven, not computed.  With u = t - 2**(n-1) and
+    q = 2**(n-3), t lies in quarter u // q of level n and 4t + d in
+    quarter (4u + d) // 4q of level n+2.  As 4q * (u // q) <= 4u and
+    4u + 4 <= 4q * (u // q + 1), these agree for d = 1 and 3 for every
+    integer t, and for d = -1 unless q divides u; then t is even, and
+    4t + 1, ending in 001, fails its test."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    # The first failure of each of the four tests (delta -1, 1, 3, then
-    # the quarter) is kept; a test is reported only when the ones before
-    # it hold on every block.  Every temporary is a buffer of `_work`.
-    found: list[Counterexample | None] = [None] * 4
+    # The first failure of each of the three tests (delta -1, 1, then 3)
+    # is kept; a test is reported only when the ones before it hold on
+    # every block.  Every temporary is a buffer of `_work`.
+    found: list[Counterexample | None] = [None] * 3
     for block in _level_blocks(n):
-        m = len(block)
-        lifted = _work.image[:m]
         if not _lifts_ok(block, n):
+            lifted = _work.image[: len(block)]
             for test, delta in enumerate((-1, 1, 3)):
                 if found[test] is None:
                     # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
@@ -88,16 +95,6 @@ def check_prop12(n: int) -> Counterexample | None:
                         bad = int(block[np.argmin(ok)])
                         lift = f"{4 * bad + delta} in level {n + 2}"
                         found[test] = Counterexample(bad, lift, "absent")
-        if found[3] is None:
-            quarter_src = np.subtract(block, 1 << (n - 1), out=lifted, dtype=np.int64)
-            quarter_src >>= n - 3
-            quarter_dst = np.multiply(block, 4, out=_work.word.view(np.int64)[:m], dtype=np.int64)
-            quarter_dst += 3 - (1 << (n + 1))
-            quarter_dst >>= n - 1
-            differ = np.not_equal(quarter_src, quarter_dst, out=_work.passed[:m])
-            if differ.any():
-                i = int(np.argmax(differ))
-                found[3] = Counterexample(int(block[i]), int(quarter_src[i]), int(quarter_dst[i]))
         if found[0] is not None:
             break
     return next((f for f in found if f is not None), None)

@@ -25,6 +25,7 @@ in flight and every operation on a stored term are int64.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -522,16 +523,7 @@ def _stream_blocks(count: int):
     return blocks()
 
 
-def _stream_array(count: int) -> np.ndarray:
-    blocks = _stream_blocks(count)  # checks the count before the allocation
-    arr, pos = np.empty(count, dtype=np.int64), 0
-    for block in blocks:
-        arr[pos : pos + len(block)] = block
-        pos += len(block)
-    return arr
-
-
 def stream_terms(count: int) -> tuple[int, ...]:
     """First `count` terms of the sequence, starting at 0, produced
     level by level from the structural generator."""
-    return tuple(_stream_array(count).tolist())
+    return tuple(itertools.chain.from_iterable(block.tolist() for block in _stream_blocks(count)))

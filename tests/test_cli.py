@@ -233,6 +233,23 @@ def test_verify_oeis_single(capsys):
     assert "PASS oeis:A002054 n=40" in out
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "eq1", "A002054", "--max-n", "7"), "taken only by the oeis selector"),
+        (("verify", "all", "A036991", "--offline"), "taken only by the oeis selector"),
+        (("verify", "oeis", "A000045", "--offline"), "invalid choice: 'A000045'"),
+    ],
+)
+def test_verify_stray_sequence_id_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_oeis_corrupted_cache_fails(tmp_path, capsys):
     (tmp_path / "b002054.txt").write_text("1 1\n2 5\n3 22\n" + "\n".join(
         f"{k} 0" for k in range(4, 25)
@@ -261,6 +278,21 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "39 43 45 47 51 53 55 59 61 63"
+
+
+def test_gen_into_a_closed_pipe_exits_1_with_nothing_on_stderr():
+    # Level 20 is about 650 KB of text, more than a pipe holds, so the
+    # reader closes its end while the CLI is still writing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dycknums.cli", "gen", "--level", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"525311 525"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize(
@@ -705,4 +737,4 @@ def test_gen_count_above_the_structural_bound_builds_no_level(no_block, capsys):
     assert captured.out == ""
     assert "reach above level 32; at most 614483087 terms" in captured.err
     with pytest.raises(BoundError):
-        levels._stream_array(614483088)
+        levels.stream_terms(614483088)

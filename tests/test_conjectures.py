@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dycknums import cores, levels, patterns
 from dycknums.conjectures import (
@@ -30,6 +32,32 @@ def test_prop12_passes_and_quotes_the_examples():
     assert {4 * 39 - 1, 4 * 39 + 1, 4 * 39 + 3} <= level8
     assert 4 * 39 + 3 == 159
     assert 4 * mersenne(6) + 3 == mersenne(8)
+
+
+def quarter(t, n):
+    """The quarter segment of level n that t falls in, for any integer t."""
+    return (t - (1 << (n - 1))) >> (n - 3)
+
+
+# check_prop12 computes no quarter: its docstring proves that 4t + 1 and
+# 4t + 3 keep the quarter of every integer t and 4t - 1 that of every
+# odd t, and that an even t fails the test of 4t + 1.
+@given(st.integers(-(1 << 300), 1 << 300), st.integers(3, 100).map(lambda k: 2 * k))
+@settings(max_examples=500, deadline=None)
+def test_prop12_lifts_keep_the_quarter_of_every_integer(t, n):
+    for delta in (1, 3):
+        assert quarter(4 * t + delta, n + 2) == quarter(t, n)
+    if t % 2:
+        assert quarter(4 * t - 1, n + 2) == quarter(t, n)
+
+
+def test_prop12_lifts_land_in_the_quarter_of_each_term():
+    for n in range(6, 21, 2):
+        t = level_structural(n).arr.astype(np.int64)
+        for delta in (-1, 1, 3):
+            assert np.array_equal(quarter(4 * t + delta, n + 2), quarter(t, n)), (n, delta)
+        # the even neighbour below each term fails the test of 4t + 1
+        assert not levels._balance_ok(4 * (t - 1) + 1, n + 2).any(), n
 
 
 def test_conj16_copies_and_offsets():

@@ -50,8 +50,8 @@ def both_widths(call, run: np.ndarray):
 
 @pytest.mark.parametrize("n,nbits", [(30, 30), (32, 31)])
 def test_prop12_widens_stored_terms(monkeypatch, n, nbits):
-    # At n = 30, 4t passes 2**31; at n = 32, the quarter's 2**31 is itself
-    # outside int32.  Both runs hold the claim.
+    # In both runs 4t passes 2**31; the run at n = 32 ends at 2**31 - 1,
+    # the int32 maximum.  Both runs hold the claim.
     def prop12(run):
         monkeypatch.setattr(conjectures, "_level_blocks", lambda level: iter([run]))
         found = conjectures.check_prop12(n)
