@@ -67,9 +67,12 @@ def check_prop12(n: int) -> Counterexample | None:
     (4t-1, 4t+1, 4t+3) in level n+2, landing in the same quarter
     segment of its level interval.
 
-    Level n is read once, as blocks.  A block that passes `_lifts_ok`
-    holds all three lifts; any other block is tested one lift at a time
-    by `_balance_ok`, which finds the failures that are reported.
+    Level n is read once, as blocks.  The lift tests read only the low
+    n + 2 bits of 4t + delta, so the first term of a block that has
+    other than n bits is reported at once.  A block that passes
+    `_lifts_ok` holds all three lifts; any other block is tested one
+    lift at a time by `_balance_ok`, which finds the failures that are
+    reported.
 
     The quarter is proven, not computed.  With u = t - 2**(n-1) and
     q = 2**(n-3), t lies in quarter u // q of level n and 4t + d in
@@ -81,9 +84,14 @@ def check_prop12(n: int) -> Counterexample | None:
         raise ValueError("the triplet lift is checked for even n >= 6")
     # The first failure of each of the three tests (delta -1, 1, then 3)
     # is kept; a test is reported only when the ones before it hold on
-    # every block.  Every temporary is a buffer of `_work`.
+    # every block.  Every temporary of a block of n-bit terms is a
+    # buffer of `_work`.
     found: list[Counterexample | None] = [None] * 3
+    lo, hi = mersenne(n - 1), mersenne(n)
     for block in _level_blocks(n):
+        if block.min() <= lo or block.max() > hi:
+            t = int(block[np.argmax((block <= lo) | (block > hi))])
+            return Counterexample(t, f"a term of {n} bits", f"{t.bit_length()} bits")
         if not _lifts_ok(block, n):
             lifted = _work.image[: len(block)]
             for test, delta in enumerate((-1, 1, 3)):

@@ -26,6 +26,7 @@ from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
     Fragment,
     TermArray,
+    _BLOCK,
     _F00_MIN_DYNAMICS,
     _core_array,
     _f00_mask,
@@ -136,17 +137,16 @@ def core_subsequence(max_n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class NamedShape:
-    """A reusable pattern shape: offsets below the top plus the span
-    that any copy must preserve."""
+    """A reusable pattern shape: its source run, whose offsets below its
+    top any copy must repeat, plus the span that the copy must preserve."""
 
     name: str
     source: Pattern
-    offsets: np.ndarray  # read-only, ascending from 0 (senior term first)
     span: int
 
     @property
     def cardinality(self) -> int:
-        return self.offsets.size
+        return len(self.source)
 
 
 class PatternLibrary:
@@ -159,24 +159,12 @@ class PatternLibrary:
 
     def __init__(self) -> None:
         self._shapes: dict[str, NamedShape] = {}
-        self._order: list[NamedShape] | None = None
 
     def register(self, name: str, pattern: Pattern) -> NamedShape:
         if name in self._shapes:
             raise ValueError(f"shape {name!r} is already registered")
-        # In the source's dtype: the int32 of a stored level or core, like
-        # the runs `decompose` takes from them, since a comparison of
-        # scalars of two dtypes is slower.  A difference cannot overflow.
-        offsets = pattern.arr[-1] - pattern.arr[::-1]
-        offsets.flags.writeable = False
-        shape = NamedShape(
-            name=name,
-            source=pattern,
-            offsets=offsets,
-            span=pattern_len(pattern),
-        )
+        shape = NamedShape(name=name, source=pattern, span=pattern_len(pattern))
         self._shapes[name] = shape
-        self._order = None
         return shape
 
     def __getitem__(self, name: str) -> NamedShape:
@@ -189,12 +177,9 @@ class PatternLibrary:
         return tuple(self._shapes)
 
     def by_priority(self) -> list[NamedShape]:
-        if self._order is None:
-            self._order = sorted(
-                self._shapes.values(),
-                key=lambda s: (-s.cardinality, -s.source.level, s.name),
-            )
-        return self._order
+        return sorted(
+            self._shapes.values(), key=lambda s: (-s.cardinality, -s.source.level, s.name)
+        )
 
 
 def standard_library(max_core: int = 10) -> PatternLibrary:
@@ -253,22 +238,25 @@ def _match_at(run: np.ndarray, i: int, shape: NamedShape) -> bool:
     are a verified copy of the shape (same offsets, same span).
 
     Two scalar checks (the first term and the one below the top) reject
-    most candidates before one array comparison of the whole window.
-    Differences are taken in the run's own dtype, so object runs above
-    the int64 range stay exact."""
-    offsets = shape.offsets
-    k = offsets.size
+    most candidates before the window is compared with the shape's
+    source in place, one `_BLOCK` of each at a time: `top - run[j]`
+    against `src[-1] - src[b]`.  Each difference is taken in its own
+    array's dtype, so object runs above the int64 range stay exact and
+    no int32 term meets an int64 one before it is compared."""
+    src = shape.source.arr
+    k = len(src)
     if k > i + 1:
         return False
-    top = run[i]
-    if top - run[i - k + 1] != offsets[-1]:
+    top, lo, last = run[i], i - k + 1, src[-1]
+    if top - run[lo] != last - src[0]:
         return False
-    if k > 1 and (
-        top - run[i - 1] != offsets[1]
-        or not np.array_equal(top - run[i - k + 1 : i + 1], offsets[::-1])
-    ):
+    if k > 1 and top - run[i - 1] != last - src[-2]:
         return False
-    first = int(run[i - k + 1])
+    for b in range(0, k, _BLOCK):
+        part = src[b : b + _BLOCK]
+        if not (top - run[lo + b : lo + b + len(part)] == last - part).all():
+            return False
+    first = int(run[lo])
     if first <= 0:
         return False
     return dyck_pred(first) == int(top) - shape.span

@@ -127,6 +127,18 @@ def test_prop12_reports_a_missing_triplet_member(monkeypatch):
     assert_fails(check_prop12(6), "prop12", 6, Counterexample(41, "163 in level 8", "absent"))
 
 
+# The lift tests read only the low n + 2 bits of 4t + delta, so a term
+# of another width must be caught before them: the level-6 term 63
+# shifted to 103 (a term of level 7), and 39 shifted by 2**20, whose
+# lifts end in the bits of 39's and are no terms.
+@pytest.mark.parametrize("i,delta,term", [(-1, 40, 103), (0, 1 << 20, 1048615)],
+                         ids=["7_bits", "21_bits"])
+def test_prop12_reports_a_term_of_another_width(monkeypatch, i, delta, term):
+    corrupt_level_blocks(monkeypatch, conjectures, 6, shift(i, delta))
+    assert_fails(check_prop12(6), "prop12", 6,
+                 Counterexample(term, "a term of 6 bits", f"{term.bit_length()} bits"))
+
+
 def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
     # Level 20 spans two blocks of the check.  In the first, 526304 (even)
     # lifts to members for delta -1 only; in the second, 933649 (not a

@@ -616,6 +616,19 @@ def test_verify_all_max_n_30_peak_stays_under_200_mb():
 
 
 @pytest.mark.slow
+def test_decompose_core_30_peak_stays_under_250_mb():
+    # Each shape is matched in place, a block of its window at a time;
+    # with an offsets copy of every shape and whole-window temporaries
+    # the run peaked at 283 MB.
+    code, out, peak_kib = run_cli_fresh("decompose", "--core", "30")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "23e3a2d18df6205a66e8ea0e7f24ee3d412cfd1a7f50844970e46ad2d33602f0"
+    )
+    assert peak_kib < 250 * 1024
+
+
+@pytest.mark.slow
 def test_gen_level_24_is_str_of_each_term(capsys):
     # 1,352,078 terms; 10**7 lies inside level 24
     terms = level_structural(24).terms

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,10 +264,11 @@ def _match_at_scalar(terms: tuple[int, ...], i: int, shape) -> bool:
     if k > i + 1:
         return False
     top = terms[i]
-    for j, off in enumerate(shape.offsets):
+    offsets = shape.source.shape[::-1]
+    for j, off in enumerate(offsets):
         if terms[i - j] != top - off:
             return False
-    first = top - shape.offsets[-1]
+    first = top - offsets[-1]
     if first <= 0:
         return False
     return dyck_pred(first) == top - shape.span
@@ -322,6 +325,70 @@ def test_array_matcher_equals_scalar_oracle_on_whole_levels_and_cores():
     runs = [level_structural(n).arr for n in range(4, 13)] + [core(n).arr for n in (12, 14)]
     # the comparison must exercise real matches, not only rejections
     assert sum(_assert_matchers_agree(run, lib) for run in runs) > 0
+
+
+def _assert_matchers_agree_by_block(run: np.ndarray, lib, block: int) -> int:
+    """`_assert_matchers_agree` on the run and on its int64 copy, with
+    `_match_at` reading its window `block` terms at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cores, "_BLOCK", block)
+        return sum(_assert_matchers_agree(r, lib) for r in (run, run.astype(np.int64)))
+
+
+# Besides the real block size, 7: windows of more than 7 terms then
+# cross block seams, and a near miss can lie in any block but the first.
+MATCH_BLOCKS = [levels._BLOCK, 7]
+
+
+@pytest.mark.parametrize("block", MATCH_BLOCKS)
+@given(matcher_runs())
+@settings(max_examples=80, deadline=None)
+def test_array_matcher_equals_scalar_oracle_by_block(block, run):
+    _assert_matchers_agree_by_block(run, standard_library(12), block)
+
+
+@pytest.mark.parametrize("block", MATCH_BLOCKS)
+def test_array_matcher_equals_scalar_oracle_by_block_on_whole_levels_and_cores(block):
+    lib = standard_library(12)
+    runs = [level_structural(n).arr for n in range(4, 13)] + [core(n).arr for n in (12, 14)]
+    assert sum(_assert_matchers_agree_by_block(run, lib, block) for run in runs) > 0
+
+
+def _traced_peak(call):
+    """The call's result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Levels and cores built during the test are dropped after it."""
+    monkeypatch.setattr(levels, "_array_cache", {})
+    monkeypatch.setattr(levels, "_mask_cache", {})
+    monkeypatch.setattr(cores, "_core_cache", {})
+
+
+def test_match_at_reads_a_window_in_place(fresh_caches):
+    # Subsegment 2 of the 28-core is a copy of the 26-core: a window of
+    # 1,144,066 terms, 4.4 MB as int32, compared a block at a time.
+    lib, c = standard_library(26), core(28)
+    i = len(c.segments[0]) + len(c.segments[1]) - 1
+    assert lib["μ26"].cardinality == len(c.segments[1]) == 1_144_066
+    matched, peak = _traced_peak(lambda: cores._match_at(c.arr, i, lib["μ26"]))
+    assert matched
+    assert peak < 1 << 20
+
+
+def test_standard_library_copies_no_terms(fresh_caches):
+    # Its cores resident, the library of shapes up to the 26-core (some
+    # 9 MB of terms as int32) takes them as they are.
+    standard_library(26)
+    lib, peak = _traced_peak(lambda: standard_library(26))
+    assert lib["μ26"].source.arr is core(26).arr
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("bits", [40, 63, 64, 70])

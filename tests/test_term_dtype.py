@@ -25,6 +25,7 @@ from dycknums.patterns import (
     make_pattern,
     power,
 )
+from dycknums.report import Counterexample
 
 
 def top_run(nbits: int, j: int) -> np.ndarray:
@@ -51,14 +52,20 @@ def both_widths(call, run: np.ndarray):
 @pytest.mark.parametrize("n,nbits", [(30, 30), (32, 31)])
 def test_prop12_widens_stored_terms(monkeypatch, n, nbits):
     # In both runs 4t passes 2**31; the run at n = 32 ends at 2**31 - 1,
-    # the int32 maximum.  Both runs hold the claim.
+    # the int32 maximum.  The run at n = 30 holds the claim; the one at
+    # n = 32 holds no term of 32 bits, and its first term is reported
+    # before any lift, its width compared with bounds beyond int32.
     def prop12(run):
         monkeypatch.setattr(conjectures, "_level_blocks", lambda level: iter([run]))
         found = conjectures.check_prop12(n)
         return found.passed, found.detail
 
-    narrow, wide = both_widths(prop12, top_run(nbits, 14))
-    assert narrow == wide == (True, None)
+    run = top_run(nbits, 14)
+    narrow, wide = both_widths(prop12, run)
+    first = int(run[0])
+    expected = (True, None) if nbits == n else (
+        False, Counterexample(first, f"a term of {n} bits", f"{nbits} bits"))
+    assert narrow == wide == expected
 
 
 @pytest.mark.parametrize("slip", [0, 2, 1 << 13])
