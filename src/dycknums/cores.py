@@ -17,6 +17,7 @@ back to the input exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,15 @@ class NamedShape:
     def cardinality(self) -> int:
         return len(self.source)
 
+    @functools.cached_property
+    def sides(self) -> tuple[int, int]:
+        """The shape's side of `_match_at`'s two scalar checks, as ints:
+        its top minus its first term, and minus the term below its top
+        (0 for a single term, where that check is not made)."""
+        src = self.source.arr
+        top = int(src[-1])
+        return top - int(src[0]), top - int(src[-2]) if len(src) > 1 else 0
+
 
 class PatternLibrary:
     """Registry of named shapes used by `decompose`.
@@ -237,20 +247,22 @@ def _match_at(run: np.ndarray, i: int, shape: NamedShape) -> bool:
     """True when the last `shape.cardinality` terms ending at index i
     are a verified copy of the shape (same offsets, same span).
 
-    Two scalar checks (the first term and the one below the top) reject
-    most candidates before the window is compared with the shape's
-    source in place, one `_BLOCK` of each at a time: `top - run[j]`
-    against `src[-1] - src[b]`.  Each difference is taken in its own
-    array's dtype, so object runs above the int64 range stay exact and
-    no int32 term meets an int64 one before it is compared."""
+    Two scalar checks (the first term and the one below the top,
+    against the shape's `sides`) reject most candidates before the
+    window is compared with the shape's source in place, one `_BLOCK`
+    of each at a time: `top - run[j]` against `src[-1] - src[b]`.  Each
+    difference is taken in its own array's dtype, so object runs above
+    the int64 range stay exact and no int32 term meets an int64 one
+    before it is compared."""
     src = shape.source.arr
     k = len(src)
     if k > i + 1:
         return False
+    first_side, below_side = shape.sides
     top, lo, last = run[i], i - k + 1, src[-1]
-    if top - run[lo] != last - src[0]:
+    if top - run[lo] != first_side:
         return False
-    if k > 1 and top - run[i - 1] != last - src[-2]:
+    if k > 1 and top - run[i - 1] != below_side:
         return False
     for b in range(0, k, _BLOCK):
         part = src[b : b + _BLOCK]
@@ -272,12 +284,15 @@ def decompose(
     matches of the same shape collapse into a power.
     """
     run = terms.arr if isinstance(terms, Pattern) else make_pattern(terms).arr
+    # Longest first: shapes[start:] are those that fit in run[: i + 1].
     shapes = [s for s in library.by_priority() if s.cardinality >= 2]
     pieces: list[NamedPattern | Singleton] = []
-    i = len(run) - 1
+    i, start = len(run) - 1, 0
     while i >= 0:
+        while start < len(shapes) and shapes[start].cardinality > i + 1:
+            start += 1
         matched = None
-        for shape in shapes:
+        for shape in shapes[start:]:
             if _match_at(run, i, shape):
                 matched = shape
                 break

@@ -1,39 +1,65 @@
-"""Bit-level membership test and successor/predecessor functions for
-OEIS A036991, the Dyck numbers.
+"""Membership test, successor, predecessor and rank for OEIS A036991,
+the Dyck numbers.
 
 A nonnegative integer belongs to the sequence when every suffix of its
 binary code contains at least as many 1s as 0s (0 belongs by convention,
-encoding the empty path).  All functions here work on plain ints with
-exact arithmetic, so values beyond 2**64 are handled correctly.
+encoding the empty path).  For t of L bits, S(j) is the balance (ones
+minus zeros) of its low j bits: t is a term iff S(j) >= 0 for j = 1..L.
+Every scalar question reads t once, a byte at a time, by `_lowest`; the
+answers follow in closed form from the lowest S(j) above t's trailing
+ones (`_tail`).  All functions work on plain ints with exact arithmetic,
+so values beyond 2**64 are handled correctly; membership, succ and pred
+also take numpy integers, through `operator.index`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 
 from .errors import DomainError, NotMember
 
 
-def is_dyck_number(v: int) -> bool:
-    """Return True iff v is a term of A036991.
+def _byte_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`lowest[c]`, the lowest balance of the low j bits of the byte c
+    over j = 0..8, and `balance[c]` = 2 * popcount(c) - 8.  Built by
+    doubling, as `levels._chunk_tables`: a new high bit adds -1 or +1 to
+    the balance and one more suffix."""
+    lowest, balance = [0], [0]
+    for _ in range(8):
+        lowest = [min(lo, b + s) for s in (-1, 1) for lo, b in zip(lowest, balance)]
+        balance = [b + s for s in (-1, 1) for b in balance]
+    return tuple(lowest), tuple(balance)
 
-    Single right-to-left scan tracking the running suffix balance
-    (ones minus zeros); rejects on the first negative value.
-    """
+
+_LOWEST, _BALANCE = _byte_tables()
+
+
+def _lowest(v: int) -> int:
+    """min(0, min over j >= 1 of S(j)) for v >= 0, a byte at a time.
+
+    The bits from v's top bit up to the next multiple of 8 are set to
+    1 first, as in `levels._chunk_lows`: no S(j) of j <= L changes, and
+    each longer one is S(L) plus ones, so the minimum is the same."""
+    n = v.bit_length()
+    k = -(-n // 8)
+    low = bal = 0
+    for c in (v | (1 << 8 * k) - (1 << n)).to_bytes(k, "little"):
+        if bal + _LOWEST[c] < low:
+            low = bal + _LOWEST[c]
+        bal += _BALANCE[c]
+    return low
+
+
+def is_dyck_number(v: int) -> bool:
+    """Return True iff v is a term of A036991: 0, or an odd v (the
+    suffix "0" has balance -1) whose every S(j) is nonnegative."""
+    v = operator.index(v)
     if v < 0:
         raise ValueError("expected a nonnegative integer")
-    if v == 0:
-        return True
-    if not v & 1:
-        return False  # the length-1 suffix "0" already has balance -1
-    bal = 0
-    while v:
-        bal += 1 if v & 1 else -1
-        if bal < 0:
-            return False
-        v >>= 1
-    return True
+    return v == 0 or v & 1 == 1 and _lowest(v) == 0
 
 
 def dynamics(v: int) -> int:
@@ -46,90 +72,97 @@ def dynamics(v: int) -> int:
     return 2 * v.bit_count() - v.bit_length()
 
 
-def _lowest_flip(t: int, bit: str, slack: int) -> tuple[int, int]:
-    """The one pass over the bits of t > 0, top bit first, behind
-    `dyck_succ` (bit "0", slack -2) and `dyck_pred` (bit "1", slack 2).
+def _tail(t: int) -> tuple[int, int]:
+    """(q, M) for t > 0: q its number of trailing ones and M the lowest
+    S(j) over q < j <= L (q - 1 when t = M_L, so q = L).
 
-    With L = t.bit_length() and R(k) the balance (ones minus zeros) of
-    bits k..L-1, the suffix of bits 0..k-1 has balance R(0) - R(k): t is
-    a term iff no R(k) exceeds R(0), else NotMember is raised.  Flipping
-    bit p of t moves the balance of bits p..k-1 by -slack, so with a
-    fill F in bits 0..p-1 the result is a term iff F has no negative
-    suffix and bal(F) >= max_{k>p} R(k) - R(p) + slack, the bound.  A
-    p-bit fill has balance at most p: p is feasible iff bound <= p.
-
-    Returns (p, bound) for the lowest feasible p holding `bit`, or
-    (L, 0) when there is none.
-    """
-    code = bin(t)[2:]
-    k = len(code)
-    p, bound = k, 0
-    r = hi = 0  # R(k) and the max of R above k (R(L) = 0)
-    for c in code:
-        k -= 1
-        r += 1 if c == "1" else -1
-        if c == bit and hi - r + slack <= k:
-            p, bound = k, hi - r + slack
-        if r > hi:
-            hi = r
-    if hi > r:  # r is now R(0)
+    S(j) = j for j <= q, bit q is 0, and above it S(j) = q - 1 + S'(j -
+    q - 1), with S' the balances of t >> (q + 1): so M = q - 1 +
+    `_lowest`(t >> (q + 1)), and t is a term iff M >= 0.  An even t has
+    q = 0 and M <= -1.  NotMember is raised for a non-term."""
+    q = (~t & t + 1).bit_length() - 1
+    m = q - 1 + _lowest(t >> q + 1)
+    if m < 0:
         raise NotMember(f"{t} is not a term of the sequence")
-    return p, bound
+    return q, m
 
 
 def dyck_succ(t: int) -> int:
-    """Smallest sequence term strictly greater than the term t, in one
-    pass over its bits.
+    """Smallest sequence term strictly greater than the term t.
 
     A larger L-bit number keeps t above a 0 bit p that it sets, so a
-    lower p gives a smaller number: the lowest feasible p wins.  Its
-    least fill of balance >= d = max(bound, 0) is 2**m - 1 with
-    m = ceil((p + d) / 2): fewer ones give too little balance, any other
-    placement of m ones is larger, and ones packed at the bottom leave no
-    suffix negative.  With no feasible p (t = M_L) the same formula at
-    p = L, d = 0 gives the least longer term, 2**L + 2**ceil(L/2) - 1.
+    lower p gives a smaller number.  Bits 0..p-1 then take a fill F of
+    balance f, and every suffix longer than p + 1 bits moves by
+    f + 2 - S(p): the result is a term iff F has no negative suffix and
+    f >= d = max(S(p) - min_{j>p} S(j) - 2, 0).  The lowest 0 bit is
+    p = q, with S(q) = q and d = max(q - M - 2, 0) <= q for a term, so
+    a q-bit fill suffices.  The least fill of balance >= d is 2**k - 1
+    with k = ceil((q + d) / 2): fewer ones give too little balance, any
+    other placement of k ones is larger, and ones packed at the bottom
+    leave no suffix negative.  For t = M_L, q = L and d = 0 give the
+    least longer term, 2**L + 2**ceil(L/2) - 1.
     """
+    t = operator.index(t)
     if t <= 0:
         _require_member(t)
         return 1
-    p, d = _lowest_flip(t, "0", -2)
-    return (t >> p | 1) << p | (1 << (p + max(d, 0) + 1) // 2) - 1
+    q, m = _tail(t)
+    return (t >> q | 1) << q | (1 << (q + max(q - m - 2, 0) + 1) // 2) - 1
 
 
 def dyck_pred(t: int) -> int:
-    """Largest sequence term strictly less than the term t, in one pass
-    over its bits.
+    """Largest sequence term strictly less than the term t.
 
     A smaller number keeps t above a 1 bit p that it clears, so a lower
-    p gives a larger number: the lowest feasible p wins.  Its fill is
-    2**p - 1, the largest p-bit number and the one of largest balance,
-    so it is valid whenever any fill is.  Clearing the top bit gives
-    M_{L-1}, the largest shorter term, feasible for every L >= 2.
+    p gives a larger number.  Its fill is 2**p - 1, the largest p-bit
+    number and the one of largest balance, so it is valid whenever any
+    fill is.  Then S(p + 1) becomes p - 1, and each longer suffix moves
+    by p - 2 - S(p) = 2 * z(p) - 2, with z(p) the zeros below p: p is
+    feasible iff p >= 1 and min_{j>p} S(j) >= 2 - 2 * z(p).  Each
+    1 <= p < q has z(p) = 0 and min_{j>p} S(j) = min(p + 1, M): all are
+    feasible if M >= 2, which needs q >= 3 as M <= q - 1, and none if
+    not.  So p = 1 when M >= 2; otherwise the lowest 1 bit above q,
+    where z(p) >= 1 and a term has no negative S(j).  For t = M_L, all
+    p < q are feasible (no j > q): M = q - 1 >= 2 for L >= 3, and for
+    t = 3 the lowest 1 bit above q, of t >> q = 0, reads p = q - 1 = 1.
     """
+    t = operator.index(t)
     if t <= 1:
         _require_member(t)
         if t == 0:
             raise DomainError("the predecessor of the initial term 0 is undefined")
         return 0
-    p, _ = _lowest_flip(t, "1", 2)
+    q, m = _tail(t)
+    if m >= 2:
+        p = 1
+    else:
+        u = t >> q
+        p = q + (u & -u).bit_length() - 1
     return t >> p + 1 << p + 1 | (1 << p) - 1
+
+
+@functools.cache
+def _shorter(k: int) -> int:
+    """The number of terms of at most k bits: 0, and C(m, floor(m/2))
+    of m + 1 bits for each m < k."""
+    return 1 + sum(math.comb(m, m // 2) for m in range(k))
 
 
 def _rank(t: int) -> int:
     """Number of sequence terms below the term t, in one pass over its
-    bits: 0, the C(m, floor(m/2)) terms of m + 1 bits for each m < L - 1,
-    and for each 1 bit p < L - 1 of t, the L-bit terms that keep t above
-    p and clear it.  As in `_lowest_flip`, their p-bit fills F have no
-    negative suffix and bal(F) >= d = max(0, max_{k>p} R(k) - R(p) + 2).
-    By the ballot theorem, C(p, j) - C(p, j + 1) such F end at balance
-    2j - p; summed over balances >= d, this telescopes to
-    C(p, ceil((p + d) / 2)).
+    bits: the `_shorter` ones, and for each 1 bit p < L - 1 of t, the
+    L-bit terms that keep t above p and clear it.  With R(k) the balance
+    of bits k..L-1, such a term's p-bit fill F has no negative suffix,
+    and its low k bits for k > p have balance bal(F) - 2 + R(p) - R(k),
+    so bal(F) >= d = max(0, max_{k>p} R(k) - R(p) + 2).  By the ballot
+    theorem, C(p, j) - C(p, j + 1) such F end at balance 2j - p; summed
+    over balances >= d, this telescopes to C(p, ceil((p + d) / 2)).
     """
     if t <= 0:
         _require_member(t)
         return 0
     k = t.bit_length() - 1
-    count = 1 + sum(math.comb(m, m // 2) for m in range(k))
+    count = _shorter(k)
     r = hi = 1  # R(k) and the max of R above k, after the leading 1
     for c in bin(t)[3:]:
         k -= 1

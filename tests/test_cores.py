@@ -239,6 +239,22 @@ def test_decompose_singletons_stay_bare():
     assert format_expr(expr) == "(543)"
 
 
+def test_decompose_matches_only_shapes_that_fit(monkeypatch):
+    # No shape longer than the run up to the current top reaches the matcher.
+    lib, fits = standard_library(12), []
+    real_match_at = cores._match_at
+
+    def match_at(run, i, shape):
+        fits.append(shape.cardinality <= i + 1)
+        return real_match_at(run, i, shape)
+
+    monkeypatch.setattr(cores, "_match_at", match_at)
+    rendered = [format_expr(decompose(s, lib)) for s in subsegments(core(14))]
+    assert rendered[0] == "(8319) ⊕ μ12/1(8575)^2 ⊕ μ10(8703)"
+    assert rendered[3] == "μ10(9855) ⊕ μ12/4(10239)^3"
+    assert fits and all(fits)
+
+
 @given(st.integers(min_value=4, max_value=12), st.data())
 @settings(max_examples=60, deadline=None)
 def test_decompose_round_trip_on_level_slices(n, data):

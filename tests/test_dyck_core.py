@@ -1,10 +1,12 @@
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dycknums import dyck_core
 from dycknums.dyck_core import (
     TermClass,
     _rank,
@@ -16,7 +18,7 @@ from dycknums.dyck_core import (
     succ_of_mersenne,
 )
 from dycknums.errors import DomainError, NotMember
-from dycknums.levels import level_scan, level_structural
+from dycknums.levels import _balance_ok, level_index, level_scan, level_size, level_structural
 from dycknums.oeis_ref import parse_bfile
 
 from conftest import FIRST_48
@@ -265,3 +267,164 @@ def test_rank_differences_count_terms_between_in_large_levels(n):
     for _ in range(200):
         i, j = sorted(rng.randrange(len(level)) for _ in range(2))
         assert _rank(int(level[j])) - _rank(int(level[i])) == j - i
+
+
+def test_shorter_counts_the_terms_below_each_level():
+    # `_rank`'s cached prefix: the term 0 and every level of fewer bits.
+    for k in range(0, 40):
+        assert dyck_core._shorter(k) == 1 + sum(level_size(n) for n in range(1, k + 1))
+
+
+# -- the chunked suffix scan behind every scalar query ----------------------
+
+
+def oracle_class(t: int) -> TermClass:
+    """The class of a term from the string oracle on its neighbours at
+    distance 2, as `classify` defines it."""
+    if t <= 1:
+        return TermClass.ORIGIN
+    below, above = suffix_balance_oracle(t - 2), suffix_balance_oracle(t + 2)
+    if below and above:
+        return TermClass.TRIPLET_MIDDLE
+    if below:
+        return TermClass.TRIPLET_TOP
+    return TermClass.TRIPLET_LOW if above else TermClass.ROOT
+
+
+def oracle_neighbour(t: int, step: int) -> int:
+    """The next term from t in the direction of step (+1 or -1), by
+    stepping the string oracle one value at a time."""
+    v = t + step
+    while not suffix_balance_oracle(v):
+        v += step
+    return v
+
+
+@st.composite
+def terms_and_near_members(draw):
+    """A term of 1 to 300 bits, or one with one bit flipped, the bit
+    above the top included; a flipped term may still be a term."""
+    t = draw(terms_up_to_300_bits())
+    if draw(st.booleans()):
+        return t
+    return t ^ 1 << draw(st.integers(min_value=0, max_value=t.bit_length()))
+
+
+def assert_scalar_queries_agree_with_oracles(v: int) -> None:
+    """Membership by the string oracle; for a term, succ and pred are
+    terms one rank away (stepped to by the oracle when the term has at
+    most 16 bits), and classify and level_index agree with the oracle;
+    for a non-term, every query raises NotMember."""
+    member = suffix_balance_oracle(v)
+    assert is_dyck_number(v) is member
+    if not member:
+        for query in (dyck_succ, dyck_pred, classify, level_index, _rank):
+            with pytest.raises(NotMember):
+                query(v)
+        return
+    s = dyck_succ(v)
+    assert s > v and suffix_balance_oracle(s)
+    assert _rank(s) == _rank(v) + 1
+    if v:
+        p = dyck_pred(v)
+        assert p < v and suffix_balance_oracle(p)
+        assert _rank(p) == _rank(v) - 1
+    if v.bit_length() <= 16:
+        assert s == oracle_neighbour(v, 1)
+        assert not v or dyck_pred(v) == oracle_neighbour(v, -1)
+    assert classify(v) is oracle_class(v)
+    assert level_index(v) == v.bit_length()
+
+
+@given(terms_and_near_members())
+@example(0)
+@example(2)
+@example(3)
+@example((1 << 300) - 1)
+@example((1 << 300) - 2)
+@example(1 << 299)
+@example(succ_of_mersenne(299))
+@example(succ_of_mersenne(299) - (1 << 150))
+@settings(max_examples=300, deadline=None)
+def test_scalar_queries_agree_with_the_string_oracle(v):
+    assert_scalar_queries_agree_with_oracles(v)
+
+
+@pytest.mark.parametrize("query", [is_dyck_number, dyck_succ, dyck_pred, classify, level_index])
+@pytest.mark.parametrize("v", [-1, -2, -(1 << 70) - 1])
+def test_scalar_queries_reject_negative_values(query, v):
+    with pytest.raises(ValueError):
+        query(v)
+
+
+@pytest.mark.parametrize("query", [is_dyck_number, dyck_succ, dyck_pred, classify])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_scalar_queries_take_numpy_integers(query, dtype):
+    # Terms read from a level array, a non-term and 1, as numpy scalars.
+    for v in [*level_structural(10).arr[[0, 5, -1]].tolist(), 9, 1]:
+        assert answer(query, dtype(v)) == answer(query, v), (query.__name__, v)
+    assert int(dyck_succ(dtype(511))) == 543 and int(dyck_pred(dtype(543))) == 511
+
+
+def answer(query, v: int):
+    """The query's answer at v, or the type of the error it raised
+    (`classify` asserts its triplets, which a broken scan can break)."""
+    try:
+        return query(v)
+    except (NotMember, AssertionError) as exc:
+        return type(exc)
+
+
+def scan_mismatches_below_2_16() -> list[tuple[str, int]]:
+    """Each query of `dyck_core` that disagrees, on some v < 2**16, with
+    the vector predicate `levels._balance_ok(v, v.bit_length())` or
+    with the neighbours and classes read off its member list."""
+    values = np.arange(1 << 16, dtype=np.int64)
+    member = np.empty(len(values), dtype=bool)
+    for n in range(17):
+        lo, hi = (1 << n) >> 1, 1 << n
+        member[lo:hi] = _balance_ok(values[lo:hi], n)
+    found = [("is_dyck_number", v) for v in range(1 << 16) if is_dyck_number(v) != member[v]]
+    terms = np.flatnonzero(member).tolist()
+    found += [("dyck_succ", t) for t, s in zip(terms, terms[1:]) if answer(dyck_succ, t) != s]
+    found += [("dyck_pred", s) for t, s in zip(terms, terms[1:]) if answer(dyck_pred, s) != t]
+    near = member.tolist() + [False] * 2
+    for t in terms[2:-1]:
+        expected = (
+            TermClass.TRIPLET_MIDDLE if near[t - 2] and near[t + 2]
+            else TermClass.TRIPLET_TOP if near[t - 2]
+            else TermClass.TRIPLET_LOW if near[t + 2]
+            else TermClass.ROOT
+        )
+        if answer(classify, t) is not expected:
+            found.append(("classify", t))
+    return found
+
+
+def test_scalar_queries_agree_with_the_vector_predicate_below_2_16():
+    assert scan_mismatches_below_2_16() == []
+
+
+def corrupt(table: tuple[int, ...], c: int, by: int) -> tuple[int, ...]:
+    return table[:c] + (table[c] + by,) + table[c + 1 :]
+
+
+@pytest.mark.parametrize(
+    "name,c,by",
+    [
+        ("_LOWEST", 0xFF, -1),  # 255 is a term; its scan would read -1
+        ("_LOWEST", 0b10101010, 1),  # 0xAA0F dips to -1 at bit 8, read as 0
+        ("_BALANCE", 0xFF, -2),  # 0x80FF would dip below 0 in its top byte
+        ("_BALANCE", 0b01010111, 2),  # a low byte of balance 2 read as 4
+    ],
+)
+def test_a_corrupted_table_entry_fails_the_exhaustive_test(monkeypatch, name, c, by):
+    monkeypatch.setattr(dyck_core, name, corrupt(getattr(dyck_core, name), c, by))
+    assert scan_mismatches_below_2_16()
+
+
+def test_byte_tables_match_their_definition():
+    for c in range(256):
+        balances = [2 * (c & (1 << j) - 1).bit_count() - j for j in range(9)]
+        assert dyck_core._LOWEST[c] == min(balances)
+        assert dyck_core._BALANCE[c] == balances[-1]

@@ -3,6 +3,7 @@ module-level function and class is read somewhere else in the package
 or exported by `__init__`."""
 
 import ast
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -91,6 +92,22 @@ def test_patterns_is_the_algebra_alone():
     found = package_imports("patterns")
     assert "report" not in found
     assert found["levels"] <= {"TermArray", "_balance_ok", "mersenne"}
+
+
+def test_dyck_core_imports_only_the_standard_library_and_errors():
+    # The scalar path stays free of numpy, and of its import cost.
+    path = Path(dycknums.__file__).parent / "dyck_core.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    # A relative import has an empty first part, never a standard module.
+    outside = [
+        m for m in imported if m != ".errors" and m.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not outside, f"dyck_core imports {outside}"
 
 
 def test_conjectures_takes_only_the_copy_layout_from_patterns():
