@@ -396,7 +396,13 @@ def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        shown = repr(text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}")
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < len(text) and text.strip().lstrip("+-").replace("_", "").isdecimal():
+            message = f"{shown} has more than {limit} digits (sys.get_int_max_str_digits())"
+        else:
+            message = f"{shown} is not an integer"
+        raise argparse.ArgumentTypeError(message) from None
     if value < 0:
         raise argparse.ArgumentTypeError("value must be nonnegative")
     return value

@@ -6,10 +6,12 @@ binary code contains at least as many 1s as 0s (0 belongs by convention,
 encoding the empty path).  For t of L bits, S(j) is the balance (ones
 minus zeros) of its low j bits: t is a term iff S(j) >= 0 for j = 1..L.
 Every scalar question reads t once, a byte at a time, by `_lowest`; the
-answers follow in closed form from the lowest S(j) above t's trailing
-ones (`_tail`).  All functions work on plain ints with exact arithmetic,
-so values beyond 2**64 are handled correctly; membership, succ and pred
-also take numpy integers, through `operator.index`.
+answers, classification included, follow in closed form from the lowest
+S(j) above t's trailing ones (`_tail`).  `classify` scans one more value
+for a triplet end, the far end it asserts.  All functions work on plain
+ints with exact arithmetic, so values beyond 2**64 are handled
+correctly; the queries also take numpy integers, through
+`operator.index`.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def dynamics(v: int) -> int:
 
     dynamics(0) == 0 by convention.
     """
+    v = operator.index(v)
     if v < 0:
         raise ValueError("expected a nonnegative integer")
     return 2 * v.bit_count() - v.bit_length()
@@ -166,10 +169,13 @@ def _rank(t: int) -> int:
     r = hi = 1  # R(k) and the max of R above k, after the leading 1
     for c in bin(t)[3:]:
         k -= 1
-        r += 1 if c == "1" else -1
         if c == "1":
-            count += math.comb(k, (k + max(hi - r + 2, 0) + 1) // 2)
-        hi = max(hi, r)
+            r += 1  # hi >= r - 1, so d = hi - r + 2 >= 1
+            count += math.comb(k, (k + hi - r + 3) // 2)
+            if r > hi:
+                hi = r
+        else:
+            r -= 1
     if hi > r:
         raise NotMember(f"{t} is not a term of the sequence")
     return count
@@ -198,22 +204,29 @@ def classify(t: int) -> TermClass:
     """Classify a term as Origin, Root, or triplet position.
 
     A root r > 1 has neither r-2 nor r+2 in the sequence; triplet terms
-    have at least one neighbour at distance 2.
+    have at least one neighbour at distance 2.  t +- 1 are even, so t + 2
+    is a term iff it is `dyck_succ`(t) = t + 2**k, k = ceil((q + d) / 2):
+    iff q <= 2 (where d = 0, as M >= 0).  t - 2 is a term iff it is
+    `dyck_pred`(t), which clears bit 1 if M >= 2 or t = 3 and else is
+    t - 2**q: iff q = 1, M >= 2 or t = 3.  As M <= q - 1, M >= 2 needs
+    q >= 3.  So q = 1 and t = 3 are middles, any other q = 2 is a low,
+    and q >= 3 is a top if M >= 2 and a root if not.  A triplet end
+    scans t -+ 4 as well: no run of adjacent terms has length 2.
     """
-    _require_member(t)
+    t = operator.index(t)
     if t <= 1:
+        _require_member(t)
         return TermClass.ORIGIN
-    below = is_dyck_number(t - 2)
-    above = is_dyck_number(t + 2)
-    if not below and not above:
-        return TermClass.ROOT
-    if below and above:
+    q, m = _tail(t)
+    if q == 1 or t == 3:
         return TermClass.TRIPLET_MIDDLE
-    if below:
-        assert is_dyck_number(t - 4), f"term {t} ends a run of length 2"
-        return TermClass.TRIPLET_TOP
-    assert is_dyck_number(t + 4), f"term {t} starts a run of length 2"
-    return TermClass.TRIPLET_LOW
+    if q == 2:
+        assert is_dyck_number(t + 4), f"term {t} starts a run of length 2"
+        return TermClass.TRIPLET_LOW
+    if m < 2:
+        return TermClass.ROOT
+    assert is_dyck_number(t - 4), f"term {t} ends a run of length 2"
+    return TermClass.TRIPLET_TOP
 
 
 def _require_member(t: int) -> None:

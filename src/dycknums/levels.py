@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -147,6 +148,7 @@ assert mersenne(MAX_MATERIALIZED_LEVEL) <= np.iinfo(TERM_DTYPE).max
 
 def level_index(t: int) -> int:
     """Binary code length of a term; 0 for the term 0."""
+    t = operator.index(t)
     if not is_dyck_number(t):
         raise NotMember(f"{t} is not a term of the sequence")
     return t.bit_length()

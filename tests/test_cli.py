@@ -132,6 +132,20 @@ def test_query_succ_pred_reject_non_members(capsys, op, term):
     assert "not a term" in err
 
 
+@pytest.mark.parametrize(
+    "sign,tail,message",
+    [("", "", "has more than {} digits"), ("-", "", "has more than {} digits"),
+     ("", "x", "is not an integer")],
+)
+def test_query_of_a_long_argument_is_reported_in_short(capsys, sign, tail, message):
+    limit = sys.get_int_max_str_digits()  # int() refuses longer decimal strings
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "succ", sign + "9" * (limit + 700) + tail])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message.format(limit) in err and len(err) < 400
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen"])

@@ -156,6 +156,39 @@ def test_classify_consistency_over_prefix():
         t = dyck_succ(t)
 
 
+def counted_scans(monkeypatch) -> list[int]:
+    """The values `dyck_core._lowest` scans from now on, in call order."""
+    scanned, lowest = [], dyck_core._lowest
+    monkeypatch.setattr(dyck_core, "_lowest", lambda v: scanned.append(v) or lowest(v))
+    return scanned
+
+
+def test_classify_scans_a_term_once_and_a_triplet_end_twice(monkeypatch):
+    terms = level_structural(12).terms + (succ_of_mersenne(299), (1 << 300) - 1)
+    scanned = counted_scans(monkeypatch)
+    seen = set()
+    for t in terms:
+        scanned.clear()
+        kind = classify(t)
+        seen.add(kind)
+        ends = kind in (TermClass.TRIPLET_TOP, TermClass.TRIPLET_LOW)
+        assert len(scanned) == 1 + ends, (t, kind, scanned)
+    assert seen == set(TermClass) - {TermClass.ORIGIN}
+
+
+@pytest.mark.parametrize(
+    "t,far",
+    [(15, 11), (11, 15), (2015, 2011), (2011, 2015),
+     ((1 << 300) - 1, (1 << 300) - 5), ((1 << 300) - 5, (1 << 300) - 1)],
+)
+def test_classify_asserts_the_far_end_of_a_triplet(monkeypatch, t, far):
+    assert classify(t) in (TermClass.TRIPLET_TOP, TermClass.TRIPLET_LOW)
+    member = dyck_core.is_dyck_number
+    monkeypatch.setattr(dyck_core, "is_dyck_number", lambda v: v != far and member(v))
+    with pytest.raises(AssertionError, match="a run of length 2"):
+        classify(t)
+
+
 def assert_succ_pred_walk_levels(max_n):
     """succ and pred map each pair of consecutive scanned terms onto each
     other, over levels 1..max_n and across their boundaries."""
@@ -357,7 +390,9 @@ def test_scalar_queries_reject_negative_values(query, v):
         query(v)
 
 
-@pytest.mark.parametrize("query", [is_dyck_number, dyck_succ, dyck_pred, classify])
+@pytest.mark.parametrize(
+    "query", [is_dyck_number, dyck_succ, dyck_pred, classify, level_index, dynamics]
+)
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
 def test_scalar_queries_take_numpy_integers(query, dtype):
     # Terms read from a level array, a non-term and 1, as numpy scalars.
