@@ -22,14 +22,16 @@ import numpy as np
 
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
-from .errors import BoundError, DyckError, UsageError
+from .errors import BoundError, DomainError, DyckError, UsageError
 from .levels import (DEFAULT_SCAN_BOUND, _level_blocks, _stream_blocks, level_index, level_scan,
-                     level_size, level_structural)
-from .patterns import Pattern
+                     level_size, mersenne, subsegment_bounds)
 from .report import (RECORD_HEADER, Counterexample, VerificationOutcome, check,
                      first_block_mismatch, first_mismatch)
 
 DEFAULT_MAX_N = 22
+# The one bound of `decompose --core N` and `--level N`, set by the size of
+# its output: 9.7 MB at the 36-core, 36 MB at the 38-core (a level: < 1 KB).
+DECOMPOSE_MAX_N = 36
 STANDARD_SEQUENCES = (
     "A036991",
     "A002054",
@@ -307,18 +309,23 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    n = args.core if args.core is not None else args.level
+    if n > DECOMPOSE_MAX_N:
+        raise BoundError(f"{n} exceeds the bound {DECOMPOSE_MAX_N} of decompose, "
+                         "set by its output: the 38-core alone prints 36 MB")
     if args.core is not None:
-        n = args.core
-        target = cores.core(n)
+        if n < 6 or n % 2:
+            raise DomainError("cores exist for even n >= 6")
         library = cores.standard_library(max(n - 2, 4))
-        for seg in target.segments or ():
-            print(cores.format_expr(cores.decompose(Pattern(seg), library)))
-        print(cores.format_expr(cores.decompose(Pattern(target.arr), library)))
+        runs = [subsegment_bounds(n, i) for i in range(4)] if n >= 10 else []
+        runs.append((mersenne(n - 1), cores.core_top(n)))
     else:
-        n = args.level
-        terms = Pattern(level_structural(n).arr)
+        if n < 1:
+            raise DomainError("n must be >= 1")
         library = cores.standard_library(n if n % 2 == 0 else n - 1)
-        print(cores.format_expr(cores.decompose(terms, library)))
+        runs = [(mersenne(n - 1), mersenne(n))]
+    for lo, hi in runs:
+        print(cores.format_expr(cores.decompose(range(lo + 1, hi + 1), library)))
     return 0
 
 

@@ -9,31 +9,33 @@ four equal value intervals (subsegments) of length 2**(n-5).  The
 fragment rule lives in `levels`, which builds a core from level n-2.
 
 Runs of terms are decomposed against a library of named shapes
-(triplet, level and core patterns) by greedy longest match from the
-senior term downwards; the result is an expression tree of joins,
-powers, named pattern copies and leftover singletons that evaluates
-back to the input exactly.
+(triplet, level and core patterns), each one class of terms with a
+fixed prefix and m free low bits, by descent over the classes of the
+run's level; the pieces of a whole class are memoized, as a class of
+equal key is their translate.  The result is an expression tree of
+joins, powers, named pattern copies and leftover singletons that
+evaluates back to the input exactly.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck_core import dyck_pred, dynamics, is_dyck_number
+from .dyck_core import _lowest, dynamics, is_dyck_number
 from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
     Fragment,
     TermArray,
-    _BLOCK,
     _F00_MIN_DYNAMICS,
     _core_array,
     _f00_mask,
+    _level_blocks,
     core_top,
     level_size,
-    level_structural,
     subsegment_bounds,
 )
 from .oeis_ref import catalan
@@ -136,45 +138,88 @@ def core_subsequence(max_n: int) -> tuple[int, ...]:
 # -- decomposition ----------------------------------------------------------
 
 
+def _class_ends(base: int, m: int, theta: int) -> tuple[int, int]:
+    """First and top term of the class (P, m, theta), base = P * 2**m.
+
+    The class holds the terms P * 2**m + z, z of m bits (leading zeros
+    allowed) with no negative suffix balance and bal(z) >= theta, theta
+    being minus P's lowest suffix balance, floored at 0 and raised by 1
+    to m's parity: C(m, (m + theta) / 2) terms, the least with its
+    (m + theta) / 2 ones at the bottom.  Classes of equal (m, theta) are
+    translates.  The 1-child (P1, m - 1) has theta' = |theta - 1|, the
+    0-child theta + 1.  A class of two or more terms (theta <= m - 2)
+    spans 2**m: P * 2**m - 1 is a term, so it is the first term's
+    predecessor.  For P = Q10^r, P - 1 = Q01^r, whose suffix balances
+    past its r low bits are P's plus 2r - 2 >= -theta - 2 >= -m, and m
+    ones lie below them."""
+    return base + (1 << (m + theta) // 2) - 1, base + (1 << m) - 1
+
+
 @dataclass(frozen=True, eq=False)
 class NamedShape:
-    """A reusable pattern shape: its source run, whose offsets below its
-    top any copy must repeat, plus the span that the copy must preserve."""
+    """A reusable pattern shape: the class (prefix, m, theta) of its
+    terms, and the span, its top minus the predecessor of its first
+    term, that a copy must preserve."""
 
     name: str
-    source: Pattern
+    prefix: int
+    m: int
+    theta: int
     span: int
 
     @property
+    def level(self) -> int:
+        return self.prefix.bit_length() + self.m
+
+    @property
     def cardinality(self) -> int:
-        return len(self.source)
+        return math.comb(self.m, (self.m + self.theta) // 2)
 
     @functools.cached_property
-    def sides(self) -> tuple[int, int]:
-        """The shape's side of `_match_at`'s two scalar checks, as ints:
-        its top minus its first term, and minus the term below its top
-        (0 for a single term, where that check is not made)."""
-        src = self.source.arr
-        top = int(src[-1])
-        return top - int(src[0]), top - int(src[-2]) if len(src) > 1 else 0
+    def source(self) -> Pattern:
+        """The shape's own run, read from its level on first use."""
+        first, top = _class_ends(self.prefix << self.m, self.m, self.theta)
+        blocks = _level_blocks(self.level, first - 1, top)
+        return Pattern(np.concatenate([block.astype(np.int64) for block in blocks]))
 
 
 class PatternLibrary:
-    """Registry of named shapes used by `decompose`.
+    """Registry of named shapes used by `decompose`, each one class.
 
-    Registration order does not matter: matching tries larger
-    cardinality first, breaking ties towards the shape defined at the
-    higher level.
+    Registration order does not matter: of shapes with equal (m, theta),
+    the one defined at the higher level is used, then the first by name.
+    The library keeps the decomposition of each whole class it has met
+    for as long as it lives.
     """
 
     def __init__(self) -> None:
         self._shapes: dict[str, NamedShape] = {}
+        self._by_class: dict[tuple[int, int], list[NamedShape]] = {}
+        self._memo: dict[tuple[int, int], tuple[tuple[str | None, int], ...]] = {}
 
     def register(self, name: str, pattern: Pattern) -> NamedShape:
+        """Add a pattern that is exactly one class, as its own source;
+        raise ValueError for any other run."""
+        first, top = int(pattern.arr[0]), pattern.top
+        m = (first ^ top).bit_length()
+        prefix, low = top >> m, -_lowest(top >> m)
+        theta = low + ((low ^ m) & 1)
+        if _class_ends(prefix << m, m, theta) != (first, top):
+            raise ValueError(f"shape {name!r} is not one class of terms")
+        shape = self._add(name, prefix, m, theta, pattern_len(pattern))
+        shape.__dict__["source"] = pattern  # the run given, not a copy
+        return shape
+
+    def _add(self, name: str, prefix: int, m: int, theta: int, span: int) -> NamedShape:
         if name in self._shapes:
             raise ValueError(f"shape {name!r} is already registered")
-        shape = NamedShape(name=name, source=pattern, span=pattern_len(pattern))
+        shape = NamedShape(name, prefix, m, theta, span)
         self._shapes[name] = shape
+        if shape.cardinality >= 2:  # a lone term prints as itself
+            same = self._by_class.setdefault((m, theta), [])
+            same.append(shape)
+            same.sort(key=_priority)
+        self._memo.clear()
         return shape
 
     def __getitem__(self, name: str) -> NamedShape:
@@ -187,26 +232,75 @@ class PatternLibrary:
         return tuple(self._shapes)
 
     def by_priority(self) -> list[NamedShape]:
-        return sorted(
-            self._shapes.values(), key=lambda s: (-s.cardinality, -s.source.level, s.name)
-        )
+        return sorted(self._shapes.values(), key=_priority)
+
+    def _pieces(self, m: int, theta: int) -> tuple[tuple[str | None, int], ...]:
+        """The pieces of a whole class, each a shape name (None for a
+        single term) and its top's offset below the class top, from the
+        top down; () for an empty class.  A shape of the class's (m,
+        theta) and two or more terms names it, with no span test, as
+        both span 2**m (`_class_ends`); else one term stands alone, and
+        any other class is its 1-child's pieces, then its 0-child's.
+
+        Memoized by (m, theta): the shape depends on (m, theta) alone,
+        and so do the children's (m, theta) and the offsets of their
+        tops (0 and 2**(m - 1)), so by induction on m classes of equal
+        (m, theta) have their pieces at equal offsets."""
+        key = (m, theta)
+        pieces = self._memo.get(key)
+        if pieces is None:
+            if theta > m:
+                return ()
+            name = next((s.name for s in self._by_class.get(key, ())), None)
+            if name is not None or m == 0:
+                pieces = ((name, 0),)
+            else:
+                half = 1 << m - 1
+                pieces = self._pieces(m - 1, abs(theta - 1)) + tuple(
+                    (name, offset + half) for name, offset in self._pieces(m - 1, theta + 1)
+                )
+            self._memo[key] = pieces
+        return pieces
+
+    def _descend(self, lo: int, hi: int) -> list[tuple[str | None, int]]:
+        """(name, top) of each piece of the terms of hi's level in (lo,
+        hi], from the top down: the classes of the level that the bounds
+        cut are split, at most one per bit at each end, and each whole
+        class inside is decomposed by `_pieces`."""
+        m = hi.bit_length() - 1
+        stack = [(1 << m, m, m & 1)]  # the level: prefix 1, no negative suffix
+        out: list[tuple[str | None, int]] = []
+        while stack:
+            base, m, theta = stack.pop()
+            first, top = _class_ends(base, m, theta)
+            if theta > m or top <= lo or first > hi:
+                continue
+            if lo < first and top <= hi:
+                out.extend((name, top - offset) for name, offset in self._pieces(m, theta))
+                continue
+            stack += [(base, m - 1, theta + 1), (base + (1 << m - 1), m - 1, abs(theta - 1))]
+        return out
+
+
+def _priority(shape: NamedShape) -> tuple[int, int, str]:
+    """Larger cardinality first, then the shape defined at the higher level."""
+    return -shape.cardinality, -shape.level, shape.name
 
 
 def standard_library(max_core: int = 10) -> PatternLibrary:
     """The shape library described by the decompositions themselves:
-    the triplet and 6-level patterns, the small cores, and for every
-    even k in [12, max_core] the k-core with its first and top
-    subsegments, each valid by construction and not revalidated."""
+    the triplet and 6-level patterns (level 4 and level 6), and for
+    every even k in [6, max_core] the k-core (prefix 100), with, from
+    k = 12, its first and top subsegments (prefixes 10000 and 10011).
+    Each is recorded as its class in closed form; no term is made."""
     lib = PatternLibrary()
-    lib.register("π4", Pattern(level_structural(4).arr))
-    lib.register("π6", Pattern(level_structural(6).arr))
-    for k in range(6, min(max_core, 10) + 1, 2):
-        lib.register(f"μ{k}", Pattern(core(k).arr))
-    for k in range(12, max_core + 1, 2):
-        c = core(k)
-        lib.register(f"μ{k}/1", Pattern(c.segments[0]))
-        lib.register(f"μ{k}/4", Pattern(c.segments[3]))
-        lib.register(f"μ{k}", Pattern(c.arr))
+    lib._add("π4", 0b1, 3, 1, 8)
+    lib._add("π6", 0b1, 5, 1, 32)
+    for k in range(6, max_core + 1, 2):
+        lib._add(f"μ{k}", 0b100, k - 3, 3, 1 << k - 3)
+        if k >= 12:
+            lib._add(f"μ{k}/1", 0b10000, k - 5, 5, 1 << k - 5)
+            lib._add(f"μ{k}/4", 0b10011, k - 5, 1, 1 << k - 5)
     return lib
 
 
@@ -243,74 +337,31 @@ class Join:
 DecompositionExpr = NamedPattern | Singleton | Power | Join
 
 
-def _match_at(run: np.ndarray, i: int, shape: NamedShape) -> bool:
-    """True when the last `shape.cardinality` terms ending at index i
-    are a verified copy of the shape (same offsets, same span).
-
-    Two scalar checks (the first term and the one below the top,
-    against the shape's `sides`) reject most candidates before the
-    window is compared with the shape's source in place, one `_BLOCK`
-    of each at a time: `top - run[j]` against `src[-1] - src[b]`.  Each
-    difference is taken in its own array's dtype, so object runs above
-    the int64 range stay exact and no int32 term meets an int64 one
-    before it is compared."""
-    src = shape.source.arr
-    k = len(src)
-    if k > i + 1:
-        return False
-    first_side, below_side = shape.sides
-    top, lo, last = run[i], i - k + 1, src[-1]
-    if top - run[lo] != first_side:
-        return False
-    if k > 1 and top - run[i - 1] != below_side:
-        return False
-    for b in range(0, k, _BLOCK):
-        part = src[b : b + _BLOCK]
-        if not (top - run[lo + b : lo + b + len(part)] == last - part).all():
-            return False
-    first = int(run[lo])
-    if first <= 0:
-        return False
-    return dyck_pred(first) == int(top) - shape.span
-
-
 def decompose(
-    terms: Pattern | tuple[int, ...] | list[int] | np.ndarray, library: PatternLibrary
+    terms: range | Pattern | tuple[int, ...] | list[int] | np.ndarray, library: PatternLibrary
 ) -> DecompositionExpr:
-    """Greedy decomposition of a contiguous run against the library,
-    working from the senior term downwards.  A `Pattern` is taken as the
-    valid run it is; any other input is validated first.  Single-term
-    shapes never match (a lone term prints as itself), and adjacent
-    matches of the same shape collapse into a power.
-    """
-    run = terms.arr if isinstance(terms, Pattern) else make_pattern(terms).arr
-    # Longest first: shapes[start:] are those that fit in run[: i + 1].
-    shapes = [s for s in library.by_priority() if s.cardinality >= 2]
-    pieces: list[NamedPattern | Singleton] = []
-    i, start = len(run) - 1, 0
-    while i >= 0:
-        while start < len(shapes) and shapes[start].cardinality > i + 1:
-            start += 1
-        matched = None
-        for shape in shapes[start:]:
-            if _match_at(run, i, shape):
-                matched = shape
-                break
-        if matched is None:
-            pieces.append(Singleton(int(run[i])))
-            i -= 1
-        else:
-            pieces.append(NamedPattern(matched.name, int(run[i])))
-            i -= matched.cardinality
-    pieces.reverse()
+    """Decomposition of a contiguous run of one level against the
+    library, by descent over the classes of the level (`_descend`).  A
+    `range` stands for the terms in it and is read from its bounds
+    alone; a `Pattern` is taken as the valid run it is; any other input
+    is validated first.  Adjacent copies of the same shape collapse into
+    a power.  The result is the greedy longest match from the senior
+    term down (the tests keep that matcher as the oracle)."""
+    if isinstance(terms, range):
+        if terms.step != 1 or not terms or terms.start.bit_length() != terms[-1].bit_length():
+            raise ValueError("a range of terms must ascend by 1 within one binary length")
+        lo, hi = terms.start - 1, terms[-1]
+    else:
+        run = terms.arr if isinstance(terms, Pattern) else make_pattern(terms).arr
+        lo, hi = int(run[0]) - 1, int(run[-1])
+    pieces = library._descend(lo, hi) if hi else [(None, 0)]
+    if not pieces:
+        raise ValueError(f"no term lies in ({lo}, {hi}]")
 
     parts: list[DecompositionExpr] = []
-    for piece in pieces:
-        if (
-            isinstance(piece, NamedPattern)
-            and parts
-            and isinstance(parts[-1], (NamedPattern, Power))
-        ):
+    for name, top in reversed(pieces):
+        piece = Singleton(top) if name is None else NamedPattern(name, top)
+        if name is not None and parts and isinstance(parts[-1], (NamedPattern, Power)):
             prev = parts[-1]
             prev_name = prev.name if isinstance(prev, NamedPattern) else prev.child.name
             if prev_name == piece.name:

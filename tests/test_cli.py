@@ -381,8 +381,6 @@ def test_verify_max_n_31_and_32_are_planned(max_n):
     [
         (("gen", "--level", "33"), 32),  # level 33 comes from level 32
         (("gen", "--core", "34"), 32),  # the 34-core comes from level 32
-        (("decompose", "--level", "31"), 31),
-        (("decompose", "--core", "34"), 32),
     ],
 )
 def test_structural_bound_breach_is_usage_error(no_block, capsys, argv, level):
@@ -392,6 +390,37 @@ def test_structural_bound_breach_is_usage_error(no_block, capsys, argv, level):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"level {level} exceeds the bound 30 on materialized levels" in captured.err
+
+
+@pytest.mark.parametrize("argv", [("decompose", "--level", "37"), ("decompose", "--core", "38")])
+def test_decompose_beyond_its_bound_is_usage_error(monkeypatch, capsys, argv):
+    # Refused up front, before any library is made.
+    def no_library(max_core):
+        raise AssertionError("a library was made")
+
+    monkeypatch.setattr(cores, "standard_library", no_library)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-1]} exceeds the bound 36 of decompose" in captured.err
+
+
+def test_decompose_at_its_bound_keeps_no_memo(monkeypatch, capsys):
+    # `decompose --level 36` is answered, and its library's memo goes
+    # with the command: nothing made for it stays reachable.
+    made = []
+    real = cores.standard_library
+    monkeypatch.setattr(cores, "standard_library", lambda n: made.append(real(n)) or made[-1])
+    code, out, _ = run(capsys, "decompose", "--level", "36")
+    assert code == 0
+    assert out.startswith("μ36(") and out.endswith("^3\n")
+    lib = made.pop()
+    # Only the local name holds the library, and only the library its
+    # memo (each count includes getrefcount's own argument).
+    counts = sys.getrefcount(lib), sys.getrefcount(lib._memo)
+    assert counts == (2, 2) and len(lib._memo) > 0
 
 
 def test_gen_level_0_is_a_domain_error(no_block, capsys):
@@ -630,16 +659,35 @@ def test_verify_all_max_n_30_peak_stays_under_200_mb():
 
 
 @pytest.mark.slow
-def test_decompose_core_30_peak_stays_under_250_mb():
-    # Each shape is matched in place, a block of its window at a time;
-    # with an offsets copy of every shape and whole-window temporaries
-    # the run peaked at 283 MB.
+def test_decompose_core_30_peak_stays_under_50_mb():
+    # No core, level or library source is made: the run peaked at 36 MB,
+    # against 228 MB for the array matcher that needed them resident.
     code, out, peak_kib = run_cli_fresh("decompose", "--core", "30")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "23e3a2d18df6205a66e8ea0e7f24ee3d412cfd1a7f50844970e46ad2d33602f0"
     )
-    assert peak_kib < 250 * 1024
+    assert peak_kib < 50 * 1024
+
+
+@pytest.mark.slow
+def test_decompose_core_32_peak_stays_under_80_mb():
+    # The digest the array matcher printed at 1054 MB; now about 52 MB.
+    code, out, peak_kib = run_cli_fresh("decompose", "--core", "32")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f8e13b83a75fdcaa5180da8551824740408aeafa40e39a4d3b59f3c2be897bf4"
+    )
+    assert peak_kib < 80 * 1024
+
+
+@pytest.mark.slow
+def test_decompose_core_34_is_answered():
+    # Beyond the old bound on materialized levels: 2.6 MB of text.
+    code, out, _ = run_cli_fresh("decompose", "--core", "34")
+    assert code == 0
+    assert len(out.encode()) == 2_585_877
+    assert out.count("\n") == 5 and "μ32(" in out
 
 
 @pytest.mark.slow

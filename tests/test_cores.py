@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greedy
 from dycknums import cores, levels, patterns
 from dycknums.cores import (
     Fragment,
     Join,
     NamedPattern,
+    PatternLibrary,
     Power,
     Singleton,
     core,
@@ -24,11 +27,11 @@ from dycknums.cores import (
     standard_library,
     subsegments,
 )
-from dycknums.dyck_core import dyck_pred
+from dycknums.dyck_core import _lowest, dyck_pred
 from dycknums.errors import DomainError, LevelMismatch, NotContiguous, NotMember
-from dycknums.levels import level_structural, mersenne
+from dycknums.levels import level_structural, mersenne, subsegment_bounds
 from dycknums.oeis_ref import a002054, catalan
-from dycknums.patterns import Pattern
+from dycknums.patterns import Pattern, pattern_len
 
 CORE_SIZES = (1, 5, 21, 84, 330, 1287, 5005, 19448, 75582, 293930, 1144066, 4457400)
 
@@ -165,6 +168,38 @@ def test_standard_library_contents():
         lib.register("π4", lib["π4"].source)
 
 
+def test_standard_library_classes_name_the_runs_they_stand_for():
+    # Each closed form (prefix, m, theta, span) spans exactly the level,
+    # core or subsegment the library was once built from.
+    lib = standard_library(16)
+    runs = {"π4": level_structural(4).arr, "π6": level_structural(6).arr}
+    for k in range(6, 17, 2):
+        runs[f"μ{k}"] = core(k).arr
+        if k >= 12:
+            runs[f"μ{k}/1"], runs[f"μ{k}/4"] = core(k).segments[0], core(k).segments[3]
+    assert set(lib.names()) == set(runs)
+    for name, run in runs.items():
+        shape = lib[name]
+        assert shape.source.terms == tuple(run.tolist()), name
+        assert shape.cardinality == len(run) and shape.level == int(run[-1]).bit_length()
+        assert shape.span == pattern_len(Pattern(run)), name
+
+
+def test_register_takes_one_class_and_refuses_any_other_run():
+    lib = PatternLibrary()
+    level8 = Pattern(level_structural(8).arr)
+    shape = lib.register("λ8", level8)
+    assert (shape.prefix, shape.m, shape.theta, shape.span) == (1, 7, 1, 128)
+    assert shape.source is level8
+    assert format_expr(decompose(level8, lib)) == "λ8(255)"
+    # the same offsets two levels up: the class 101 * 2**7 + z
+    assert format_expr(decompose(range(641, 768), lib)) == "λ8(767)"
+    for run in (core(8).arr[:2], core(10).arr[1:11], level_structural(8).arr[1:]):
+        with pytest.raises(ValueError, match="not one class"):
+            lib.register("ρ", Pattern(run))
+    assert lib.names() == ("λ8",)
+
+
 def test_decompose_core_10():
     lib = standard_library(8)
     expr = decompose(core(10).terms, lib)
@@ -239,20 +274,23 @@ def test_decompose_singletons_stay_bare():
     assert format_expr(expr) == "(543)"
 
 
-def test_decompose_matches_only_shapes_that_fit(monkeypatch):
-    # No shape longer than the run up to the current top reaches the matcher.
-    lib, fits = standard_library(12), []
-    real_match_at = cores._match_at
-
-    def match_at(run, i, shape):
-        fits.append(shape.cardinality <= i + 1)
-        return real_match_at(run, i, shape)
-
-    monkeypatch.setattr(cores, "_match_at", match_at)
-    rendered = [format_expr(decompose(s, lib)) for s in subsegments(core(14))]
+def test_decompose_matches_only_shapes_that_fit():
+    # Every copy named lies inside the run and keeps its shape's span.
+    lib = standard_library(12)
+    rendered = []
+    for seg in subsegments(core(14)):
+        expr = decompose(seg, lib)
+        rendered.append(format_expr(expr))
+        parts = expr.parts if isinstance(expr, Join) else (expr,)
+        copies = [p for p in parts if isinstance(p, NamedPattern)]
+        copies += [NamedPattern(p.child.name, p.child.top - j * lib[p.child.name].span)
+                   for p in parts if isinstance(p, Power) for j in range(p.k)]
+        for copy in copies:
+            terms = evaluate(copy, lib)
+            assert set(terms) <= set(seg)
+            assert dyck_pred(terms[0]) == copy.top - lib[copy.name].span
     assert rendered[0] == "(8319) ⊕ μ12/1(8575)^2 ⊕ μ10(8703)"
     assert rendered[3] == "μ10(9855) ⊕ μ12/4(10239)^3"
-    assert fits and all(fits)
 
 
 @given(st.integers(min_value=4, max_value=12), st.data())
@@ -274,8 +312,8 @@ def test_decompose_round_trip_on_cores():
 
 
 def _match_at_scalar(terms: tuple[int, ...], i: int, shape) -> bool:
-    """The term-by-term matcher that `cores._match_at` replaced: the
-    oracle the array matcher is tested against."""
+    """The term-by-term matcher that the greedy oracle's array matcher
+    replaced, and is tested against."""
     k = shape.cardinality
     if k > i + 1:
         return False
@@ -308,8 +346,8 @@ def _assert_matchers_agree(run: np.ndarray, lib) -> int:
     for shape in lib.by_priority():
         for i in range(len(terms)):
             expected = _outcome(_match_at_scalar, terms, i, shape)
-            assert _outcome(cores._match_at, run, i, shape) == expected, (shape.name, i)
-            assert _outcome(cores._match_at, exact, i, shape) == expected, (shape.name, i)
+            assert _outcome(greedy._match_at, run, i, shape) == expected, (shape.name, i)
+            assert _outcome(greedy._match_at, exact, i, shape) == expected, (shape.name, i)
             matches += expected is True
     return matches
 
@@ -347,7 +385,7 @@ def _assert_matchers_agree_by_block(run: np.ndarray, lib, block: int) -> int:
     """`_assert_matchers_agree` on the run and on its int64 copy, with
     `_match_at` reading its window `block` terms at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cores, "_BLOCK", block)
+        mp.setattr(greedy, "_BLOCK", block)
         return sum(_assert_matchers_agree(r, lib) for r in (run, run.astype(np.int64)))
 
 
@@ -387,24 +425,122 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(cores, "_core_cache", {})
 
 
-def test_match_at_reads_a_window_in_place(fresh_caches):
-    # Subsegment 2 of the 28-core is a copy of the 26-core: a window of
-    # 1,144,066 terms, 4.4 MB as int32, compared a block at a time.
-    lib, c = standard_library(26), core(28)
-    i = len(c.segments[0]) + len(c.segments[1]) - 1
-    assert lib["μ26"].cardinality == len(c.segments[1]) == 1_144_066
-    matched, peak = _traced_peak(lambda: cores._match_at(c.arr, i, lib["μ26"]))
-    assert matched
-    assert peak < 1 << 20
+def test_decompose_reads_no_terms(fresh_caches):
+    # Subsegment 2 of the 28-core is a copy of the 26-core, 1,144,066
+    # terms named from its bounds alone, with no level or core built.
+    lib = standard_library(26)
+    lo, hi = subsegment_bounds(28, 1)
+    expr, peak = _traced_peak(lambda: decompose(range(lo + 1, hi + 1), lib))
+    assert expr == NamedPattern("μ26", hi)
+    assert lib["μ26"].cardinality == 1_144_066
+    assert peak < 1 << 16
+    assert not levels._array_cache and not cores._core_cache
 
 
 def test_standard_library_copies_no_terms(fresh_caches):
-    # Its cores resident, the library of shapes up to the 26-core (some
-    # 9 MB of terms as int32) takes them as they are.
-    standard_library(26)
+    # The library of shapes up to the 26-core records each as its class:
+    # no source is made until one is asked for.
     lib, peak = _traced_peak(lambda: standard_library(26))
-    assert lib["μ26"].source.arr is core(26).arr
-    assert peak < 1 << 20
+    assert peak < 1 << 16
+    assert not any("source" in vars(lib[name]) for name in lib.names())
+    assert not levels._array_cache and not cores._core_cache
+
+
+# -- the class descent against the greedy oracle ------------------------------
+
+
+@given(st.integers(min_value=4, max_value=18), st.sampled_from((10, 12, 14, 16)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_descent_equals_the_greedy_oracle_on_level_slices(n, max_core, data):
+    lib = standard_library(max_core)
+    level = level_structural(n).arr
+    i = data.draw(st.integers(min_value=0, max_value=len(level) - 1))
+    j = data.draw(st.integers(min_value=i + 1, max_value=min(len(level), i + 3000)))
+    run = Pattern(level[i:j].astype(np.int64))
+    expected = greedy.greedy_decompose(run, lib)
+    assert decompose(run, lib) == expected
+    assert decompose(range(int(run.arr[0]), run.top + 1), lib) == expected
+
+
+def _random_term(data, bits: int) -> int:
+    """A term of exactly `bits` bits, drawn from the low bit up: a bit is
+    free while the balance below it is positive and 1 otherwise."""
+    value, balance = 1 << bits - 1, 0
+    for i in range(bits - 1):
+        bit = 1 if balance == 0 else data.draw(st.integers(0, 1))
+        value |= bit << i
+        balance += 1 if bit else -1
+    return value
+
+
+@pytest.mark.parametrize("bits", [40, 63, 64, 70, 200])
+@given(st.sampled_from((10, 12, 16)), st.integers(min_value=1, max_value=80), st.data())
+@settings(max_examples=25, deadline=None)
+def test_descent_equals_the_greedy_oracle_above_int64(bits, max_core, length, data):
+    # Runs near the top of the level are long enough for the larger shapes.
+    top = data.draw(st.sampled_from((mersenne(bits), _random_term(data, bits))))
+    run = [top]
+    while len(run) < length and dyck_pred(run[0]).bit_length() == bits:
+        run.insert(0, dyck_pred(run[0]))
+    lib = standard_library(max_core)
+    assert decompose(run, lib) == greedy.greedy_decompose(run, lib)
+
+
+def _class(prefix: int, m: int) -> tuple[int, int, int]:
+    """(theta, first, top) of the class of m free bits under prefix."""
+    low = -_lowest(prefix)
+    theta = low + ((low ^ m) & 1)
+    return (theta, *cores._class_ends(prefix << m, m, theta))
+
+
+@functools.cache
+def _classes_by_theta(m: int) -> list[list[tuple[int, int]]]:
+    """(first, top) of the classes of m free bits under the prefixes of
+    1 to 9 bits, grouped by theta; the groups of two or more."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for prefix in range(1, 1 << 9):
+        theta, first, top = _class(prefix, m)
+        if theta <= m:
+            groups.setdefault(theta, []).append((first, top))
+    return [g for g in groups.values() if len(g) > 1]
+
+
+@given(st.integers(min_value=1, max_value=1 << 80), st.integers(min_value=0, max_value=90))
+@settings(max_examples=300, deadline=None)
+def test_a_class_of_two_or_more_terms_spans_two_to_the_m(prefix, m):
+    theta, first, top = _class(prefix, m)
+    if theta <= m - 2:
+        assert dyck_pred(first) == (prefix << m) - 1
+        assert top - dyck_pred(first) == 1 << m
+
+
+def _offsets(expr, top: int) -> list[tuple[str, object, int]]:
+    """The parts of an expression, each placed by its offset below top."""
+    parts = expr.parts if isinstance(expr, Join) else (expr,)
+    out = []
+    for p in parts:
+        if isinstance(p, Singleton):
+            out.append(("1", None, top - p.term))
+        elif isinstance(p, NamedPattern):
+            out.append(("μ", p.name, top - p.top))
+        else:
+            out.append((f"^{p.k}", p.child.name, top - p.child.top))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_classes_of_equal_key_decompose_into_translates(m, data):
+    # The memo lemma: two classes of equal (m, theta) decompose, each
+    # with a library of its own, into pieces at the same offsets below
+    # their tops.
+    group = data.draw(st.sampled_from(_classes_by_theta(m)))
+    (first, top), (first2, top2) = data.draw(
+        st.lists(st.sampled_from(group), min_size=2, max_size=2, unique=True))
+    assert top - first == top2 - first2
+    a = decompose(range(first, top + 1), standard_library(12))
+    b = decompose(range(first2, top2 + 1), standard_library(12))
+    assert _offsets(a, top) == _offsets(b, top2)
 
 
 @pytest.mark.parametrize("bits", [40, 63, 64, 70])
