@@ -4,13 +4,14 @@ pass/fail outcomes.
 Checks covered: an odd level n as two copies of level n-1 (eq1), the
 tail of an even level n above its core as three copies of level n-2
 (eq2), the triplet lift (every even-level term t yields the triplet
-4t-1, 4t+1, 4t+3 two levels up in the same quarter segment, which is
-proven, not computed), the copying of a core into subsegments 2 and 3
-of the next core at offsets 13*2**(n-3) and 7*2**(n-2), the recursive
-build of the top subsegment from the core four levels down plus three
-copies of the previous top subsegment, the Catalan count of
-fragment-00 rejections, and the size identities tying level and core
-cardinalities to central binomial coefficients and Catalan numbers.
+4t-1, 4t+1, 4t+3 two levels up in the same quarter segment, proven
+from t's membership, so that level n is what is checked), the copying
+of a core into subsegments 2 and 3 of the next core at offsets
+13*2**(n-3) and 7*2**(n-2), the recursive build of the top subsegment
+from the core four levels down plus three copies of the previous top
+subsegment, the Catalan count of fragment-00 rejections, and the size
+identities tying level and core cardinalities to central binomial
+coefficients and Catalan numbers.
 Every copy claim is certified by `_certify_copies` as exactly the
 members between two bounds, a block at a time: no check builds an odd
 level or keeps a copy.
@@ -21,16 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from .cores import core_size
-from .dyck_core import _rank
+from .dyck_core import _rank, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
     _BLOCK,
     _balance_ok,
+    _chunk_lows,
     _f00_mask,
     _level_array,
     _level_blocks,
-    _lifts_ok,
     _work,
     core_top,
     level_size,
@@ -67,45 +68,48 @@ def check_prop12(n: int) -> Counterexample | None:
     (4t-1, 4t+1, 4t+3) in level n+2, landing in the same quarter
     segment of its level interval.
 
-    Level n is read once, as blocks.  The lift tests read only the low
-    n + 2 bits of 4t + delta, so the first term of a block that has
-    other than n bits is reported at once.  A block that passes
-    `_lifts_ok` holds all three lifts; any other block is tested one
-    lift at a time by `_balance_ok`, which finds the failures that are
-    reported.
+    Both are proven from level n, which is witnessed: read once, as
+    blocks, its terms must have n bits, be members (a block is tested by
+    the chunk kernel, and only a failing one term by term), ascend
+    strictly and number `level_size(n)`, reported in that order.
+
+    Read from bit 0 up, the suffix balances of 4t + 1 are 1, 0, then
+    t's; those of 4t + 3 are 1, 2, then t's plus 2; and for an odd t,
+    those of 4t - 1 = 4(t-1) + 3 are 1, 2, 1, then t's from its second
+    on.  A member is odd, so its three lifts are members of n + 2 bits,
+    and a term of n bits that is no member has 4t + 1 no member: it is
+    reported with its first lift, in the order -1, 1, 3, that is none.
 
     The quarter is proven, not computed.  With u = t - 2**(n-1) and
     q = 2**(n-3), t lies in quarter u // q of level n and 4t + d in
     quarter (4u + d) // 4q of level n+2.  As 4q * (u // q) <= 4u and
     4u + 4 <= 4q * (u // q + 1), these agree for d = 1 and 3 for every
     integer t, and for d = -1 unless q divides u; then t is even, and
-    4t + 1, ending in 001, fails its test."""
+    no member."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    # The first failure of each of the three tests (delta -1, 1, then 3)
-    # is kept; a test is reported only when the ones before it hold on
-    # every block.  Every temporary of a block of n-bit terms is a
-    # buffer of `_work`.
-    found: list[Counterexample | None] = [None] * 3
     lo, hi = mersenne(n - 1), mersenne(n)
+    prev, read = lo, 0
     for block in _level_blocks(n):
         if block.min() <= lo or block.max() > hi:
             t = int(block[np.argmax((block <= lo) | (block > hi))])
             return Counterexample(t, f"a term of {n} bits", f"{t.bit_length()} bits")
-        if not _lifts_ok(block, n):
-            lifted = _work.image[: len(block)]
-            for test, delta in enumerate((-1, 1, 3)):
-                if found[test] is None:
-                    # For an odd t of n bits, 4t + delta has exactly n + 2 bits.
-                    np.multiply(block, 4, out=lifted, dtype=np.int64)
-                    ok = _balance_ok(np.add(lifted, delta, out=lifted), n + 2)
-                    if not ok.all():
-                        bad = int(block[np.argmin(ok)])
-                        lift = f"{4 * bad + delta} in level {n + 2}"
-                        found[test] = Counterexample(bad, lift, "absent")
-        if found[0] is not None:
-            break
-    return next((f for f in found if f is not None), None)
+        if not all(low.min() >= 0 for low in _chunk_lows(block, n)):
+            t = int(block[np.argmin(_balance_ok(block, n))])
+            lift = next(4 * t + d for d in (-1, 1, 3) if not is_dyck_number(4 * t + d))
+            return Counterexample(t, f"{lift} in level {n + 2}", "absent")
+        # Every temporary of a block is a buffer of `_work`.
+        up = _work.passed[: len(block)]
+        up[0] = int(block[0]) > prev
+        np.greater(block[1:], block[:-1], out=up[1:])
+        if not up.all():
+            i = int(np.argmin(up))
+            below = int(block[i - 1]) if i else prev
+            return Counterexample(int(block[i]), f"above {below}", "not above")
+        prev, read = int(block[-1]), read + len(block)
+    if read != level_size(n):
+        return Counterexample("cardinality", level_size(n), read)
+    return None
 
 
 def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counterexample | None:

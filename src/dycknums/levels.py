@@ -169,8 +169,7 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is `balance[c]` where `lowest[c] >= 0` and the sentinel -128
     elsewhere.  Built by doubling: a new high bit adds -1 or +1 to every
     balance and one more suffix.  No `lowest` exceeds 1, so the sentinel
-    plus the `lowest` of the next chunk is negative.  `_lift_table` is
-    made from `carry` for the lifts of prop12 (`_lifts_ok`)."""
+    plus the `lowest` of the next chunk is negative."""
     lowest = np.array([127], dtype=np.int8)  # the empty chunk has no suffix
     balance = np.zeros(1, dtype=np.int8)
     for _ in range(16):
@@ -183,33 +182,19 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lowest, balance, carry
 
 
-@cache
-def _lift_table() -> np.ndarray:
-    """The int8 table over chunk 0 c of 4t: the carry of the worst of the
-    lifts 4t-1, 4t+1 and 4t+3, `min(carry[c-1], carry[c+1], carry[c+3])`,
-    where c = 4 (mod 8), as for an odd t; elsewhere the sentinel -128."""
-    carry = _chunk_tables()[2]
-    table = np.full(1 << 16, -128, dtype=np.int8)
-    c = np.arange(4, 1 << 16, 8)
-    table[c] = np.minimum(np.minimum(carry[c - 1], carry[c + 1]), carry[c + 3])
-    table.flags.writeable = False
-    return table
-
-
-def _chunk_lows(terms: np.ndarray, nbits: int, first: np.ndarray, shift: int = 0):
-    """Yield the chunk tests of the words `terms << shift` of `nbits`
-    bits, one int array per test, nonnegative where a word passes it.
-    Chunk 0 is gathered from `first` (`carry`, or a table like it); a
-    word of one chunk is tested by that gather, a longer one by each
-    chunk i >= 1: `lowest[c_i]` plus the balance of the chunks below it,
-    chunk 0 counted by its gather.  At most `_BLOCK` terms, read through
+def _chunk_lows(terms: np.ndarray, nbits: int):
+    """Yield the chunk tests of the terms as words of `nbits` bits, one
+    int array per test, nonnegative where a word passes it: for a word
+    of one chunk, chunk 0 gathered from `carry`; for a longer one, each
+    chunk i >= 1, `lowest[c_i]` plus the balance of the chunks below it,
+    chunk 0 counted by its `carry`.  At most `_BLOCK` terms, read through
     the buffers of `_work`; each array is overwritten by the next.
 
     The bits from `nbits` up to the next multiple of 16 are set to 1.
     That changes no suffix of `nbits` bits or fewer, and every longer
     suffix is the full `nbits` suffix plus ones, so its balance is
     higher; the predicate over the filled word is the same."""
-    lowest, balance, _ = _chunk_tables()
+    lowest, balance, carry = _chunk_tables()
     chunks = max(1, -(-nbits // 16))  # nbits = 0 reads one all-ones chunk
     m = len(terms)
     index, below, low, gather = _work.index[:m], _work.below[:m], _work.low[:m], _work.gather[:m]
@@ -217,13 +202,11 @@ def _chunk_lows(terms: np.ndarray, nbits: int, first: np.ndarray, shift: int = 0
     # view as their 16-bit chunks, lowest first.
     words = _work.word.view("<u4" if nbits <= 32 else "<u8")[:m]
     np.copyto(words, terms, casting="unsafe")
-    if shift:
-        words <<= shift
     words |= (1 << 16 * chunks) - (1 << nbits)
     parts = words.view("<u2").reshape(m, -1).T[:chunks]
     index[...] = parts[0]  # `take` gathers faster by intp than by uint16
     # mode="clip" writes straight into `out`; "raise" would buffer it.
-    first.take(index, out=gather, mode="clip")
+    carry.take(index, out=gather, mode="clip")
     if chunks == 1:
         yield gather
         return
@@ -246,41 +229,23 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     """Vectorized membership test: True where every suffix of the low
     `nbits` bits keeps a nonnegative ones-minus-zeros balance.
 
-    Each term is read one 16-bit chunk at a time (`_chunk_lows`).  Chunk
-    0 is one gather from `carry`: its balance if no suffix inside it
-    dips below 0, else a sentinel that fails the test of chunk 1; a term
-    passes where every chunk does.  A term of up to 16 bits costs one
-    gather, one of up to 32 bits two gathers, one add and one
+    Each term is read one 16-bit chunk at a time (`_chunk_lows`), and
+    passes where every chunk test does.  A term of up to 16 bits costs
+    one gather, one of up to 32 bits two gathers, one add and one
     comparison.  Terms go through in blocks of `_BLOCK`; only the result
     is allocated."""
     if not 0 <= nbits <= 64:
         raise ValueError(f"nbits must be in 0..64, got {nbits}")
-    carry = _chunk_tables()[2]
     flat = values.reshape(-1)
     ok = np.empty(flat.shape, dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         terms = flat[start : start + _BLOCK]
         ok_m, passed = ok[start : start + len(terms)], _work.passed[: len(terms)]
-        for i, low in enumerate(_chunk_lows(terms, nbits, carry)):
-            if i == 0:
-                np.greater_equal(low, 0, out=ok_m)
-            else:
-                np.greater_equal(low, 0, out=passed)
+        for i, low in enumerate(_chunk_lows(terms, nbits)):
+            np.greater_equal(low, 0, out=passed if i else ok_m)
+            if i:
                 ok_m &= passed
     return ok.reshape(values.shape)
-
-
-def _lifts_ok(block: np.ndarray, n: int) -> bool:
-    """True only when 4t + delta is a member of n + 2 bits, as
-    `_balance_ok` decides it, for every t of the block (at most
-    `_BLOCK` terms) and every delta in (-1, 1, 3).
-
-    For an odd t the three lifts differ from 4t only in bits 0-2, so
-    each term is read once, as the word 4t, its chunk 0 gathered from
-    `_lift_table`.  An even t fails there, as its lift 4t + 1, which
-    ends in 001, does."""
-    lows = _chunk_lows(block, n + 2, _lift_table(), shift=2)
-    return all(low.min(initial=0) >= 0 for low in lows)
 
 
 class Fragment(enum.Enum):

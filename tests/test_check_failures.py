@@ -127,10 +127,10 @@ def test_prop12_reports_a_missing_triplet_member(monkeypatch):
     assert_fails(check_prop12(6), "prop12", 6, Counterexample(41, "163 in level 8", "absent"))
 
 
-# The lift tests read only the low n + 2 bits of 4t + delta, so a term
-# of another width must be caught before them: the level-6 term 63
+# The membership test reads only the low n bits of a term, so a term
+# of another width must be caught before it: the level-6 term 63
 # shifted to 103 (a term of level 7), and 39 shifted by 2**20, whose
-# lifts end in the bits of 39's and are no terms.
+# low 6 bits are 39's.
 @pytest.mark.parametrize("i,delta,term", [(-1, 40, 103), (0, 1 << 20, 1048615)],
                          ids=["7_bits", "21_bits"])
 def test_prop12_reports_a_term_of_another_width(monkeypatch, i, delta, term):
@@ -139,10 +139,11 @@ def test_prop12_reports_a_term_of_another_width(monkeypatch, i, delta, term):
                  Counterexample(term, "a term of 6 bits", f"{term.bit_length()} bits"))
 
 
-def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
+def test_prop12_reports_the_first_failing_term_in_level_order(monkeypatch):
     # Level 20 spans two blocks of the check.  In the first, 526304 (even)
-    # lifts to members for delta -1 only; in the second, 933649 (not a
-    # term) lifts to no member.  delta -1 is tested over every block first.
+    # lifts to a member for delta -1 only; in the second, 933649 (not a
+    # term) lifts to no member.  The first failing term is reported, with
+    # its first lift that is no member.
     def corrupted(arr):
         arr[5], arr[70000] = 526304, 933649
         return arr
@@ -150,7 +151,23 @@ def test_prop12_reports_the_first_delta_before_the_first_block(monkeypatch):
     assert levels._BLOCK < 70000 < levels.level_size(20)
     corrupt_level_blocks(monkeypatch, conjectures, 20, corrupted)
     assert_fails(check_prop12(20), "prop12", 20,
-                 Counterexample(933649, f"{4 * 933649 - 1} in level 22", "absent"))
+                 Counterexample(526304, "2105217 in level 22", "absent"))
+
+
+# prop12 witnesses level n: every term read, and no other.  Dropped
+# terms and an empty stream fall short of level_size(n); a repeated term,
+# in a block or across the seam of two, does not ascend.
+@pytest.mark.parametrize("n,change,detail", [
+    (8, lambda arr: arr[:0], Counterexample("cardinality", 35, 0)),
+    (8, drop(-1), Counterexample("cardinality", 35, 34)),
+    (20, drop(70000), Counterexample("cardinality", 92378, 92377)),
+    (8, lambda arr: np.insert(arr, 4, arr[4]), Counterexample(159, "above 159", "not above")),
+    (20, lambda arr: np.insert(arr, levels._BLOCK, arr[levels._BLOCK - 1]),
+     Counterexample(905883, "above 905883", "not above")),
+], ids=["empty", "top_dropped", "dropped_in_block_2", "repeated", "repeated_across_blocks"])
+def test_prop12_reports_a_level_other_than_level_n(monkeypatch, n, change, detail):
+    corrupt_level_blocks(monkeypatch, conjectures, n, change)
+    assert_fails(check_prop12(n), "prop12", n, detail)
 
 
 def flip(i, bit, term):
@@ -163,13 +180,15 @@ def flip(i, bit, term):
     return flipped
 
 
-# prop12 reads the lifts of level 20 as 22-bit words 4t in two 16-bit
-# chunks: bits 0-13 of t fall in chunk 0, bits 14-19 in chunk 1.
+# prop12 reads level 20 as 20-bit words in two 16-bit chunks: bits 0-15
+# fall in chunk 0, bits 16-19 in chunk 1.
 @pytest.mark.parametrize("i,bit,term,flipped", [
     # 933655 = 11100011111100010111 without bit 4: the suffix 00111 dips
     (70001, 4, 933655, 933639),
     # 568277 = 10001010101111010101 without bit 15: the suffix of 17 bits dips
     (3988, 15, 568277, 535509),
+    # 592631 = 10010000101011110111 without bit 16: the suffix of 19 bits dips
+    (8076, 16, 592631, 527095),
 ])
 def test_prop12_reports_a_bit_cleared_in_each_chunk_of_the_lifts(monkeypatch, i, bit, term,
                                                                  flipped):
@@ -180,11 +199,13 @@ def test_prop12_reports_a_bit_cleared_in_each_chunk_of_the_lifts(monkeypatch, i,
 
 def test_prop12_reports_a_bit_cleared_in_chunk_2_of_34_bit_lifts(monkeypatch):
     # 0xD5555555 = 1101 0101 ... 0101: every suffix below bit 30 is at 0
-    # or 1, so without bit 30 the suffix of 31 bits dips to -1; in its
-    # 34-bit lifts, bit 30 of t is bit 32 of 4t, in chunk 2.
+    # or 1, so without bit 30 the suffix of 31 bits dips to -1.  prop12
+    # reads bit 30 in chunk 1 of t; in the 34-bit lifts it is bit 32 of
+    # 4t, in chunk 2.  The run passes every test of a term and falls
+    # short of level 32 only.
     run = np.array([0xD5555555, 0xD5555557, 0xD555555F], dtype=np.int64)
     monkeypatch.setattr(conjectures, "_level_blocks", lambda level: iter([run]))
-    assert check_prop12(32).passed
+    assert check_prop12(32).detail == Counterexample("cardinality", levels.level_size(32), 3)
     run[0] ^= 1 << 30
     assert_fails(check_prop12(32), "prop12", 32,
                  Counterexample(2505397589, "10021590355 in level 34", "absent"))

@@ -170,14 +170,14 @@ def test_conj16_and_conj18_make_their_copies_a_block_at_a_time(monkeypatch):
 def test_prop12_allocates_only_the_buffers_of_its_thread():
     # In a fresh interpreter, after a warm-up (level 20 read once into
     # blocks, which builds level 18, its fragment-00 mask and the chunk
-    # tables; the lift table), prop12 runs in a new thread: one that
-    # allocates its `_work` buffers, 31 bytes a term of a block.  Any
+    # tables), prop12 runs in a new thread: one that allocates its
+    # `_work` buffers, 31 bytes a term of a block.  Any
     # other block-sized buffer, kept or not, takes at least a byte a
     # term more at the peak, and one kept past the call stays traced.
     script = (
         "import threading, tracemalloc; from dycknums import conjectures, levels; "
         "blocks = [block.copy() for block in levels._level_blocks(20)]; "
-        "conjectures._level_blocks = lambda n: iter(blocks); levels._lift_table(); "
+        "conjectures._level_blocks = lambda n: iter(blocks); "
         "tracemalloc.start(); "
         "thread = threading.Thread(target=lambda: print(conjectures.check_prop12(20).passed)); "
         "thread.start(); thread.join(); print(*tracemalloc.get_traced_memory())"

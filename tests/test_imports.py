@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports, and every
+"""Every module of the package uses each name it imports, every
 module-level function and class is read somewhere else in the package
-or exported by `__init__`."""
+or exported by `__init__`, and every defaulted parameter of a private
+function is passed by some call in the package."""
 
 import ast
 import sys
@@ -76,6 +77,46 @@ def test_every_module_level_definition_is_used():
         and not any(node.name in reads for _, other, reads in statements if other is not node)
     ]
     assert not unused, f"definitions nothing in the package reads: {unused}"
+
+
+def passes(call: ast.Call, name: str, param: str, index: int | None) -> bool:
+    """Whether the call is one of the function `name` that passes
+    `param`, by keyword or, at positional `index`, by position."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return called == name and (
+        any(kw.arg == param for kw in call.keywords)
+        or (index is not None and len(call.args) > index)
+    )
+
+
+def test_every_default_of_a_private_function_is_passed():
+    # A defaulted parameter that only its default, or only the tests,
+    # ever set is a knob: a constant does its work with one
+    # configuration fewer to test.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    knobs = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            private = isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            if not private or node.name.startswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            # A method called on an object passes its first parameter implicitly.
+            skip = 1 if params and params[0].arg in ("self", "cls") else 0
+            first = len(params) - len(args.defaults)
+            defaulted = [(p, i - skip) for i, p in enumerate(params) if i >= first]
+            defaulted += [
+                (p, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            knobs += [
+                f"{module}:{node.name}({param.arg})" for param, index in defaulted
+                if not any(passes(call, node.name, param.arg, index) for call in calls)
+            ]
+    assert not knobs, f"defaulted parameters no call in the package passes: {knobs}"
 
 
 def package_imports(module: str) -> dict[str, set[str]]:

@@ -13,8 +13,6 @@ from dycknums.levels import (
     Fragment,
     _balance_ok,
     _chunk_tables,
-    _lift_table,
-    _lifts_ok,
     central_terms,
     level_index,
     level_scan,
@@ -314,26 +312,25 @@ def lift_blocks(draw):
 @given(lift_blocks())
 @settings(max_examples=300, deadline=None)
 def test_lift_kernel_agrees_with_the_three_lift_tests(case):
+    # The lemma of `check_prop12`: the lifts of a term t of n bits are
+    # all members exactly when t is a member at n bits, and 4t + 1 is a
+    # member exactly when t is.
     block, n = case
-    single = []
-    for t in block:
-        lifts = [4 * t + delta for delta in (-1, 1, 3)]
-        ok = _lifts_ok(np.array([t], dtype=np.int64), n)
-        assert ok == all(is_dyck_number(v) for v in lifts), (t, n)
-        assert ok == all(_balance_ok(np.array(lifts, dtype=np.int64), n + 2)), (t, n)
-        single.append(ok)
-    assert _lifts_ok(np.array(block, dtype=np.int64), n) == all(single)
+    member = _balance_ok(np.array(block, dtype=np.int64), n)
+    for t, ok in zip(block, member):
+        assert ok == all(is_dyck_number(4 * t + delta) for delta in (-1, 1, 3)), (t, n)
+        assert is_dyck_number(4 * t + 1) == is_dyck_number(t), (t, n)
 
 
-def test_lift_table_matches_its_definition():
-    carry = _chunk_tables()[2]
-    table = _lift_table()
-    c = np.arange(1 << 16)
-    odd = c % 8 == 4  # chunk 0 of 4t for an odd t
-    lifts = carry[np.stack([c[odd] - 1, c[odd] + 1, c[odd] + 3])]
-    assert table.dtype == np.int8 and not table.flags.writeable
-    assert np.array_equal(table[odd], lifts.min(axis=0))
-    assert np.all(table[~odd] == -128)
+@given(codes_near_members(st.integers(min_value=1, max_value=300)).filter(
+    lambda case: case[0] % 2))
+@settings(max_examples=500, deadline=None)
+def test_lifts_of_an_odd_term_are_members_as_it_is(case):
+    t, _ = case
+    member = is_dyck_number(t)
+    assert is_dyck_number(4 * t - 1) == member
+    assert is_dyck_number(4 * t + 1) == member
+    assert is_dyck_number(4 * t + 3) or not member
 
 
 def _balance_ok_passes(values: np.ndarray, nbits: int) -> np.ndarray:

@@ -51,10 +51,10 @@ def both_widths(call, run: np.ndarray):
 
 @pytest.mark.parametrize("n,nbits", [(30, 30), (32, 31)])
 def test_prop12_widens_stored_terms(monkeypatch, n, nbits):
-    # In both runs 4t passes 2**31; the run at n = 32 ends at 2**31 - 1,
-    # the int32 maximum.  The run at n = 30 holds the claim; the one at
-    # n = 32 holds no term of 32 bits, and its first term is reported
-    # before any lift, its width compared with bounds beyond int32.
+    # The run at n = 30 passes every test of a term and falls short of
+    # level 30 only.  The one at n = 32 ends at 2**31 - 1, the int32
+    # maximum, and holds no term of 32 bits: its first term is reported,
+    # its width compared with bounds beyond int32.
     def prop12(run):
         monkeypatch.setattr(conjectures, "_level_blocks", lambda level: iter([run]))
         found = conjectures.check_prop12(n)
@@ -63,9 +63,9 @@ def test_prop12_widens_stored_terms(monkeypatch, n, nbits):
     run = top_run(nbits, 14)
     narrow, wide = both_widths(prop12, run)
     first = int(run[0])
-    expected = (True, None) if nbits == n else (
-        False, Counterexample(first, f"a term of {n} bits", f"{nbits} bits"))
-    assert narrow == wide == expected
+    detail = (Counterexample("cardinality", levels.level_size(n), len(run)) if nbits == n
+              else Counterexample(first, f"a term of {n} bits", f"{nbits} bits"))
+    assert narrow == wide == (False, detail)
 
 
 @pytest.mark.parametrize("slip", [0, 2, 1 << 13])
