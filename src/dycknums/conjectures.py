@@ -13,15 +13,18 @@ subsegment, the Catalan count of fragment-00 rejections, and the size
 identities tying level and core cardinalities to central binomial
 coefficients and Catalan numbers.
 Every copy claim is certified by `_certify_copies` as exactly the
-members between two bounds, a block at a time: no check builds an odd
-level or keeps a copy.
+members between two bounds: each distinct copy source is read once, as
+blocks, and each copy is proven in O(1) a translate of the class that
+its source's ends name.  No check builds an odd level or keeps a copy.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .cores import core_size
+from .cores import _class_of, core_size
 from .dyck_core import _rank, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
@@ -69,9 +72,8 @@ def check_prop12(n: int) -> Counterexample | None:
     segment of its level interval.
 
     Both are proven from level n, which is witnessed: read once, as
-    blocks, its terms must have n bits, be members (a block is tested by
-    the chunk kernel, and only a failing one term by term), ascend
-    strictly and number `level_size(n)`, reported in that order.
+    blocks, its terms must have n bits, be members, ascend strictly
+    (`_block_fault`) and number `level_size(n)`, reported in that order.
 
     Read from bit 0 up, the suffix balances of 4t + 1 are 1, 0, then
     t's; those of 4t + 3 are 1, 2, then t's plus 2; and for an odd t,
@@ -88,90 +90,165 @@ def check_prop12(n: int) -> Counterexample | None:
     no member."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    lo, hi = mersenne(n - 1), mersenne(n)
-    prev, read = lo, 0
+    prev, read = mersenne(n - 1), 0
     for block in _level_blocks(n):
-        if block.min() <= lo or block.max() > hi:
-            t = int(block[np.argmax((block <= lo) | (block > hi))])
-            return Counterexample(t, f"a term of {n} bits", f"{t.bit_length()} bits")
-        if not all(low.min() >= 0 for low in _chunk_lows(block, n)):
-            t = int(block[np.argmin(_balance_ok(block, n))])
-            lift = next(4 * t + d for d in (-1, 1, 3) if not is_dyck_number(4 * t + d))
-            return Counterexample(t, f"{lift} in level {n + 2}", "absent")
-        # Every temporary of a block is a buffer of `_work`.
-        up = _work.passed[: len(block)]
-        up[0] = int(block[0]) > prev
-        np.greater(block[1:], block[:-1], out=up[1:])
-        if not up.all():
-            i = int(np.argmin(up))
-            below = int(block[i - 1]) if i else prev
-            return Counterexample(int(block[i]), f"above {below}", "not above")
+        fault = _block_fault(block, prev, n)
+        if fault:
+            i, kind = fault
+            t = int(block[i])
+            if kind == "width":
+                return Counterexample(t, f"a term of {n} bits", f"{t.bit_length()} bits")
+            if kind == "member":
+                lift = next(4 * t + d for d in (-1, 1, 3) if not is_dyck_number(4 * t + d))
+                return Counterexample(t, f"{lift} in level {n + 2}", "absent")
+            return Counterexample(t, f"above {int(block[i - 1]) if i else prev}", "not above")
         prev, read = int(block[-1]), read + len(block)
     if read != level_size(n):
         return Counterexample("cardinality", level_size(n), read)
     return None
 
 
+def _block_fault(block: np.ndarray, prev: int, nbits: int) -> tuple[int, str] | None:
+    """The index and kind of the first fault of a block of a run read
+    once: a term of other than nbits bits ("width", from the block's
+    extremes, as membership reads the low nbits bits only), else a term
+    that is no member ("member", from the minimums of the chunk tests,
+    so only a failing block is tested term by term), else one not above
+    the term before it, prev for the first ("ascent"); None for none."""
+    lo, hi = mersenne(nbits - 1), mersenne(nbits)
+    if block.min() <= lo or block.max() > hi:
+        return int(np.argmax((block <= lo) | (block > hi))), "width"
+    if not all(low.min() >= 0 for low in _chunk_lows(block, nbits)):
+        return int(np.argmin(_balance_ok(block, nbits))), "member"
+    # Every temporary of a block is a buffer of `_work`.
+    up = _work.passed[: len(block)]
+    up[0] = int(block[0]) > prev
+    np.greater(block[1:], block[:-1], out=up[1:])
+    return None if up.all() else (int(np.argmin(up)), "ascent")
+
+
+class _Witness(NamedTuple):
+    """A copy source read once: its ends, its size, and its first fault
+    as (term, the term before it, kind, width), or None."""
+
+    first: int
+    top: int
+    read: int
+    fault: tuple[int, int, str, int] | None
+
+
+def _witness(src) -> _Witness:
+    """Read a source, an array or a stream of blocks, once, up to its
+    first fault: its terms must have its first term's width, be members
+    and ascend.  A `_Witness` is returned as it is."""
+    if isinstance(src, _Witness):
+        return src
+    first = prev = read = nbits = 0
+    for block in _blocks(src):
+        if not read:
+            first = int(block[0])
+            nbits, prev = first.bit_length(), first - 1
+        fault = _block_fault(block, prev, nbits)
+        if fault:
+            i, kind = fault
+            below = int(block[i - 1]) if i else prev
+            return _Witness(first, prev, read, (int(block[i]), below, kind, nbits))
+        prev, read = int(block[-1]), read + len(block)
+    return _Witness(first, prev, read, None)
+
+
 def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counterexample | None:
-    """Check that the copies, (source, offset) pairs in order, each source
-    an array or a stream of blocks, are exactly the members in (lo, hi]
-    of nbits bits; with `built`, an array or a stream of blocks, that
-    they equal it term by term.
+    """Check that the copies, (source, offset) pairs in order, are exactly
+    the members in (lo, hi] of nbits bits; with `built`, an array or a
+    stream of blocks, that they equal it term by term.
 
-    The copies are made one block of at most `_BLOCK` terms at a time.
-    Every term must be a member, at or below hi, and above the one
-    before it, across block and copy seams too, the first above lo; and
-    there must be as many as `_rank` counts in (lo, hi].  Ascending
-    members in (lo, hi], as many as there are, are all of them.  No copy
-    is kept, so the check needs one block of memory beyond the sources
-    and built.  A bound that is no member, or a pair that cannot be
-    drawn, fails the construction up front.  Then reported first is a
-    count of copies other than the members', then a built stream of the
-    wrong length, then the first term where it differs from the copies,
-    which lies below any failing copy block, then the failing term."""
-    failure = []
+    Each distinct source (by identity), an array, a stream of blocks or
+    its `_witness`, is read once, on first use.  Its ends name a class
+    (P, m, theta) (`_class_of`), so each term is P * 2**m + z, z of m bits.
+    Lemma: that term is a member iff z has no negative suffix (of m
+    bits, leading zeros counted) and bal(z) >= theta(P).  Its low j <= m
+    bits are z's, and above them S(j) = bal(z) + S_P(j - m), so all are
+    >= 0 iff bal(z) >= -min S_P; bal(z) >= 0 (the suffix of m bits, or
+    m = 0) and bal(z) = m (mod 2), so iff bal(z) >= theta(P).  So each
+    copy is proven in O(1): an offset = 0 (mod 2**m) whose image ends
+    name the prefix P + (offset >> m), of nbits - m bits, with the same
+    theta makes the witnessed members members of nbits bits.  Each
+    copy's first term must lie above lo or the copy before it, the last
+    top at or below hi, and the copies must hold as many terms as
+    `_rank` counts in (lo, hi]: ascending members there, as many as
+    there are, are all of them.  A source need not be its whole class:
+    none of these steps uses it.  With `built`, the copies are then made
+    as source + offset blocks and compared with it, so its sources are
+    read again and must be arrays or lists of blocks.
 
-    def blocks():
-        buf = np.empty(_BLOCK, dtype=np.int64)
-        ok_buf, in_buf = np.empty(_BLOCK, dtype=bool), np.empty(_BLOCK, dtype=bool)
-        pieces = ((part[start : start + _BLOCK], offset)
-                  for src, offset in copies
-                  for part in ([src] if isinstance(src, np.ndarray) else src)
-                  for start in range(0, len(part), _BLOCK))
-        prev = lo
-        for piece, offset in pieces:
-            m = len(piece)
-            block, ok = np.add(piece, offset, out=buf[:m], dtype=np.int64), ok_buf[:m]
-            ok[0] = block[0] > prev
-            np.greater(block[1:], block[:-1], out=ok[1:])
-            ok &= np.less_equal(block, hi, out=in_buf[:m])
-            ok &= _balance_ok(block, nbits)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                t, below = int(block[i]), int(block[i - 1]) if i else prev
-                failure.append(_construction_failure(
-                    f"{t} does not ascend from {below}" if t <= below
-                    else f"{t} lies above {hi}" if t > hi
-                    else f"{t} is not a term of the sequence"
-                ))
-                return
-            prev = int(block[-1])
-            yield block
-
+    A bound that is no member, or a pair that cannot be drawn, fails the
+    construction up front.  Then, copy by copy: a fault of its source,
+    as its image in the first copy of it, which by the lemma fails the
+    same way (a member image, which only a copy that is no translate
+    makes, as the source term itself); the copy's proof.  Then a count
+    of copies other than the members', a built stream of the wrong
+    length, and the first term where it differs from the copies."""
     try:
         copies, count = list(copies), _rank(hi) - _rank(lo)
     except (NotMember, DomainError) as exc:
         return _construction_failure(exc)
-    if built is None:
-        mismatch, made = None, sum(len(block) for block in blocks())
-        size = count
-    else:
-        mismatch, size, made = first_block_mismatch(built, blocks())
-    if not failure and made != count:
+    seen: dict[int, _Witness] = {}
+    prev, made = lo, 0
+    for src, offset in copies:
+        source = seen.get(id(src))
+        if source is None:
+            source = seen[id(src)] = _witness(src)
+            if source.fault:
+                return _construction_failure(_image_fault(*source.fault, offset, hi))
+        if source.read:
+            reason = _copy_fault(source, offset, prev, hi, nbits)
+            if reason:
+                return _construction_failure(reason)
+            prev = source.top + offset
+        made += source.read
+    if made != count:
         return Counterexample("cardinality", count, made)
-    if size != count:
-        return Counterexample("cardinality", size, count)
-    return mismatch or (failure[0] if failure else None)
+    if built is None:
+        return None
+    mismatch, size, _ = first_block_mismatch(built, _copy_blocks(copies))
+    return Counterexample("cardinality", size, count) if size != count else mismatch
+
+
+def _image_fault(t: int, below: int, kind: str, nbits: int, offset: int, hi: int) -> str:
+    image = t + offset
+    return (f"{image} does not ascend from {below + offset}" if kind == "ascent"
+            else f"{image} lies above {hi}" if image > hi
+            else f"{image} is not a term of the sequence" if not is_dyck_number(image)
+            else f"{t} is not a term of {nbits} bits")
+
+
+def _copy_fault(source: _Witness, offset: int, prev: int, hi: int, nbits: int) -> str | None:
+    first, top = source.first + offset, source.top + offset
+    if first <= prev:
+        return f"{first} does not ascend from {prev}"
+    prefix, m, theta = _class_of(source.first, source.top)
+    if offset % (1 << m) or _class_of(first, top)[1:] != (m, theta) or top.bit_length() != nbits:
+        bad = [t for t in (first, top) if not is_dyck_number(t)]
+        return (f"{bad[0]} is not a term of the sequence" if bad
+                else f"{first}..{top} is no {nbits}-bit translate of the class ({prefix}, {m}, {theta})")
+    return f"{top} lies above {hi}" if top > hi else None
+
+
+def _blocks(src):
+    """The terms of an array or a stream of blocks as nonempty blocks of
+    at most `_BLOCK` terms."""
+    for part in [src] if isinstance(src, np.ndarray) else src:
+        for start in range(0, len(part), _BLOCK):
+            yield part[start : start + _BLOCK]
+
+
+def _copy_blocks(copies):
+    """The copies as source + offset blocks, each in one reused int64
+    buffer."""
+    buf = np.empty(_BLOCK, dtype=np.int64)
+    for src, offset in copies:
+        for block in _blocks(src):
+            yield np.add(block, offset, out=buf[: len(block)], dtype=np.int64)
 
 
 def _construction_failure(reason: Exception | str) -> Counterexample:
@@ -221,9 +298,9 @@ def check_conj16(n: int) -> Counterexample | None:
     at offsets 13*2**(n-3) and 7*2**(n-2)."""
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
+    # The n-core is the leading part of level n, read once as blocks.
+    source = _witness(_level_blocks(n, hi=core_top(n)))
     for seg, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
-        # The n-core is the leading part of level n, read as blocks.
-        source = _level_blocks(n, hi=core_top(n))
         found = _subsegment_copies(n + 2, seg, [(source, offset)], core_size(n))
         if found:
             return found
@@ -239,8 +316,9 @@ def check_conj18(n: int) -> Counterexample | None:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
     lo, prev_top = subsegment_bounds(n - 2, 3)
     top, length = core_top(n), prev_top - lo
+    cube = _level_blocks(n - 2, lo, prev_top)  # read once for its three copies
     copies = [(_level_blocks(n - 4, hi=core_top(n - 4)), top - 3 * length - core_top(n - 4))]
-    copies += [(_level_blocks(n - 2, lo, prev_top), top - k * length - prev_top) for k in (2, 1, 0)]
+    copies += [(cube, top - k * length - prev_top) for k in (2, 1, 0)]
     return _subsegment_copies(n, 3, copies, a001405(n - 5))
 
 

@@ -155,6 +155,16 @@ def _class_ends(base: int, m: int, theta: int) -> tuple[int, int]:
     return base + (1 << (m + theta) // 2) - 1, base + (1 << m) - 1
 
 
+def _class_of(first: int, top: int) -> tuple[int, int, int]:
+    """The class (P, m, theta) that the two ends of a run name: m the bit
+    length of first ^ top, so that both ends share the prefix P = top >>
+    m, and theta as `_class_ends` reads it off P.  The one place the
+    parity rule is written."""
+    m = (first ^ top).bit_length()
+    low = -_lowest(top >> m)
+    return top >> m, m, low + ((low ^ m) & 1)
+
+
 @dataclass(frozen=True, eq=False)
 class NamedShape:
     """A reusable pattern shape: the class (prefix, m, theta) of its
@@ -201,9 +211,7 @@ class PatternLibrary:
         """Add a pattern that is exactly one class, as its own source;
         raise ValueError for any other run."""
         first, top = int(pattern.arr[0]), pattern.top
-        m = (first ^ top).bit_length()
-        prefix, low = top >> m, -_lowest(top >> m)
-        theta = low + ((low ^ m) & 1)
+        prefix, m, theta = _class_of(first, top)
         if _class_ends(prefix << m, m, theta) != (first, top):
             raise ValueError(f"shape {name!r} is not one class of terms")
         shape = self._add(name, prefix, m, theta, pattern_len(pattern))

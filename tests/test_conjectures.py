@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dycknums import cores, levels, patterns
+from dycknums import conjectures
 from dycknums.conjectures import (
     check_catalan_rejection,
     check_conj16,
@@ -15,8 +16,11 @@ from dycknums.conjectures import (
     check_prop12,
     run_all,
     size_identity_checks,
+    verify_eq1,
+    verify_eq2,
 )
-from dycknums.cores import core, subsegments
+from dycknums.cores import core, core_size, subsegments
+from dycknums.dyck_core import _rank
 from dycknums.errors import BoundError
 from dycknums.levels import level_structural, mersenne
 from dycknums.oeis_ref import a001405
@@ -165,6 +169,36 @@ def test_conj16_and_conj18_make_their_copies_a_block_at_a_time(monkeypatch):
     assert all(o.passed for o in outcomes)
     assert 24 not in levels._array_cache
     assert peak < 2_500_000
+
+
+def _members(bounds):
+    lo, hi = bounds
+    return _rank(hi) - _rank(lo)
+
+
+# Each copy check passes each distinct source through the membership
+# kernel once, whatever its number of copies: level 20 for the two
+# copies of eq1(21), level 18 for the three of eq2(20), the 20-core for
+# both subsegments of conj16(20), and the 16-core and the 18-core's top
+# subsegment, the latter copied three times, for conj18(20).
+@pytest.mark.parametrize("checker,n,size", [
+    (verify_eq1, 21, levels.level_size(20)),
+    (verify_eq2, 20, levels.level_size(18)),
+    (check_conj16, 20, core_size(20)),
+    (check_conj18, 20, core_size(16) + _members(levels.subsegment_bounds(18, 3))),
+], ids=["eq1", "eq2", "conj16", "conj18"])
+def test_a_copy_check_reads_each_source_once(monkeypatch, checker, n, size):
+    assert checker(n).passed  # builds the levels and masks it reads
+    read = []
+    chunk_lows, balance_ok = conjectures._chunk_lows, conjectures._balance_ok
+
+    def counted(kernel):
+        return lambda terms, nbits: (read.append(len(terms)), kernel(terms, nbits))[1]
+
+    monkeypatch.setattr(conjectures, "_chunk_lows", counted(chunk_lows))
+    monkeypatch.setattr(conjectures, "_balance_ok", counted(balance_ok))
+    assert checker(n).passed
+    assert sum(read) == size
 
 
 def test_prop12_allocates_only_the_buffers_of_its_thread():

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from dycknums.cores import (
     standard_library,
     subsegments,
 )
-from dycknums.dyck_core import _lowest, dyck_pred
+from dycknums.dyck_core import _lowest, _rank, dyck_pred, is_dyck_number
 from dycknums.errors import DomainError, LevelMismatch, NotContiguous, NotMember
 from dycknums.levels import level_structural, mersenne, subsegment_bounds
 from dycknums.oeis_ref import a002054, catalan
@@ -512,6 +513,35 @@ def test_a_class_of_two_or_more_terms_spans_two_to_the_m(prefix, m):
     if theta <= m - 2:
         assert dyck_pred(first) == (prefix << m) - 1
         assert top - dyck_pred(first) == 1 << m
+
+
+@st.composite
+def equal_classes(draw):
+    """Prefixes P and P' of equal (m, theta) and an m-bit z, every term
+    P * 2**m + z and P' * 2**m + z of 1 to 300 bits.  P' is drawn, then
+    padded at the bottom to P's lowest suffix balance: each 0 below it
+    lowers that balance by 1, and d ones raise it by d, floored at 0."""
+    m = draw(st.integers(min_value=0, max_value=298))
+    bits = draw(st.integers(min_value=1, max_value=(300 - m) // 2))
+    prefix = draw(st.integers(min_value=1 << bits - 1, max_value=(1 << bits) - 1))
+    other = draw(st.integers(min_value=1, max_value=(1 << bits) - 1))
+    want, have = -_lowest(prefix), -_lowest(other)
+    d = abs(want - have)
+    other = other << d | ((1 << d) - 1 if have > want else 0)
+    return prefix, other, m, draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+
+
+@given(equal_classes())
+@settings(max_examples=400, deadline=None)
+def test_membership_under_a_prefix_depends_on_theta_alone(case):
+    prefix, other, m, z = case
+    theta, first, top = _class(prefix, m)
+    for p in (prefix, other):
+        assert cores._class_of(p << m, (p + 1 << m) - 1) == (p, m, theta)
+    assert is_dyck_number(prefix << m | z) == is_dyck_number(other << m | z)
+    if m <= 20:
+        members = _rank(top) - _rank(first) + 1 if theta <= m else 0
+        assert math.comb(m, (m + theta) // 2) == members
 
 
 def _offsets(expr, top: int) -> list[tuple[str, object, int]]:

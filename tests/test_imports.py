@@ -155,6 +155,10 @@ def test_conjectures_takes_only_the_copy_layout_from_patterns():
     assert package_imports("conjectures")["patterns"] <= {"_copy_chain"}
 
 
+def test_conjectures_takes_only_the_class_helper_and_core_sizes_from_cores():
+    assert package_imports("conjectures")["cores"] == {"_class_of", "core_size"}
+
+
 def test_every_check_is_defined_in_conjectures():
     path = Path(dycknums.__file__).parent / "conjectures.py"
     tree = ast.parse(path.read_text(), filename=str(path))

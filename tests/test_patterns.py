@@ -430,6 +430,111 @@ def test_core_copy_certificate_fails_exactly_when_the_core_oracle_does(case):
     assert (found is None) == np.array_equal(expected, cores.core(target).segments[seg])
 
 
+def claim_copies(name, n):
+    """A copy claim, eq1 or eq2 at n or a claim of `core_claim`, as its
+    copies, (source array, offset) pairs lowest first, the interval (lo,
+    hi] and bit length they must fill, and the terms that fill it."""
+    if name == "eq":
+        k, top, lo, nbits, target = eq_claim(n)
+        return list(_copy_chain(source(n), k, top)), lo, top, nbits, target
+    sources, uses, offsets, nbits, seg = core_claim(name, n)
+    copies = [(sources[u], offset) for u, offset in zip(uses, offsets)]
+    return copies, *levels.subsegment_bounds(nbits, seg), nbits, cores.core(nbits).segments[seg]
+
+
+def source_class(src):
+    """The class (P, m, theta) that the ends of a source name."""
+    return cores._class_of(int(src[0]), int(src[-1]))
+
+
+def other_theta(src, offset):
+    """The offset moved by a multiple of 2**m onto the nearest prefix of
+    the same width and another theta, above it if there is one."""
+    prefix, m, theta = source_class(src)
+    image = prefix + (offset >> m)
+    moved = next(
+        image + j for j in sorted(range(-image, image), key=lambda j: (j < 0, abs(j)))
+        if (image + j).bit_length() == image.bit_length()
+        and cores._class_of(image + j << m, (image + j + 1 << m) - 1)[2] != theta
+    )
+    return offset + (moved - image << m)
+
+
+def move_lowest(move):
+    """Move the lowest copy to the offset `move(source, offset)`."""
+    return lambda copies: [(copies[0][0], move(*copies[0])), *copies[1:]]
+
+
+def replace_source(change):
+    """Change the lowest copy's source, in every copy of it."""
+    def changed(copies):
+        src = copies[0][0]
+        new = change(src.copy())
+        return [(new if s is src else s, offset) for s, offset in copies]
+
+    return changed
+
+
+def swap_top(src):
+    src[-1] = dyck_succ(int(src[-1]))  # the first term of the class above
+    return src
+
+
+MUTATIONS = {
+    "offset_off_by_2": move_lowest(lambda src, offset: offset + 2),
+    "offset_low_bits": move_lowest(lambda src, offset: offset + (1 << source_class(src)[1] - 1)),
+    "offset_other_theta": move_lowest(other_theta),
+    "top_swapped": replace_source(swap_top),
+    "one_short": replace_source(lambda src: np.delete(src, len(src) // 2)),
+}
+
+
+# Each mutation of a copy claim fails the certificate, and the copies it
+# makes differ from the terms they must equal, as the oracles find.
+@pytest.mark.parametrize("name,n,mutation", [
+    (name, n, mutation)
+    for name, n in (("eq", 15), ("eq", 16), ("conj16-2", 14), ("conj16-3", 14), ("conj18", 16))
+    for mutation in MUTATIONS
+    # The two 2-bit prefixes of eq1's copies have one theta.
+    if (n, mutation) != (15, "offset_other_theta")
+])
+def test_certificate_fails_for_each_mutation(name, n, mutation):
+    copies, lo, hi, nbits, target = claim_copies(name, n)
+    assert _certify_copies(copies, lo, hi, nbits) is None
+    copies = MUTATIONS[mutation](copies)
+    assert _certify_copies(copies, lo, hi, nbits) is not None
+    made = np.concatenate([np.add(src, offset, dtype=np.int64) for src, offset in copies])
+    assert first_mismatch(target, made) is not None
+    if name == "eq" and mutation in ("top_swapped", "one_short"):
+        assert oracle(n, copies[0][0]) is not None
+
+
+def test_certificate_fails_for_a_copy_onto_a_prefix_of_higher_theta():
+    # Level 8 is the class (1, 7, 1).  Its copy onto the prefix 100, of
+    # theta 3, lies above 511 and below the 35th member after it: those
+    # members number as many as the copy's terms, of which some are no
+    # members.  Only the theta of the image fails.
+    src = levels._level_array(8)
+    lo = hi = mersenne(9)
+    for _ in src:
+        hi = dyck_succ(hi)
+    assert int(src[-1]) + (3 << 7) < hi
+    assert _certify_copies([(src, 3 << 7)], lo, hi, 10) == _construction_failure(
+        f"{int(src[0]) + (3 << 7)} is not a term of the sequence"
+    )
+
+
+def test_certificate_fails_for_a_copy_of_another_width():
+    # Level 6, the class (1, 5, 1), copied up by 64 is exactly the members
+    # from 103 to M_7: as 7-bit terms, not as 8-bit ones.
+    src = levels._level_array(6)
+    lo = dyck_pred(int(src[0]) + 64)
+    assert _certify_copies([(src, 64)], lo, mersenne(7), 7) is None
+    assert _certify_copies([(src, 64)], lo, mersenne(7), 8) == _construction_failure(
+        "103..127 is no 8-bit translate of the class (1, 5, 1)"
+    )
+
+
 def test_verify_eq_rejects_wrong_parity():
     with pytest.raises(ValueError):
         verify_eq1(6)
