@@ -249,10 +249,10 @@ def _gen_blocks(kind: str, n: int):
         return [cores.core(n).arr]
     if n < 6 or n % 2:
         return _whole_level(n, _level_blocks(n))
-    # The images are cut at the core's top: a term of theirs at or below
-    # it would be lost unseen but for the count.
-    images = _level_blocks(n, lo=cores.core_top(n))
-    return _whole_level(n, itertools.chain([cores.core(n).arr], images))
+    # The core first: it refuses n above the bound before its n-bit top is
+    # made.  A term of the images at or below that top is caught by the count.
+    core = cores.core(n)
+    return _whole_level(n, itertools.chain([core.arr], _level_blocks(n, lo=core.top)))
 
 
 def _whole_level(n: int, blocks):

@@ -15,7 +15,9 @@ coefficients and Catalan numbers.
 Every copy claim is certified by `_certify_copies` as exactly the
 members between two bounds: each distinct copy source is read once, as
 blocks, and each copy is proven in O(1) a translate of the class that
-its source's ends name.  No check builds an odd level or keeps a copy.
+its source's ends name.  eq1 and eq2 then check in O(1) that the parts
+the construction builds level n from are those copies.  No check
+builds an odd level or keeps a copy.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .levels import (
     _f00_mask,
     _level_array,
     _level_blocks,
+    _level_parts,
     _work,
     core_top,
     level_size,
@@ -43,7 +46,7 @@ from .levels import (
 )
 from .oeis_ref import a001405, a002054, catalan
 from .patterns import _copy_chain
-from .report import Counterexample, VerificationOutcome, check, first_block_mismatch
+from .report import Counterexample, VerificationOutcome, check
 
 __all__ = [
     "VerificationOutcome",
@@ -72,8 +75,9 @@ def check_prop12(n: int) -> Counterexample | None:
     segment of its level interval.
 
     Both are proven from level n, which is witnessed: read once, as
-    blocks, its terms must have n bits, be members, ascend strictly
-    (`_block_fault`) and number `level_size(n)`, reported in that order.
+    blocks (`_witness`), its first term must have n bits, and its terms
+    that width, be members, ascend strictly and number `level_size(n)`,
+    reported in that order.
 
     Read from bit 0 up, the suffix balances of 4t + 1 are 1, 0, then
     t's; those of 4t + 3 are 1, 2, then t's plus 2; and for an odd t,
@@ -90,46 +94,26 @@ def check_prop12(n: int) -> Counterexample | None:
     no member."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    prev, read = mersenne(n - 1), 0
-    for block in _level_blocks(n):
-        fault = _block_fault(block, prev, n)
-        if fault:
-            i, kind = fault
-            t = int(block[i])
-            if kind == "width":
-                return Counterexample(t, f"a term of {n} bits", f"{t.bit_length()} bits")
-            if kind == "member":
-                lift = next(4 * t + d for d in (-1, 1, 3) if not is_dyck_number(4 * t + d))
-                return Counterexample(t, f"{lift} in level {n + 2}", "absent")
-            return Counterexample(t, f"above {int(block[i - 1]) if i else prev}", "not above")
-        prev, read = int(block[-1]), read + len(block)
-    if read != level_size(n):
-        return Counterexample("cardinality", level_size(n), read)
+    level = _witness(_level_blocks(n))
+    fault = level.fault
+    if (level.read or fault) and level.first.bit_length() != n:
+        fault = (level.first, 0, "width", n)
+    if fault:
+        t, below, kind, _ = fault
+        if kind == "width":
+            return Counterexample(t, f"a term of {n} bits", f"{t.bit_length()} bits")
+        if kind == "member":
+            lift = next(4 * t + d for d in (-1, 1, 3) if not is_dyck_number(4 * t + d))
+            return Counterexample(t, f"{lift} in level {n + 2}", "absent")
+        return Counterexample(t, f"above {below}", "not above")
+    if level.read != level_size(n):
+        return Counterexample("cardinality", level_size(n), level.read)
     return None
 
 
-def _block_fault(block: np.ndarray, prev: int, nbits: int) -> tuple[int, str] | None:
-    """The index and kind of the first fault of a block of a run read
-    once: a term of other than nbits bits ("width", from the block's
-    extremes, as membership reads the low nbits bits only), else a term
-    that is no member ("member", from the minimums of the chunk tests,
-    so only a failing block is tested term by term), else one not above
-    the term before it, prev for the first ("ascent"); None for none."""
-    lo, hi = mersenne(nbits - 1), mersenne(nbits)
-    if block.min() <= lo or block.max() > hi:
-        return int(np.argmax((block <= lo) | (block > hi))), "width"
-    if not all(low.min() >= 0 for low in _chunk_lows(block, nbits)):
-        return int(np.argmin(_balance_ok(block, nbits))), "member"
-    # Every temporary of a block is a buffer of `_work`.
-    up = _work.passed[: len(block)]
-    up[0] = int(block[0]) > prev
-    np.greater(block[1:], block[:-1], out=up[1:])
-    return None if up.all() else (int(np.argmin(up)), "ascent")
-
-
 class _Witness(NamedTuple):
-    """A copy source read once: its ends, its size, and its first fault
-    as (term, the term before it, kind, width), or None."""
+    """A run read once: its ends, its size, and its first fault as
+    (term, the term before it, kind, width), or None."""
 
     first: int
     top: int
@@ -138,29 +122,44 @@ class _Witness(NamedTuple):
 
 
 def _witness(src) -> _Witness:
-    """Read a source, an array or a stream of blocks, once, up to its
-    first fault: its terms must have its first term's width, be members
-    and ascend.  A `_Witness` is returned as it is."""
+    """Read a run, an array or a stream of blocks, once, up to its first
+    fault, found block by block: a term of other than its first term's
+    width ("width", from the block's extremes, as membership reads the
+    low bits of that width only), else a term that is no member
+    ("member", from the minimums of the chunk tests, so only a failing
+    block is tested term by term), else one not above the term before it
+    ("ascent").  A `_Witness` is returned as it is."""
     if isinstance(src, _Witness):
         return src
-    first = prev = read = nbits = 0
-    for block in _blocks(src):
+    first = prev = read = 0
+    # Read in blocks of at most `_BLOCK` terms, the size of `_work`'s buffers.
+    parts = [src] if isinstance(src, np.ndarray) else src
+    for block in (part[s : s + _BLOCK] for part in parts for s in range(0, len(part), _BLOCK)):
         if not read:
-            first = int(block[0])
-            nbits, prev = first.bit_length(), first - 1
-        fault = _block_fault(block, prev, nbits)
-        if fault:
-            i, kind = fault
-            below = int(block[i - 1]) if i else prev
-            return _Witness(first, prev, read, (int(block[i]), below, kind, nbits))
-        prev, read = int(block[-1]), read + len(block)
+            first, prev = int(block[0]), int(block[0]) - 1
+            nbits = first.bit_length() or 1  # the term 0 fails its width
+            lo, hi = mersenne(nbits - 1), mersenne(nbits)
+        if block.min() <= lo or block.max() > hi:
+            i, kind = int(np.argmax((block <= lo) | (block > hi))), "width"
+        elif not all(low.min() >= 0 for low in _chunk_lows(block, nbits)):
+            i, kind = int(np.argmin(_balance_ok(block, nbits))), "member"
+        else:
+            # Every temporary of a block is a buffer of `_work`.
+            up = _work.passed[: len(block)]
+            up[0] = int(block[0]) > prev
+            np.greater(block[1:], block[:-1], out=up[1:])
+            if up.all():
+                prev, read = int(block[-1]), read + len(block)
+                continue
+            i, kind = int(np.argmin(up)), "ascent"
+        below = int(block[i - 1]) if i else prev
+        return _Witness(first, prev, read, (int(block[i]), below, kind, nbits))
     return _Witness(first, prev, read, None)
 
 
-def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counterexample | None:
+def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | None:
     """Check that the copies, (source, offset) pairs in order, are exactly
-    the members in (lo, hi] of nbits bits; with `built`, an array or a
-    stream of blocks, that they equal it term by term.
+    the members in (lo, hi] of nbits bits.
 
     Each distinct source (by identity), an array, a stream of blocks or
     its `_witness`, is read once, on first use.  Its ends name a class
@@ -177,17 +176,14 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counter
     top at or below hi, and the copies must hold as many terms as
     `_rank` counts in (lo, hi]: ascending members there, as many as
     there are, are all of them.  A source need not be its whole class:
-    none of these steps uses it.  With `built`, the copies are then made
-    as source + offset blocks and compared with it, so its sources are
-    read again and must be arrays or lists of blocks.
+    none of these steps uses it.
 
     A bound that is no member, or a pair that cannot be drawn, fails the
     construction up front.  Then, copy by copy: a fault of its source,
     as its image in the first copy of it, which by the lemma fails the
     same way (a member image, which only a copy that is no translate
     makes, as the source term itself); the copy's proof.  Then a count
-    of copies other than the members', a built stream of the wrong
-    length, and the first term where it differs from the copies."""
+    of copies other than the members'."""
     try:
         copies, count = list(copies), _rank(hi) - _rank(lo)
     except (NotMember, DomainError) as exc:
@@ -208,10 +204,7 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int, built=None) -> Counter
         made += source.read
     if made != count:
         return Counterexample("cardinality", count, made)
-    if built is None:
-        return None
-    mismatch, size, _ = first_block_mismatch(built, _copy_blocks(copies))
-    return Counterexample("cardinality", size, count) if size != count else mismatch
+    return None
 
 
 def _image_fault(t: int, below: int, kind: str, nbits: int, offset: int, hi: int) -> str:
@@ -234,23 +227,6 @@ def _copy_fault(source: _Witness, offset: int, prev: int, hi: int, nbits: int) -
     return f"{top} lies above {hi}" if top > hi else None
 
 
-def _blocks(src):
-    """The terms of an array or a stream of blocks as nonempty blocks of
-    at most `_BLOCK` terms."""
-    for part in [src] if isinstance(src, np.ndarray) else src:
-        for start in range(0, len(part), _BLOCK):
-            yield part[start : start + _BLOCK]
-
-
-def _copy_blocks(copies):
-    """The copies as source + offset blocks, each in one reused int64
-    buffer."""
-    buf = np.empty(_BLOCK, dtype=np.int64)
-    for src, offset in copies:
-        for block in _blocks(src):
-            yield np.add(block, offset, out=buf[: len(block)], dtype=np.int64)
-
-
 def _construction_failure(reason: Exception | str) -> Counterexample:
     return Counterexample("construction", "a valid pattern", str(reason))
 
@@ -258,26 +234,46 @@ def _construction_failure(reason: Exception | str) -> Counterexample:
 @check("eq1")
 def verify_eq1(n: int) -> Counterexample | None:
     """Check that odd level n, the members in (M_{n-1}, M_n], is two
-    copies of level n-1, the top one ending at M_n."""
+    copies of level n-1 ending at M_n, the parts level n is built from."""
     if n < 5 or n % 2 == 0:
         raise ValueError("the doubling identity applies to odd n >= 5")
-    top = mersenne(n)
-    return _certify_copies(_copy_chain(_level_array(n - 1), 2, top), mersenne(n - 1), top, n)
+    return _certify_level(n, _level_array(n - 1), 2, mersenne(n - 1))
 
 
 @check("eq2")
 def verify_eq2(n: int) -> Counterexample | None:
     """Check that the tail of even level n, the members in (M_{n-1} +
     2**(n-3), M_n] above the core senior term, is three copies of level
-    n-2, the top one ending at M_n, and that the construction of level
-    n, read as blocks, holds exactly them."""
+    n-2 ending at M_n, the parts level n's tail is built from."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
+    return _certify_level(n, _level_array(n - 2), 3, core_top(n))
+
+
+def _certify_level(n: int, src: np.ndarray, k: int, lo: int) -> Counterexample | None:
+    """Check that the members in (lo, M_n] are the k copies of src that
+    `_copy_chain` lays out ending at M_n, then, in O(1) and reading no
+    term, that the parts `_level_parts(n)` builds level n from, an even
+    level's core (part 0) aside, are those copies, drawn again: each the
+    certified array itself, unmasked, shifted by its copy's offset, and
+    as many parts as copies."""
     top = mersenne(n)
-    return _certify_copies(
-        _copy_chain(_level_array(n - 2), 3, top), core_top(n), top, n,
-        built=_level_blocks(n, lo=core_top(n)),
-    )
+    found = _certify_copies(_copy_chain(src, k, top), lo, top, n)
+    if found:
+        return found
+    core = 1 - n % 2
+    parts, copies = _level_parts(n)[core:], _copy_chain(src, k, top)
+    for i, ((part, keep, shift), (_, offset)) in enumerate(zip(parts, copies), core):
+        name = f"part {i} of level {n}"
+        if part is not src:
+            return Counterexample(name, "the certified source", "another array")
+        if keep is not None:
+            return Counterexample(name, "no mask", "a mask")
+        if shift != offset:
+            return Counterexample(name, f"shift {offset}", f"shift {shift}")
+    if len(parts) != k:
+        return Counterexample(f"parts of level {n}", k, len(parts))
+    return None
 
 
 def _subsegment_copies(n: int, seg: int, copies, size: int) -> Counterexample | None:
@@ -428,15 +424,16 @@ def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
     """The (check name, n) pairs the named checks run at up to max_n.
     A check at n builds no level above n - 1 and reads at most level n,
     as blocks: raise BoundError when one would read a level above
-    `MAX_MATERIALIZED_LEVEL` + 2, the highest that streams."""
-    plan = [(name, n) for name in names for n in range(CHECKS[name][1], max_n + 1, 2)]
-    top = max((n for _, n in plan), default=0)
+    `MAX_MATERIALIZED_LEVEL` + 2, the highest that streams, before any
+    pair is listed."""
+    firsts = [CHECKS[name][1] for name in names]
+    top = max((max_n - (max_n - first) % 2 for first in firsts if first <= max_n), default=0)
     if top > MAX_MATERIALIZED_LEVEL + 2:
         raise BoundError(
             f"max_n {max_n} needs level {top}, above level {MAX_MATERIALIZED_LEVEL + 2}, "
             "the highest that streams"
         )
-    return plan
+    return [(name, n) for name, first in zip(names, firsts) for n in range(first, max_n + 1, 2)]
 
 
 def run_all(max_n: int) -> list[VerificationOutcome]:

@@ -89,8 +89,8 @@ def core(n: int) -> Core:
         return cached
     if n < 6 or n % 2:
         raise DomainError("cores exist for even n >= 6")
+    arr = _core_array(n)  # refuses n above the bound before its n-bit top is made
     top = core_top(n)
-    arr = _core_array(n)
     assert arr.size and arr[-1] == top, "core must end at its senior term"
     segments = None
     if n >= 10:

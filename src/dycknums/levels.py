@@ -352,9 +352,11 @@ def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
     """Level n as its ascending parts (source, fragment-00 mask or None,
     shift), each the terms source[mask] + shift.  Odd n: two copies of
     level n-1.  Even n: the core (level n-2 under the fragment-00 mask),
-    then the 01, 10 and 11 images of level n-2.  Raises unless the parts
-    hold as many terms as level n."""
-    size = level_size(n)  # raises below n = 1
+    then the 01, 10 and 11 images of level n-2.  The source comes first,
+    so n above the bound is refused before `level_size(n)` is computed.
+    Raises unless the parts hold as many terms as level n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n <= 2:
         parts = [(np.array(_BASE_LEVELS[n], dtype=TERM_DTYPE), None, 0)]
     elif n % 2:
@@ -366,7 +368,7 @@ def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
             (src, None, f.shift(n)) for f in list(Fragment)[1:]
         ]
     total = sum(len(src) if keep is None else np.count_nonzero(keep) for src, keep, _ in parts)
-    if total != size:
+    if total != level_size(n):
         raise AssertionError(f"level {n} construction makes {total} terms")
     return parts
 

@@ -95,9 +95,30 @@ def test_eq1_reports_a_broken_construction(monkeypatch):
     ))
 
 
-def test_eq2_reports_a_dropped_tail_term(monkeypatch):
-    corrupt_level_blocks(monkeypatch, conjectures, 8, drop(-1))
-    assert_fails(verify_eq2(8), "eq2", 8, Counterexample("cardinality", 29, 30))
+def failures(outcomes):
+    return {(o.name, o.n): o.detail for o in outcomes if not o.passed}
+
+
+# eq2 reads no term of level n: it certifies the copies of level n-2 and
+# that the construction's tail parts are those copies.  A level n that
+# streams other terms is caught by prop12, which reads it whole; each
+# term is changed by value, so the core that conj16 reads stays intact.
+def test_a_dropped_tail_term_fails_prop12_in_run_all(monkeypatch):
+    corrupt_level_blocks(monkeypatch, conjectures, 8, lambda arr: arr[arr != 255])
+    assert failures(run_all(8)) == {("prop12", 8): Counterexample("cardinality", 35, 34)}
+
+
+def test_a_shifted_tail_term_fails_prop12_in_run_all(monkeypatch):
+    # Level 22's tail spans several blocks; its term 2 * _BLOCK + 7 is
+    # moved onto the next one.
+    level = levels._level_array(22)
+    tail_start = int(np.searchsorted(level, levels.core_top(22), side="right"))
+    t = int(level[tail_start + 2 * levels._BLOCK + 7])
+    assert level[tail_start + 2 * levels._BLOCK + 8] == t + 2
+    corrupt_level_blocks(monkeypatch, conjectures, 22, lambda arr: np.where(arr == t, t + 2, arr))
+    assert failures(run_all(22)) == {
+        ("prop12", 22): Counterexample(t + 2, f"above {t + 2}", "not above")
+    }
 
 
 def test_eq2_reports_a_broken_construction(monkeypatch):
@@ -108,16 +129,58 @@ def test_eq2_reports_a_broken_construction(monkeypatch):
     ))
 
 
-def test_eq2_reports_a_tail_mismatch_by_its_index_in_the_tail(monkeypatch):
-    # Level 22's tail spans several blocks of the certificate; the index
-    # counts from the first tail term, not from the block.
-    level = levels._level_array(22)
-    tail_start = int(np.searchsorted(level, levels.core_top(22), side="right"))
-    i = 2 * levels._BLOCK + 7
-    corrupt_level_blocks(monkeypatch, conjectures, 22, shift(i))
-    assert_fails(verify_eq2(22), "eq2", 22, Counterexample(
-        f"index {i}", int(level[tail_start + i]) + 2, int(level[tail_start + i])
-    ))
+def mutate_parts(monkeypatch, n, change):
+    """`conjectures._level_parts(n)`, the parts eq1 and eq2 check against
+    their copies, returns the parts of level n changed."""
+    real = conjectures._level_parts
+
+    def level_parts(m):
+        return change(real(m)) if m == n else real(m)
+
+    monkeypatch.setattr(conjectures, "_level_parts", level_parts)
+
+
+def replace_part(i, change):
+    """Part i, a (source, mask, shift) triple, changed."""
+    return lambda parts: parts[:i] + [change(*parts[i])] + parts[i + 1 :]
+
+
+def shifted_source(src, keep, shift):
+    out = src.copy()
+    out[len(out) // 2] += 2
+    return out, keep, shift
+
+
+def masked(src, keep, shift):
+    mask = np.ones(len(src), dtype=bool)
+    mask[-1] = False
+    return src, mask, shift
+
+
+# Each part of level n above its core must be its copy: the certified
+# array, unmasked, at the copy's offset, and as many parts as copies.
+# Odd n = 9 is two parts of level 8; even n = 10 the core (part 0) and
+# three parts of level 8.
+@pytest.mark.parametrize("n,change,detail", [
+    (9, replace_part(1, lambda src, keep, shift: (src, keep, shift + 2)),
+     Counterexample("part 1 of level 9", "shift 256", "shift 258")),
+    (9, replace_part(0, shifted_source),
+     Counterexample("part 0 of level 9", "the certified source", "another array")),
+    (9, replace_part(0, masked), Counterexample("part 0 of level 9", "no mask", "a mask")),
+    (9, lambda parts: parts[1:], Counterexample("part 0 of level 9", "shift 128", "shift 256")),
+    (9, lambda parts: parts + parts[-1:], Counterexample("parts of level 9", 2, 3)),
+    (10, replace_part(2, lambda src, keep, shift: (src, keep, shift - 2)),
+     Counterexample("part 2 of level 10", "shift 640", "shift 638")),
+    (10, replace_part(3, shifted_source),
+     Counterexample("part 3 of level 10", "the certified source", "another array")),
+    (10, replace_part(1, masked), Counterexample("part 1 of level 10", "no mask", "a mask")),
+    (10, lambda parts: parts[:-1], Counterexample("parts of level 10", 3, 2)),
+], ids=["eq1_shift", "eq1_source", "eq1_mask", "eq1_part_dropped", "eq1_part_added",
+        "eq2_shift", "eq2_source", "eq2_mask", "eq2_part_dropped"])
+def test_eq1_and_eq2_report_a_part_that_is_not_its_copy(monkeypatch, n, change, detail):
+    mutate_parts(monkeypatch, n, change)
+    name, checker = ("eq1", verify_eq1) if n % 2 else ("eq2", verify_eq2)
+    assert_fails(checker(n), name, n, detail)
 
 
 def test_prop12_reports_a_missing_triplet_member(monkeypatch):
@@ -129,10 +192,10 @@ def test_prop12_reports_a_missing_triplet_member(monkeypatch):
 
 # The membership test reads only the low n bits of a term, so a term
 # of another width must be caught before it: the level-6 term 63
-# shifted to 103 (a term of level 7), and 39 shifted by 2**20, whose
-# low 6 bits are 39's.
-@pytest.mark.parametrize("i,delta,term", [(-1, 40, 103), (0, 1 << 20, 1048615)],
-                         ids=["7_bits", "21_bits"])
+# shifted to 103 (a term of level 7), 39 shifted by 2**20, whose low 6
+# bits are 39's, and 39 shifted to 0, a first term of no width.
+@pytest.mark.parametrize("i,delta,term", [(-1, 40, 103), (0, 1 << 20, 1048615), (0, -39, 0)],
+                         ids=["7_bits", "21_bits", "0_bits"])
 def test_prop12_reports_a_term_of_another_width(monkeypatch, i, delta, term):
     corrupt_level_blocks(monkeypatch, conjectures, 6, shift(i, delta))
     assert_fails(check_prop12(6), "prop12", 6,

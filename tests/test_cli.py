@@ -392,6 +392,43 @@ def test_structural_bound_breach_is_usage_error(no_block, capsys, argv, level):
     assert f"level {level} exceeds the bound 30 on materialized levels" in captured.err
 
 
+@pytest.mark.parametrize("argv,level", [
+    (("gen", "--level", "2000001"), 2000000),
+    (("gen", "--level", "2000000000"), 1999999998),
+    (("gen", "--level", str(10**12 - 1)), 10**12 - 2),
+    (("gen", "--level", str(10**12)), 10**12 - 2),
+    (("gen", "--core", "100000000000"), 99999999998),
+    (("gen", "--core", str(10**12)), 10**12 - 2),
+])
+def test_a_huge_level_or_core_is_refused_before_any_work_that_grows_with_it(
+    no_block, monkeypatch, capsys, argv, level
+):
+    # level_size(n), a binomial of about 0.3 n digits, and core_top(n),
+    # an n-bit int, fail here above n = 64: the refusal comes first.
+    def small(real):
+        def bounded(n):
+            if n > 64:
+                raise AssertionError(f"{real.__name__}({n}) was computed")
+            return real(n)
+
+        return bounded
+
+    for module, name in [(levels, "level_size"), (levels, "core_top"), (cores, "core_top"),
+                         (cores, "level_size"), (cli, "level_size")]:
+        monkeypatch.setattr(module, name, small(getattr(module, name)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2 and peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"level {level} exceeds the bound 30 on materialized levels" in captured.err
+
+
 @pytest.mark.parametrize("argv", [("decompose", "--level", "37"), ("decompose", "--core", "38")])
 def test_decompose_beyond_its_bound_is_usage_error(monkeypatch, capsys, argv):
     # Refused up front, before any library is made.

@@ -286,6 +286,33 @@ def test_run_all_validates_no_pattern(monkeypatch):
     assert len(outcomes) == 61 and all(o.passed for o in outcomes)
 
 
+def test_run_all_reads_level_n_for_prop12_and_conj16_alone(monkeypatch):
+    # prop12(24) reads level 24 whole and conj16(24) its core; eq2(24)
+    # reads none of it, which spares the three images of level 22.
+    drawn = []
+    real = conjectures._level_blocks
+
+    def level_blocks(m, *args, **kwargs):
+        for block in real(m, *args, **kwargs):
+            drawn.append(len(block) if m == 24 else 0)
+            yield block
+
+    monkeypatch.setattr(conjectures, "_level_blocks", level_blocks)
+    assert all(o.passed for o in run_all(24))
+    assert sum(drawn) == levels.level_size(24) + core_size(24)
+
+
+def test_planned_checks_refuses_a_huge_max_n_before_listing_the_plan():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundError, match="max_n 100000 needs level 100000, above level 32"):
+            conjectures.planned_checks(conjectures.CHECKS, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("max_n,level", [(33, 33), (40, 40)])
 def test_run_all_refuses_max_n_above_the_structural_bound(no_block, max_n, level):
     with pytest.raises(BoundError, match=f"needs level {level}, above level 32, the highest that streams"):

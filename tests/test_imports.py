@@ -155,6 +155,14 @@ def test_conjectures_takes_only_the_copy_layout_from_patterns():
     assert package_imports("conjectures")["patterns"] <= {"_copy_chain"}
 
 
+def test_conjectures_takes_only_the_outcome_records_from_report():
+    # No claim compares two streams term by term: each is certified
+    # against the members between two bounds.
+    assert package_imports("conjectures")["report"] <= {
+        "Counterexample", "VerificationOutcome", "check"
+    }
+
+
 def test_conjectures_takes_only_the_class_helper_and_core_sizes_from_cores():
     assert package_imports("conjectures")["cores"] == {"_class_of", "core_size"}
 

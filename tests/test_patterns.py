@@ -235,8 +235,8 @@ def copies_oracle(src, k, n, expected):
 def eq_claim(n):
     """The claim of eq1 (odd n) or eq2 (even n) about its source: copy
     count, top, the interval's lower bound, bit length, and the built
-    terms the copies must equal (the whole odd level for the oracle
-    alone)."""
+    terms (the odd level, or the even level's tail) that the oracle
+    compares the copies with."""
     level = levels._level_array(n)
     if n % 2:
         return 2, mersenne(n), mersenne(n - 1), n, level
@@ -246,8 +246,8 @@ def eq_claim(n):
 
 def certify(n, src):
     """The certificate of eq1 or eq2 at n over the source run src."""
-    k, top, lo, nbits, built = eq_claim(n)
-    return _certify_copies(_copy_chain(src, k, top), lo, top, nbits, None if n % 2 else built)
+    k, top, lo, nbits, _ = eq_claim(n)
+    return _certify_copies(_copy_chain(src, k, top), lo, top, nbits)
 
 
 def oracle(n, src):
