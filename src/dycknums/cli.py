@@ -25,8 +25,7 @@ from .dyck_core import classify, dyck_pred, dyck_succ
 from .errors import BoundError, DomainError, DyckError, UsageError
 from .levels import (DEFAULT_SCAN_BOUND, _level_blocks, _stream_blocks, level_index, level_scan,
                      level_size, mersenne, subsegment_bounds)
-from .report import (RECORD_HEADER, Counterexample, VerificationOutcome, check,
-                     first_block_mismatch, first_mismatch)
+from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
 
 DEFAULT_MAX_N = 22
 # The one bound of `decompose --core N` and `--level N`, set by the size of
@@ -286,9 +285,13 @@ def _run_gen_check(kind: str, n: int) -> int:
     scanned = level_scan(n).arr
     if kind == "core":
         scanned = scanned[: np.searchsorted(scanned, cores.core_top(n), side="right")]
-    # The printed terms are read again as blocks, never as one array.
-    found, size, printed = first_block_mismatch(scanned, _gen_blocks(kind, n))
-    if found is not None or size != printed:
+    # The printed terms are read again as blocks, never as one array, each
+    # compared with its slice of the scan, and to the end of the stream.
+    agree, printed = True, 0
+    for block in _gen_blocks(kind, n):
+        agree = agree and np.array_equal(block, scanned[printed : printed + len(block)])
+        printed += len(block)
+    if not agree or printed != len(scanned):
         print(f"check: {kind} {n} disagrees with the scan oracle", file=sys.stderr)
         return 1
     print(f"check: {kind} {n} matches the scan oracle", file=sys.stderr)

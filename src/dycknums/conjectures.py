@@ -18,6 +18,9 @@ blocks, and each copy is proven in O(1) a translate of the class that
 its source's ends name.  eq1 and eq2 then check in O(1) that the parts
 the construction builds level n from are those copies.  No check
 builds an odd level or keeps a copy.
+The construction applies the fragment-00 rule without checking it;
+the rejection check alone compares it, term by term, with the
+membership of each 00 image.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .levels import (
     _BLOCK,
     _balance_ok,
     _chunk_lows,
-    _f00_mask,
+    _f00_keep,
     _level_array,
     _level_blocks,
     _level_parts,
@@ -255,19 +258,19 @@ def _certify_level(n: int, src: np.ndarray, k: int, lo: int) -> Counterexample |
     `_copy_chain` lays out ending at M_n, then, in O(1) and reading no
     term, that the parts `_level_parts(n)` builds level n from, an even
     level's core (part 0) aside, are those copies, drawn again: each the
-    certified array itself, unmasked, shifted by its copy's offset, and
-    as many parts as copies."""
+    certified array itself, whole (its f00 flag False), shifted by its
+    copy's offset, and as many parts as copies."""
     top = mersenne(n)
     found = _certify_copies(_copy_chain(src, k, top), lo, top, n)
     if found:
         return found
     core = 1 - n % 2
     parts, copies = _level_parts(n)[core:], _copy_chain(src, k, top)
-    for i, ((part, keep, shift), (_, offset)) in enumerate(zip(parts, copies), core):
+    for i, ((part, f00, shift), (_, offset)) in enumerate(zip(parts, copies), core):
         name = f"part {i} of level {n}"
         if part is not src:
             return Counterexample(name, "the certified source", "another array")
-        if keep is not None:
+        if f00 is not False:
             return Counterexample(name, "no mask", "a mask")
         if shift != offset:
             return Counterexample(name, f"shift {offset}", f"shift {shift}")
@@ -322,15 +325,30 @@ def check_conj18(n: int) -> Counterexample | None:
 def check_catalan_rejection(n: int) -> Counterexample | None:
     """The 00 fragment rejects exactly Cat(n/2 - 1) terms of level n-2,
     and zeroing the leading bit of each rejected term leaves a Dyck
-    word: total balance 0 with no suffix dipping negative."""
+    word: total balance 0 with no suffix dipping negative.
+
+    The terms are those of the core part level n is built from, level
+    n-2 under the 00 shift, and a term is rejected when `_balance_ok`
+    rejects its image.  The rule the construction applies (`_f00_keep`)
+    must agree term by term: the first term where it does not is
+    reported, expected the verdict of membership, got the rule's."""
     if n < 6 or n % 2:
         raise ValueError("rejection counts are checked for even n >= 6")
-    src, keep = _f00_mask(n)
+    src, _, shift = _level_parts(n)[0]
     # Zeroing keeps the code length, so the word has n - 2 bits, half of
     # them ones.  Read a block at a time: nothing level-sized is made.
     rejected, bad = 0, None
     for start in range(0, len(src), _BLOCK):
-        dropped = src[start : start + _BLOCK][~keep[start : start + _BLOCK]]
+        block = src[start : start + _BLOCK]
+        image = np.add(block, shift, out=_work.image[: len(block)], dtype=np.int64)
+        member = _balance_ok(image, n)
+        differ = member != _f00_keep(block, n)
+        if differ.any():
+            i = int(np.argmax(differ))
+            kept = bool(member[i])
+            return Counterexample(int(block[i]), "kept" if kept else "rejected",
+                                  "rejected" if kept else "kept")
+        dropped = block[~member]
         rejected += len(dropped)
         if bad is None and len(dropped):
             words = dropped - (1 << (n - 3))

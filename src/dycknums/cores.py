@@ -30,9 +30,11 @@ from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
     Fragment,
     TermArray,
+    _BLOCK,
     _F00_MIN_DYNAMICS,
     _core_array,
-    _f00_mask,
+    _f00_keep,
+    _level_array,
     _level_blocks,
     core_top,
     level_size,
@@ -116,8 +118,9 @@ def rejected_terms(n: int) -> tuple[int, ...]:
     """Level n-2 terms whose 00-fragment image is rejected."""
     if n < 6 or n % 2:
         raise DomainError("cores exist for even n >= 6")
-    src, keep = _f00_mask(n)
-    return tuple(src[~keep].tolist())
+    src = _level_array(n - 2)
+    blocks = (src[start : start + _BLOCK] for start in range(0, len(src), _BLOCK))
+    return tuple(t for block in blocks for t in block[~_f00_keep(block, n)].tolist())
 
 
 def subsegments(c: Core) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,8 @@ rebuilds each level from smaller ones: an odd level is two shifted copies
 of the level below it, an even level is the union of the four 2-bit
 fragment images of the level two below (with the 00 fragment rejecting
 terms of low dynamics).  The two must agree element for element.  The
-fragment rule lives only here (`Fragment`, `_f00_mask`).
+fragment rule lives only here (`Fragment`, `_f00_keep`), applied one
+block at a time and stored nowhere.
 
 A level is described once, as its ordered parts (`_level_parts`), and
 made one block at a time from them (`_part_blocks`).  `_level_array`
@@ -61,9 +62,6 @@ _F00_MIN_DYNAMICS = 4
 _BASE_LEVELS = {1: (1,), 2: (3,)}
 
 _array_cache: dict[int, np.ndarray] = {}
-# n -> (level n-2, its fragment-00 mask).  An entry serves only the very
-# array it was made from, so a level swapped or copied is checked again.
-_mask_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class _Work(threading.local):
@@ -262,44 +260,40 @@ class Fragment(enum.Enum):
         return (1 << (n - 1)) + (self.value - 1) * (1 << (n - 3))
 
 
-def _f00_mask(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level n-2 for even n >= 4, and the read-only mask of its terms
-    whose 00-fragment image is a term of level n: those of dynamics at
-    least `_F00_MIN_DYNAMICS`; the rest are rejected.  Made one block at
-    a time, once per level n-2 array, and raises unless an explicit
-    suffix-balance check of the images agrees (the dual route)."""
-    src = _level_array(n - 2)
-    cached = _mask_cache.get(n)
-    if cached is not None and cached[0] is src:
-        return cached
-    keep = np.empty(len(src), dtype=bool)
-    for start in range(0, len(src), _BLOCK):
-        block, kept = src[start : start + _BLOCK], keep[start : start + _BLOCK]
-        ones, image = _work.ones[: len(block)], _work.image[: len(block)]
-        # Dynamics 2 * ones - (n - 2) >= _F00_MIN_DYNAMICS, counted in uint8;
-        # n is even, so the bound on the ones is exact.
-        np.bitwise_count(block, out=ones)
-        np.greater_equal(ones, (n - 2 + _F00_MIN_DYNAMICS) // 2, out=kept)
-        np.add(block, Fragment.F00.shift(n), out=image, dtype=np.int64)
-        if not np.array_equal(_balance_ok(image, n), kept):
-            raise AssertionError(f"fragment-00 rejection mismatch at level {n}")
-    keep.flags.writeable = False
-    _mask_cache[n] = src, keep
-    return src, keep
+def _f00_keep(block: np.ndarray, n: int) -> np.ndarray:
+    """True where the 00-fragment image of a term of `block`, at most
+    `_BLOCK` members of level n-2 for even n >= 4, is a term of level n:
+    where its dynamics is at least `_F00_MIN_DYNAMICS`; the other terms
+    are rejected.  A view of a buffer of `_work`, valid until the next
+    call.
+
+    The image t + Fragment.F00.shift(n) = t - 2**(n-3) + 2**(n-1) is 100
+    followed by the low n - 3 bits of t.  Read from bit 0 up, its suffix
+    balances are the first n - 3 of t's, then b - 1, b - 2 and b - 1,
+    where b = dynamics(t) - 1 is the balance of those low bits.  t's are
+    >= 0, so the image is a member iff b >= 2, that is dynamics(t) >= 3;
+    dynamics(t) has the parity of n - 2, even, so iff dynamics(t) >= 4."""
+    ones = np.bitwise_count(block, out=_work.ones[: len(block)])
+    # Dynamics 2 * ones - (n - 2), counted in uint8; n is even, so the
+    # bound on the ones is exact.  Each verdict overwrites its count.
+    return np.greater_equal(ones, (n - 2 + _F00_MIN_DYNAMICS) // 2, out=ones.view(bool))
 
 
 def _core_array(n: int) -> np.ndarray:
     """The n-core for even n >= 6: the 00-fragment survivors of level
-    n-2, or a view of level n's leading block when level n is resident."""
+    n-2, or a view of level n's leading block when level n is resident.
+    Level n-2 is made first, so n above the bound is refused before the
+    core's size, or its n-bit top, is computed."""
+    core = _level_parts(n)[:1]
+    size = level_size(n) - 3 * level_size(n - 2)
     level = _array_cache.get(n)
     if level is not None:
-        return level[: len(level) - 3 * level_size(n - 2)]
-    src, keep = _f00_mask(n)
+        return level[:size]
     # Only the (MAX_MATERIALIZED_LEVEL + 2)-core's terms pass TERM_DTYPE
     # (see TERM_DTYPE); each block is written once, into its place.
     fits = core_top(n) <= np.iinfo(TERM_DTYPE).max
-    arr = np.empty(np.count_nonzero(keep), dtype=TERM_DTYPE if fits else np.int64)
-    for _ in _part_blocks(n, [(src, keep, Fragment.F00.shift(n))], out=arr):
+    arr = np.empty(size, dtype=TERM_DTYPE if fits else np.int64)
+    for _ in _part_blocks(n, core, out=arr):
         pass
     return arr
 
@@ -348,29 +342,22 @@ def level_scan(n: int) -> Level:
     return Level(n, _scan_array(n))
 
 
-def _level_parts(n: int) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
-    """Level n as its ascending parts (source, fragment-00 mask or None,
-    shift), each the terms source[mask] + shift.  Odd n: two copies of
-    level n-1.  Even n: the core (level n-2 under the fragment-00 mask),
-    then the 01, 10 and 11 images of level n-2.  The source comes first,
-    so n above the bound is refused before `level_size(n)` is computed.
-    Raises unless the parts hold as many terms as level n."""
+def _level_parts(n: int) -> list[tuple[np.ndarray, bool, int]]:
+    """Level n as its ascending parts (source, f00, shift), each the
+    terms of source + shift, only those `_f00_keep` keeps where f00 is
+    set.  Odd n: two copies of level n-1.  Even n: the core (level n-2
+    under the fragment-00 rule), then the 01, 10 and 11 images of level
+    n-2.  The source is made on the call, where `_level_array` refuses
+    a level above the bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 2:
-        parts = [(np.array(_BASE_LEVELS[n], dtype=TERM_DTYPE), None, 0)]
-    elif n % 2:
+        return [(np.array(_BASE_LEVELS[n], dtype=TERM_DTYPE), False, 0)]
+    if n % 2:
         prev = _level_array(n - 1)
-        parts = [(prev, None, 1 << (n - 2)), (prev, None, 1 << (n - 1))]
-    else:
-        src, keep = _f00_mask(n)
-        parts = [(src, keep, Fragment.F00.shift(n))] + [
-            (src, None, f.shift(n)) for f in list(Fragment)[1:]
-        ]
-    total = sum(len(src) if keep is None else np.count_nonzero(keep) for src, keep, _ in parts)
-    if total != level_size(n):
-        raise AssertionError(f"level {n} construction makes {total} terms")
-    return parts
+        return [(prev, False, 1 << (n - 2)), (prev, False, 1 << (n - 1))]
+    src = _level_array(n - 2)
+    return [(src, f is Fragment.F00, f.shift(n)) for f in Fragment]
 
 
 def _level_array(n: int) -> np.ndarray:
@@ -402,8 +389,8 @@ def _span(arr: np.ndarray, shift: int, lo: int | None, hi: int | None) -> range:
 
 def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
     """The terms of level n in (lo, hi], ascending, at most `_BLOCK` at
-    a time; no bound means the whole level.  The parts' size is checked,
-    and the levels under the parts built, on the call, so a level above
+    a time; no bound means the whole level.  The levels under the parts
+    are built on the call, so a level above
     `MAX_MATERIALIZED_LEVEL` + 2 is refused there, when its source
     would be materialized; the blocks are made as they are drawn.  A
     resident level yields views of itself, any other level the blocks of
@@ -419,7 +406,7 @@ def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
 def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, out=None):
     """The terms of the parts of level n in (lo, hi] as blocks, each the
     terms of at most `_BLOCK` source terms: written one after another
-    into `out` when it is given (it takes every term of the parts), else
+    into `out` when it is given, which the parts must fill exactly, else
     each into one reused int64 buffer.  Strict ascent is checked inside every
     block and across every seam."""
     reuse = out is None
@@ -427,16 +414,17 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
         out = np.empty(_BLOCK, dtype=np.int64)
     up = np.empty(_BLOCK, dtype=bool)
     prev, pos = None, 0
-    for src, keep, shift in parts:
+    for src, f00, shift in parts:
         span = _span(src, shift, lo, hi)
         for start in span:
-            stop = min(start + _BLOCK, span.stop)
-            block = src[start:stop]
-            if keep is not None:
-                block = block[keep[start:stop]]  # boolean indexing beats np.compress
+            block = src[start : min(start + _BLOCK, span.stop)]
+            if f00:
+                block = block[_f00_keep(block, n)]  # boolean indexing beats np.compress
             m = len(block)
             if not m:
                 continue
+            if m > len(out) - pos:  # never in the reused buffer, where pos is 0
+                raise AssertionError(f"level {n} construction makes more than {len(out)} terms")
             # In the dtype of `out`: int64 in the reused buffer and the
             # 32-core, and TERM_DTYPE in any other level or core.
             block = np.add(block, shift, out=out[pos : pos + m], dtype=out.dtype)
@@ -446,6 +434,8 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
             prev = int(block[-1])
             pos = 0 if reuse else pos + m
             yield block
+    if not reuse and pos != len(out):
+        raise AssertionError(f"level {n} construction makes {pos} terms, not {len(out)}")
 
 
 def level_structural(n: int) -> Level:

@@ -461,3 +461,21 @@ def test_gen_level_raises_on_a_block_made_out_of_order(monkeypatch):
     monkeypatch.setattr(levels, "_array_cache", {20: level_20})
     with pytest.raises(AssertionError, match="level 21 construction is not strictly ascending"):
         main(["gen", "--level", "21"])
+
+
+def insert_after(i):
+    """Term i + 1 put after term i: even, so no term, and still ascending."""
+    return lambda arr: np.insert(arr, i + 1, arr[i] + 1)
+
+
+# `gen --check` compares each printed block with its slice of the scan:
+# one term of level 20's second block changed, dropped or added must be
+# reported, whichever side runs out first.
+@pytest.mark.parametrize("change", [shift(levels._BLOCK + 5, 1), drop(levels._BLOCK + 5),
+                                    insert_after(levels._BLOCK + 5)],
+                         ids=["changed", "dropped", "added"])
+def test_gen_check_reports_a_printed_level_other_than_the_scan(monkeypatch, capsys, change):
+    real = cli._gen_blocks
+    monkeypatch.setattr(cli, "_gen_blocks", lambda kind, n: changed_blocks(real(kind, n), change))
+    assert main(["gen", "--level", "20", "--check"]) == 1
+    assert capsys.readouterr().err == "check: level 20 disagrees with the scan oracle\n"

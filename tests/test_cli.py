@@ -611,9 +611,8 @@ def test_gen_output_on_any_text_stream(monkeypatch, fmt, encoding):
 
 @pytest.fixture
 def no_resident_level(monkeypatch):
-    """Empty level, mask and core caches for the test."""
+    """Empty level and core caches for the test."""
     monkeypatch.setattr(levels, "_array_cache", {})
-    monkeypatch.setattr(levels, "_mask_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
 
 
@@ -685,14 +684,16 @@ def test_gen_level_28_peak_stays_under_120_mb():
 
 
 @pytest.mark.slow
-def test_verify_all_max_n_30_peak_stays_under_200_mb():
+def test_verify_all_max_n_30_peak_stays_under_150_mb():
     # Every copy claim is certified a block at a time against the members
-    # of its interval, so no core is built: levels up to 28 and the
-    # fragment-00 masks are what stays resident, the levels in int32.
+    # of its interval, so no core is built, and the fragment-00 rule is
+    # applied a block at a time: levels up to 28, in int32, are what
+    # stays resident.  The run peaked at 136 MB, against 162 MB when the
+    # rule was stored as a mask of each level.
     code, out, peak_kib = run_cli_fresh("verify", "all", "--max-n", "30", "--offline")
     assert code == 0
     assert out.count("PASS ") == 86 and "FAIL" not in out
-    assert peak_kib < 200 * 1024
+    assert peak_kib < 150 * 1024
 
 
 @pytest.mark.slow

@@ -152,6 +152,24 @@ def test_outcome_invariants():
     assert fields[0] == "x" and fields[2] == "0" and fields[4] == "2"
 
 
+def test_eq2_applies_no_fragment_00_rule(monkeypatch):
+    # With levels up to 24 resident and the chunk tables built, eq2(26)
+    # certifies the copies of level 24 in `_work`'s buffers and reads the
+    # layout of level 26's parts: nothing block-sized is made, and no mask
+    # of level 24 (1.35 MB at a byte a term) for the core part it leaves out.
+    resident = {k: levels._level_array(k) for k in range(1, 25)}
+    monkeypatch.setattr(levels, "_array_cache", resident)
+    levels._chunk_tables()
+    tracemalloc.start()
+    try:
+        outcome = verify_eq2(26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.passed
+    assert peak < 64 * 1024
+
+
 def test_conj16_and_conj18_make_their_copies_a_block_at_a_time(monkeypatch):
     # With levels up to 22 resident, conj16 and conj18 at 24 read their
     # sources (the 24-core, the 20-core, the 22-core's top subsegment) as
@@ -159,7 +177,6 @@ def test_conj16_and_conj18_make_their_copies_a_block_at_a_time(monkeypatch):
     # A copy of the 24-core (293,930 terms, 2.35 MB) would pass the bound.
     resident = {k: levels._level_array(k) for k in range(1, 23)}
     monkeypatch.setattr(levels, "_array_cache", resident)
-    monkeypatch.setattr(levels, "_mask_cache", {})
     tracemalloc.start()
     try:
         outcomes = [check_conj16(24), check_conj18(24)]
@@ -188,7 +205,7 @@ def _members(bounds):
     (check_conj18, 20, core_size(16) + _members(levels.subsegment_bounds(18, 3))),
 ], ids=["eq1", "eq2", "conj16", "conj18"])
 def test_a_copy_check_reads_each_source_once(monkeypatch, checker, n, size):
-    assert checker(n).passed  # builds the levels and masks it reads
+    assert checker(n).passed  # builds the levels it reads
     read = []
     chunk_lows, balance_ok = conjectures._chunk_lows, conjectures._balance_ok
 
@@ -203,14 +220,14 @@ def test_a_copy_check_reads_each_source_once(monkeypatch, checker, n, size):
 
 def test_prop12_allocates_only_the_buffers_of_its_thread():
     # In a fresh interpreter, after a warm-up (level 20 read once into
-    # blocks, which builds level 18, its fragment-00 mask and the chunk
-    # tables), prop12 runs in a new thread: one that allocates its
+    # blocks, which builds level 18, and the chunk tables built), prop12
+    # runs in a new thread: one that allocates its
     # `_work` buffers, 31 bytes a term of a block.  Any
     # other block-sized buffer, kept or not, takes at least a byte a
     # term more at the peak, and one kept past the call stays traced.
     script = (
         "import threading, tracemalloc; from dycknums import conjectures, levels; "
-        "blocks = [block.copy() for block in levels._level_blocks(20)]; "
+        "blocks = [block.copy() for block in levels._level_blocks(20)]; levels._chunk_tables(); "
         "conjectures._level_blocks = lambda n: iter(blocks); "
         "tracemalloc.start(); "
         "thread = threading.Thread(target=lambda: print(conjectures.check_prop12(20).passed)); "

@@ -422,7 +422,6 @@ def _traced_peak(call):
 def fresh_caches(monkeypatch):
     """Levels and cores built during the test are dropped after it."""
     monkeypatch.setattr(levels, "_array_cache", {})
-    monkeypatch.setattr(levels, "_mask_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
 
 

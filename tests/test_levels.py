@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dycknums import levels
-from dycknums.dyck_core import is_dyck_number
+from dycknums.conjectures import run_all
+from dycknums.dyck_core import dynamics, is_dyck_number
 from dycknums.errors import BoundError, DomainError, NotMember
 from dycknums.levels import (
     _BLOCK,
@@ -22,6 +23,7 @@ from dycknums.levels import (
     stream_terms,
     subsegment_bounds,
 )
+from dycknums.report import Counterexample
 
 from conftest import FIRST_48
 
@@ -103,34 +105,86 @@ def test_even_level_is_built_without_a_full_size_temporary(monkeypatch):
 
 def test_fragment_00_cross_check_covers_every_block(monkeypatch):
     # An even value in level 20's second block, with enough ones for the
-    # dynamics shortcut to keep it, though its image ends in a 0: the two
-    # routes disagree there and nowhere else.
+    # fragment-00 rule to keep it, though its image ends in a 0.  The
+    # construction applies the rule unchecked; `rejection`, which checks
+    # it against membership term by term, and `prop12`, which reads the
+    # image in level 22, fail at 22, and nothing raises.
     level_20 = levels._level_array(20).copy()
     second = level_20[_BLOCK:]
     assert len(second) and len(second) <= _BLOCK
     i = _BLOCK + int(np.argmax(np.bitwise_count(second) >= 13))
     level_20[i] -= 1
     monkeypatch.setattr(levels, "_array_cache", {20: level_20})
-    with pytest.raises(AssertionError, match="fragment-00 rejection mismatch at level 22"):
-        levels._f00_mask(22)
+    failed = {(o.name, o.n): o.detail for o in run_all(22) if not o.passed}
+    assert failed[("rejection", 22)] == Counterexample(int(level_20[i]), "rejected", "kept")
+    assert ("prop12", 22) in failed
 
 
-def test_fragment_00_mask_needs_no_full_size_temporary(monkeypatch):
-    # From a resident level 24 (1.35M terms), the mask itself is one byte
-    # a term; the route check runs one block at a time beside it.  A
-    # full-size dynamics count, or `src + shift` (8 bytes a term), would
-    # exceed the bound.
+@pytest.mark.parametrize("bound", [2, 6])
+def test_a_wrong_fragment_00_rule_fails_loudly(monkeypatch, bound):
+    # The rule with any bound but 4 keeps too many or too few terms: a
+    # level or core made from it raises on its count, and with the
+    # levels under 20 resident, the checks that read level 20 fail.
+    resident = {n: levels._level_array(n) for n in range(1, 19)}
+    monkeypatch.setattr(levels, "_F00_MIN_DYNAMICS", bound)
+    monkeypatch.setattr(levels, "_array_cache", {})
+    with pytest.raises(AssertionError, match="level [46] construction makes"):
+        run_all(8)
+    monkeypatch.setattr(levels, "_array_cache", resident)
+    for make in (lambda: levels._level_array(20), lambda: levels._core_array(20)):
+        with pytest.raises(AssertionError, match="level 20 construction makes"):
+            make()
+    failed = {(o.name, o.n) for o in run_all(20) if not o.passed}
+    assert {("rejection", 20), ("prop12", 20), ("conj16", 20)} <= failed
+
+
+@st.composite
+def fragment_00_sources(draw):
+    """(t, n): a member t of n - 2 bits, for even n - 2 from 4 to 300,
+    built from the low bit up: a bit is taken from a drawn integer while
+    the balance of the bits below it is positive and is 1 otherwise,
+    and the leading bit is 1."""
+    nbits = 2 * draw(st.integers(min_value=2, max_value=150))
+    raw = draw(st.integers(min_value=0, max_value=(1 << (nbits - 1)) - 1))
+    value, balance = 0, 0
+    for i in range(nbits - 1):
+        bit = raw >> i & 1 or balance == 0
+        value |= bit << i
+        balance += 1 if bit else -1
+    return value | 1 << (nbits - 1), nbits + 2
+
+
+# The proof in `levels._f00_keep`: the 00 image of a member of n - 2
+# bits is a member iff its dynamics is at least 4.  Dynamics 2 and 4 at
+# 4 and at 300 bits are pinned, with the top of 300 bits.
+@given(fragment_00_sources())
+@example((0b1011, 6))
+@example((0b1111, 6))
+@example((int("11" + "01" * 149, 2), 302))
+@example((int("1111" + "01" * 148, 2), 302))
+@example((mersenne(300), 302))
+@settings(max_examples=300, deadline=None)
+def test_fragment_00_image_is_a_member_iff_dynamics_is_at_least_4(source):
+    t, n = source
+    assert is_dyck_number(t) and t.bit_length() == n - 2
+    assert (dynamics(t) >= 4) == is_dyck_number(t + Fragment.F00.shift(n))
+
+
+def test_fragment_00_rule_needs_no_level_sized_temporary(monkeypatch):
+    # From a resident level 24 (1.35M terms), the 26-core streams with
+    # the rule applied one block at a time: beside the int64 block
+    # buffer (0.5 MB) and the kept terms of one block, nothing is live.
+    # A mask of level 24, at one byte a term, would exceed the bound.
     level_24 = levels._level_array(24)
     monkeypatch.setattr(levels, "_array_cache", {24: level_24})
     tracemalloc.start()
     try:
-        src, keep = levels._f00_mask(26)
+        made = sum(map(len, levels._level_blocks(26, hi=levels.core_top(26))))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert src is level_24
-    assert np.count_nonzero(keep) == level_size(26) - 3 * len(level_24)
-    assert peak < 4 * len(level_24)
+    assert made == level_size(26) - 3 * len(level_24)
+    assert peak < len(level_24)
 
 
 def test_level_bounds_and_top():

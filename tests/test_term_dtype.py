@@ -116,14 +116,17 @@ def test_pattern_arithmetic_widens_stored_terms(call):
 
 def test_32_core_is_kept_in_int64(monkeypatch):
     # The 32-core's terms pass 2**31: its source's top, M_30, goes to its
-    # top, 2**31 + 2**29 - 1.  Level 30 stands in as its top 2**13 terms.
+    # top, 2**31 + 2**29 - 1.  Level 30 stands in as its top 2**13 terms,
+    # and the sizes of levels 30 and 32 with it; the expected core is the
+    # terms whose 00 image is a member.
     src = top_run(30, 14)
+    image = src.astype(np.int64) + levels.Fragment.F00.shift(32)
+    expected = image[levels._balance_ok(image, 32)]
+    sizes = {30: len(src), 32: len(expected) + 3 * len(src)}
+    monkeypatch.setattr(levels, "level_size", sizes.__getitem__)
     monkeypatch.setattr(levels, "_array_cache", {30: src})
-    monkeypatch.setattr(levels, "_mask_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
     built = cores.core(32)
-    _, keep = levels._f00_mask(32)
-    expected = src[keep].astype(np.int64) + levels.Fragment.F00.shift(32)
     assert built.arr.dtype == np.int64 and np.array_equal(built.arr, expected)
     assert built.arr[-1] == built.top == core_top(32) > np.iinfo(levels.TERM_DTYPE).max
     assert np.array_equal(np.concatenate(built.segments), built.arr)
@@ -131,11 +134,10 @@ def test_32_core_is_kept_in_int64(monkeypatch):
 
 def test_core_is_split_without_a_widened_copy(monkeypatch):
     # Level 22 is the source of the 24-core (1.2 MB as int32); beside the
-    # core only its fragment-00 mask (0.35 MB) may be live.  A search of
-    # the core by int64 probes would copy it to int64 (2.4 MB).
+    # core only block-sized buffers may be live.  A search of the core by
+    # int64 probes would copy it to int64 (2.4 MB).
     resident = {n: levels._level_array(n) for n in range(1, 23)}
     monkeypatch.setattr(levels, "_array_cache", resident)
-    monkeypatch.setattr(levels, "_mask_cache", {})
     monkeypatch.setattr(cores, "_core_cache", {})
     tracemalloc.start()
     try:
@@ -164,7 +166,6 @@ def test_level_read_above_a_bound_makes_no_widened_copy(monkeypatch):
     # by an int64 probe would copy level 22 to int64 (2.8 MB).
     resident = {n: levels._level_array(n) for n in range(1, 23)}
     monkeypatch.setattr(levels, "_array_cache", resident)
-    levels._f00_mask(24)
     terms = []
     peak = traced_peak(
         lambda: terms.append(sum(map(len, levels._level_blocks(24, lo=core_top(24)))))
