@@ -193,6 +193,67 @@ def _members(bounds):
     return _rank(hi) - _rank(lo)
 
 
+def _changed(n, *changes):
+    """Level n as a writable int64 copy, with each (index, term) set."""
+    terms = levels._level_array(n).astype(np.int64)
+    for i, t in changes:
+        terms[i] = t
+    return terms
+
+
+def _fault_in_block(n, block, t, below, kind, nbits):
+    """The `_Witness` of level n changed, with its first fault in the
+    given block (from 0) of `_BLOCK` terms."""
+    level = levels._level_array(n)
+    start = block * levels._BLOCK
+    top = int(level[start - 1]) if start else int(level[0]) - 1
+    return conjectures._Witness(int(level[0]), top, start, (t, below, kind, nbits))
+
+
+# Level 8 starts 143, 151, 155, 157, 159, 167, 171, 173, 175, 179, 181;
+# 153 and every even term are no members.  Level 20 holds two blocks:
+# 905883 ends the first and 905885 starts the second.
+_SEAM = levels._BLOCK
+
+
+def _level_20(i):
+    return int(levels._level_array(20)[i])
+
+
+@pytest.mark.parametrize("terms,expected", [
+    # In the faulty block, a width fault comes before a non-member, and a
+    # non-member before a descent, wherever each stands.
+    (lambda: _changed(8, (2, 153), (5, 171), (6, 167)),
+     lambda: _fault_in_block(8, 0, 153, 151, "member", 8)),
+    (lambda: _changed(8, (1, 155), (2, 151), (6, 170)),
+     lambda: _fault_in_block(8, 0, 170, 167, "member", 8)),
+    (lambda: _changed(8, (2, 153), (10, 257)),
+     lambda: _fault_in_block(8, 0, 257, 179, "width", 8)),
+    # The term 0 has no width of its own: first, it fails its width of
+    # one bit; later, the width of the first term.
+    (lambda: np.concatenate([[0], levels._level_array(8)]),
+     lambda: conjectures._Witness(0, -1, 0, (0, -1, "width", 1))),
+    (lambda: _changed(8, (1, 153), (3, 0)),
+     lambda: _fault_in_block(8, 0, 0, 155, "width", 8)),
+    # A descent at a block seam is an ascent fault of the second block,
+    # found after a non-member or a width fault there.
+    (lambda: _changed(20, (_SEAM, 905883), (_SEAM + 100, _level_20(_SEAM + 100) + 1)),
+     lambda: _fault_in_block(20, 1, _level_20(_SEAM + 100) + 1, _level_20(_SEAM + 99),
+                             "member", 20)),
+    (lambda: _changed(20, (_SEAM, 905883), (-1, 1 << 20)),
+     lambda: _fault_in_block(20, 1, 1 << 20, _level_20(-2), "width", 20)),
+    (lambda: _changed(20, (_SEAM, 905883)),
+     lambda: _fault_in_block(20, 1, 905883, 905883, "ascent", 20)),
+    # A non-member that ends a block is found before a descent after it.
+    (lambda: _changed(20, (_SEAM - 1, 905882), (_SEAM, 905881)),
+     lambda: _fault_in_block(20, 0, 905882, 905879, "member", 20)),
+], ids=["member_before_descent", "descent_before_member", "width_after_member",
+        "term_0_first", "term_0_after_member", "seam_descent_then_member",
+        "seam_descent_then_width", "seam_descent", "member_ending_a_block"])
+def test_witness_reports_the_first_fault_of_the_first_faulty_block(terms, expected):
+    assert conjectures._witness(terms()) == expected()
+
+
 # Each copy check passes each distinct source through the membership
 # kernel once, whatever its number of copies: level 20 for the two
 # copies of eq1(21), level 18 for the three of eq2(20), the 20-core for
