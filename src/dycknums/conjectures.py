@@ -36,7 +36,7 @@ from .levels import (
     MAX_MATERIALIZED_LEVEL,
     _BLOCK,
     _balance_ok,
-    _chunk_lows,
+    _class_runs,
     _f00_keep,
     _level_array,
     _level_blocks,
@@ -126,12 +126,15 @@ class _Witness(NamedTuple):
 
 def _witness(src) -> _Witness:
     """Read a run, an array or a stream of blocks, once, up to its first
-    fault, found block by block: a term of other than its first term's
-    width ("width", from the block's extremes, as membership reads the
-    low bits of that width only), else a term that is no member
-    ("member", from the minimums of the chunk tests, so only a failing
-    block is tested term by term), else one not above the term before it
-    ("ascent").  A `_Witness` is returned as it is."""
+    fault.  A block passes when it ascends strictly from the term before
+    it, its two ends have the first term's width, and the least `low` of
+    each run of `_class_runs` is at least the run's theta; every
+    temporary of a block is then a buffer of `_work`, or a few bytes a
+    run.  A block that does not is searched for its first fault: a term
+    of other than the first term's width ("width", from the block's
+    extremes, as membership reads the low bits of that width only), else
+    a term that is no member ("member"), else one not above the term
+    before it ("ascent").  A `_Witness` is returned as it is."""
     if isinstance(src, _Witness):
         return src
     first = prev = read = 0
@@ -142,19 +145,21 @@ def _witness(src) -> _Witness:
             first, prev = int(block[0]), int(block[0]) - 1
             nbits = first.bit_length() or 1  # the term 0 fails its width
             lo, hi = mersenne(nbits - 1), mersenne(nbits)
-        if block.min() <= lo or block.max() > hi:
-            i, kind = int(np.argmax((block <= lo) | (block > hi))), "width"
-        elif not all(low.min() >= 0 for low in _chunk_lows(block, nbits)):
-            i, kind = int(np.argmin(_balance_ok(block, nbits))), "member"
-        else:
-            # Every temporary of a block is a buffer of `_work`.
-            up = _work.passed[: len(block)]
-            up[0] = int(block[0]) > prev
-            np.greater(block[1:], block[:-1], out=up[1:])
-            if up.all():
+        up = _work.passed[: len(block)]
+        up[0] = int(block[0]) > prev
+        np.greater(block[1:], block[:-1], out=up[1:])
+        if up.all() and lo < int(block[0]) and int(block[-1]) <= hi:
+            low, heads, theta = _class_runs(block, nbits, True)
+            least = low if heads is None else np.minimum.reduceat(low, heads)
+            if np.greater_equal(least, theta, out=_work.passed[: len(least)]).all():
                 prev, read = int(block[-1]), read + len(block)
                 continue
-            i, kind = int(np.argmin(up)), "ascent"
+        if block.min() <= lo or block.max() > hi:
+            i, kind = int(np.argmax((block <= lo) | (block > hi))), "width"
+        elif not (member := _balance_ok(block, nbits)).all():
+            i, kind = int(np.argmin(member)), "member"
+        else:  # of width and members, so it failed on its ascent
+            i, kind = int(np.argmin(block > np.concatenate([[prev], block[:-1]]))), "ascent"
         below = int(block[i - 1]) if i else prev
         return _Witness(first, prev, read, (int(block[i]), below, kind, nbits))
     return _Witness(first, prev, read, None)
@@ -166,12 +171,10 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
 
     Each distinct source (by identity), an array, a stream of blocks or
     its `_witness`, is read once, on first use.  Its ends name a class
-    (P, m, theta) (`_class_of`), so each term is P * 2**m + z, z of m bits.
-    Lemma: that term is a member iff z has no negative suffix (of m
-    bits, leading zeros counted) and bal(z) >= theta(P).  Its low j <= m
-    bits are z's, and above them S(j) = bal(z) + S_P(j - m), so all are
-    >= 0 iff bal(z) >= -min S_P; bal(z) >= 0 (the suffix of m bits, or
-    m = 0) and bal(z) = m (mod 2), so iff bal(z) >= theta(P).  So each
+    (P, m, theta) (`_class_of`), so each term is P * 2**m + z, z of m
+    bits, a member iff z has no negative suffix and bal(z) >= theta(P):
+    the class lemma, proven at `levels._class_runs`, where membership is
+    tested by it at m = 16.  So each
     copy is proven in O(1): an offset = 0 (mod 2**m) whose image ends
     name the prefix P + (offset >> m), of nbits - m bits, with the same
     theta makes the witnessed members members of nbits bits.  Each

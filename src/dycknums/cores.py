@@ -144,13 +144,13 @@ def core_subsequence(max_n: int) -> tuple[int, ...]:
 def _class_ends(base: int, m: int, theta: int) -> tuple[int, int]:
     """First and top term of the class (P, m, theta), base = P * 2**m.
 
-    The class holds the terms P * 2**m + z, z of m bits (leading zeros
-    allowed) with no negative suffix balance and bal(z) >= theta, theta
-    being minus P's lowest suffix balance, floored at 0 and raised by 1
-    to m's parity: C(m, (m + theta) / 2) terms, the least with its
-    (m + theta) / 2 ones at the bottom.  Classes of equal (m, theta) are
-    translates.  The 1-child (P1, m - 1) has theta' = |theta - 1|, the
-    0-child theta + 1.  A class of two or more terms (theta <= m - 2)
+    By the class lemma (proven at `levels._class_runs`), the class holds
+    the terms P * 2**m + z, z of m bits with no negative suffix and
+    bal(z) >= theta, theta being minus P's lowest suffix balance,
+    floored at 0 and raised by 1 to m's parity: C(m, (m + theta) / 2)
+    terms, the least with its (m + theta) / 2 ones at the bottom.
+    Classes of equal (m, theta) are translates.  The 1-child (P1, m - 1)
+    has theta' = |theta - 1|, the 0-child theta + 1.  A class of two or more terms (theta <= m - 2)
     spans 2**m: P * 2**m - 1 is a term, so it is the first term's
     predecessor.  For P = Q10^r, P - 1 = Q01^r, whose suffix balances
     past its r low bits are P's plus 2r - 2 >= -theta - 2 >= -m, and m

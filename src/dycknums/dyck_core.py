@@ -43,7 +43,7 @@ def _lowest(v: int) -> int:
     """min(0, min over j >= 1 of S(j)) for v >= 0, a byte at a time.
 
     The bits from v's top bit up to the next multiple of 8 are set to
-    1 first, as in `levels._chunk_lows`: no S(j) of j <= L changes, and
+    1 first, as in `levels._class_runs`: no S(j) of j <= L changes, and
     each longer one is S(L) plus ones, so the minimum is the same."""
     n = v.bit_length()
     k = -(-n // 8)

@@ -56,6 +56,10 @@ MAX_MATERIALIZED_LEVEL = 30
 TERM_DTYPE = np.dtype(np.int32)
 # Terms per block of the membership predicate: its temporaries stay in cache.
 _BLOCK = 1 << 16
+# The most runs of equal bits from 16 up that an ascending block is read
+# in, a theta each; a block spanning more is read a theta a term.  The
+# blocks of levels up to 32 span 1 to 40, 7 in the median.
+_MAX_RUNS = 64
 # The 00 fragment keeps exactly the level-(n-2) terms of at least this dynamics.
 _F00_MIN_DYNAMICS = 4
 
@@ -70,11 +74,10 @@ class _Work(threading.local):
     that no hot loop allocates a block-sized array."""
 
     def __init__(self) -> None:
-        self.word = np.empty(_BLOCK, dtype="<u8")
         self.index = np.empty(_BLOCK, dtype=np.intp)
-        self.below = np.empty(_BLOCK, dtype=np.int16)
-        self.low = np.empty(_BLOCK, dtype=np.int16)
         self.gather = np.empty(_BLOCK, dtype=np.int8)
+        self.theta = np.empty(_BLOCK, dtype=np.int8)
+        self.step = np.empty(_BLOCK, dtype=np.int8)
         self.passed = np.empty(_BLOCK, dtype=bool)
         self.ones = np.empty(_BLOCK, dtype=np.uint8)
         self.image = np.empty(_BLOCK, dtype=np.int64)
@@ -166,8 +169,8 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bit 0 up; `balance[c]` = 2 * popcount(c) - 16; and `carry[c]`, which
     is `balance[c]` where `lowest[c] >= 0` and the sentinel -128
     elsewhere.  Built by doubling: a new high bit adds -1 or +1 to every
-    balance and one more suffix.  No `lowest` exceeds 1, so the sentinel
-    plus the `lowest` of the next chunk is negative."""
+    balance and one more suffix.  The sentinel is below every theta of
+    `_thetas`, and so fails every term."""
     lowest = np.array([127], dtype=np.int8)  # the empty chunk has no suffix
     balance = np.zeros(1, dtype=np.int8)
     for _ in range(16):
@@ -180,69 +183,111 @@ def _chunk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lowest, balance, carry
 
 
-def _chunk_lows(terms: np.ndarray, nbits: int):
-    """Yield the chunk tests of the terms as words of `nbits` bits, one
-    int array per test, nonnegative where a word passes it: for a word
-    of one chunk, chunk 0 gathered from `carry`; for a longer one, each
-    chunk i >= 1, `lowest[c_i]` plus the balance of the chunks below it,
-    chunk 0 counted by its `carry`.  At most `_BLOCK` terms, read through
-    the buffers of `_work`; each array is overwritten by the next.
+def _class_runs(terms: np.ndarray, nbits: int, ascending: bool):
+    """The membership kernel, on at most `_BLOCK` terms read as words
+    of `nbits` bits: (low, heads, theta), where a term passes iff its
+    `low` is at least the `theta` of its run.  Each array is a view of a
+    buffer of `_work`, or small, and valid until the next call.
 
-    The bits from `nbits` up to the next multiple of 16 are set to 1.
-    That changes no suffix of `nbits` bits or fewer, and every longer
-    suffix is the full `nbits` suffix plus ones, so its balance is
-    higher; the predicate over the filled word is the same."""
-    lowest, balance, carry = _chunk_tables()
-    chunks = max(1, -(-nbits // 16))  # nbits = 0 reads one all-ones chunk
+    It rests on the class lemma, at m = 16 here.  Write a word of L > m
+    bits as P * 2**m + z, z its low m bits (leading zeros counted), P
+    the rest, and let S(j) be the balance (ones minus zeros) of its low
+    j bits.  Lemma: the word is a member iff z has no negative suffix
+    and bal(z) >= theta(P), theta(P) = max(0, -min over k of S_P(k)).
+    Its low j <= m bits are z's, and above them S(j) = bal(z) +
+    S_P(j - m), so all are >= 0 iff z has no negative suffix and bal(z)
+    >= -S_P(k) for every k; bal(z) = S(m) >= 0 already.  As bal(z) has
+    the parity of m, the bound may be raised to that parity, which is
+    the theta of a class (P, m, theta) (`cores._class_of`).
+
+    So `low` is `carry[z]` of each term, one gather: bal(z), or -128
+    where z has a negative suffix, which fails every theta (the bits
+    from `nbits` up to 16 are set to 1 first; that changes no suffix of
+    `nbits` bits or fewer, and only raises the balance of longer ones).
+    A run is a stretch of terms of equal bits from 16 up, so of one P,
+    and its theta is read once (`_thetas`).  For an ascending block
+    (`ascending` vouches for it), `heads` holds the index of the first
+    term of each run, found by searching the block for the multiples of
+    2**16 between its ends, and `theta` one value a run.  A block
+    spanning more than `_MAX_RUNS` of them, or in any other order, has
+    `heads` None: each term is its own run, with its own theta."""
     m = len(terms)
-    index, below, low, gather = _work.index[:m], _work.below[:m], _work.low[:m], _work.gather[:m]
-    # Casting keeps the low bits, negatives included; little-endian words
-    # view as their 16-bit chunks, lowest first.
-    words = _work.word.view("<u4" if nbits <= 32 else "<u8")[:m]
-    np.copyto(words, terms, casting="unsafe")
-    words |= (1 << 16 * chunks) - (1 << nbits)
-    parts = words.view("<u2").reshape(m, -1).T[:chunks]
-    index[...] = parts[0]  # `take` gathers faster by intp than by uint16
+    index, low = _work.index[:m], _work.gather[:m]
+    if terms.dtype == index.dtype:
+        np.bitwise_and(terms, 0xFFFF, out=index)
+    else:  # a ufunc from another dtype into intp would cast through a buffer it allocates
+        index[...] = terms
+        index &= 0xFFFF
+    if nbits < 16:
+        index |= 0xFFFF ^ ((1 << nbits) - 1)
     # mode="clip" writes straight into `out`; "raise" would buffer it.
-    carry.take(index, out=gather, mode="clip")
-    if chunks == 1:
-        yield gather
-        return
-    below[...] = gather
-    for i in range(1, chunks):
-        index[...] = parts[i]
-        lowest.take(index, out=gather, mode="clip")
-        # Widened by a plain copy: a ufunc mixing int8 and int16
-        # would cast through a buffer it allocates on every call.
-        low[...] = gather
-        low += below
-        yield low
-        if i + 1 < chunks:
-            balance.take(index, out=gather, mode="clip")
-            low[...] = gather
-            below += low
+    _chunk_tables()[2].take(index, out=low, mode="clip")
+    if nbits <= 16:
+        return low, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int8)
+    heads = None
+    first, last = int(terms[0]) >> 16, int(terms[-1]) >> 16
+    if ascending and last - first < _MAX_RUNS:
+        # Searched in the block's own dtype, so the block is not copied;
+        # a multiple with no term repeats the next start.
+        heads = np.searchsorted(terms, np.arange(first << 16, (last << 16) + 1, 1 << 16, terms.dtype))
+        heads = heads[np.diff(heads, append=m) > 0]
+    return low, heads, _thetas(terms if heads is None else terms[heads], nbits)
+
+
+def _thetas(terms: np.ndarray, nbits: int) -> np.ndarray:
+    """theta(P) of each term, P its bits from 16 to `nbits` - 1, as int8
+    in a buffer of `_work`: minus the lowest suffix balance of P, not
+    floored at 0; it is -1 only where that balance is 1, and as a `low`
+    is even or -128, it passes -1 iff it passes 0.  P is read a 16-bit
+    chunk at a time from the top down, the bits above its top set to 1:
+    the lowest balance of the chunks from i up is the least of
+    `lowest[c_i]` and `balance[c_i]` plus that of the chunks from i + 1
+    up.  A P of up to 16 bits takes one gather."""
+    lowest, balance, _ = _chunk_tables()
+    m = len(terms)
+    index, theta, step = _work.index[:m], _work.theta[:m], _work.step[:m]
+    top = (nbits - 17) // 16  # the top chunk of P
+    for i in range(top, -1, -1):
+        index[...] = terms
+        index >>= 16 * (i + 1)
+        index &= 0xFFFF
+        if i == top:
+            index |= (0xFFFF << (nbits - 16 * (top + 1))) & 0xFFFF
+            lowest.take(index, out=theta, mode="clip")
+        else:
+            # |theta| <= 16 a chunk, at most 48 in all: int8 holds every sum.
+            balance.take(index, out=step, mode="clip")
+            theta += step
+            lowest.take(index, out=step, mode="clip")
+            np.minimum(theta, step, out=theta)
+    return np.negative(theta, out=theta)
 
 
 def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     """Vectorized membership test: True where every suffix of the low
     `nbits` bits keeps a nonnegative ones-minus-zeros balance.
 
-    Each term is read one 16-bit chunk at a time (`_chunk_lows`), and
-    passes where every chunk test does.  A term of up to 16 bits costs
-    one gather, one of up to 32 bits two gathers, one add and one
-    comparison.  Terms go through in blocks of `_BLOCK`; only the result
-    is allocated."""
+    Terms go through `_class_runs` in blocks of `_BLOCK`, each block
+    tested for ascent first; a term passes where its `low` is at least
+    its run's theta.  An ascending block costs one gather a term and one
+    comparison a term, a run at a time; any other block one more gather
+    a term for each 16 bits above the lowest 16.  Only the result is
+    allocated, and what is small."""
     if not 0 <= nbits <= 64:
         raise ValueError(f"nbits must be in 0..64, got {nbits}")
     flat = values.reshape(-1)
     ok = np.empty(flat.shape, dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         terms = flat[start : start + _BLOCK]
-        ok_m, passed = ok[start : start + len(terms)], _work.passed[: len(terms)]
-        for i, low in enumerate(_chunk_lows(terms, nbits)):
-            np.greater_equal(low, 0, out=passed if i else ok_m)
-            if i:
-                ok_m &= passed
+        m = len(terms)
+        ok_m = ok[start : start + m]
+        ascending = np.greater_equal(terms[1:], terms[:-1], out=_work.passed[: m - 1]).all()
+        low, heads, theta = _class_runs(terms, nbits, ascending)
+        if heads is None:
+            np.greater_equal(low, theta, out=ok_m)
+            continue
+        for s, e, t in zip(heads, np.append(heads[1:], m), theta):
+            np.greater_equal(low[s:e], t, out=ok_m[s:e])
     return ok.reshape(values.shape)
 
 

@@ -268,12 +268,12 @@ def test_witness_reports_the_first_fault_of_the_first_faulty_block(terms, expect
 def test_a_copy_check_reads_each_source_once(monkeypatch, checker, n, size):
     assert checker(n).passed  # builds the levels it reads
     read = []
-    chunk_lows, balance_ok = conjectures._chunk_lows, conjectures._balance_ok
+    class_runs, balance_ok = conjectures._class_runs, conjectures._balance_ok
 
     def counted(kernel):
-        return lambda terms, nbits: (read.append(len(terms)), kernel(terms, nbits))[1]
+        return lambda terms, *args: (read.append(len(terms)), kernel(terms, *args))[1]
 
-    monkeypatch.setattr(conjectures, "_chunk_lows", counted(chunk_lows))
+    monkeypatch.setattr(conjectures, "_class_runs", counted(class_runs))
     monkeypatch.setattr(conjectures, "_balance_ok", counted(balance_ok))
     assert checker(n).passed
     assert sum(read) == size
@@ -283,7 +283,7 @@ def test_prop12_allocates_only_the_buffers_of_its_thread():
     # In a fresh interpreter, after a warm-up (level 20 read once into
     # blocks, which builds level 18, and the chunk tables built), prop12
     # runs in a new thread: one that allocates its
-    # `_work` buffers, 31 bytes a term of a block.  Any
+    # `_work` buffers, 21 bytes a term of a block.  Any
     # other block-sized buffer, kept or not, takes at least a byte a
     # term more at the peak, and one kept past the call stays traced.
     script = (
@@ -298,7 +298,7 @@ def test_prop12_allocates_only_the_buffers_of_its_thread():
     assert result.returncode == 0, result.stderr
     passed, kept, peak = result.stdout.split()
     assert passed == "True"
-    assert int(peak) < 31 * levels._BLOCK + levels._BLOCK // 4
+    assert int(peak) < 21 * levels._BLOCK + levels._BLOCK // 4
     assert int(kept) < levels._BLOCK // 4
 
 

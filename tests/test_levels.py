@@ -439,6 +439,90 @@ def test_table_predicate_agrees_with_passes(case):
     assert np.array_equal(_balance_ok(values, nbits), _balance_ok_passes(values, nbits))
 
 
+@st.composite
+def kernel_blocks(draw):
+    """(values, nbits, shape): an int32 or int64 block for the membership
+    kernel, of 1 to `_BLOCK` words of width 0..64 around a member of that
+    width (its bits above the width arbitrary, sign bits for int32): a
+    dense run of one prefix (the bits from 16 up), a run straddling
+    multiples of 2**16, or one word a prefix with unused prefixes between
+    them; ascending, shuffled or descending."""
+    nbits = draw(st.integers(0, 64))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    shape = draw(st.sampled_from(["dense", "straddle", "sparse"]))
+    order = draw(st.sampled_from(["ascending", "shuffled", "descending"]))
+    size = draw(st.one_of(st.integers(1, 300), st.just(_BLOCK)))
+    member, balance = 0, 0
+    for i in range(nbits):
+        bit = 1 if balance == 0 else draw(st.integers(0, 1))
+        member |= bit << i
+        balance += 1 if bit else -1
+    word = member | draw(st.integers(0, (1 << 64) - 1)) << nbits
+    word = (word & (1 << 63) - 1) - (word & 1 << 63)  # as int64
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    with np.errstate(over="ignore"):
+        if shape == "dense":
+            start = word - (word & 0xFFFF) + int(rng.integers(0, (1 << 16) - size + 1))
+            values = np.int64(start) + np.arange(size, dtype=np.int64)
+        elif shape == "straddle":
+            values = np.int64(word - (word & 0xFFFF) - size // 2) + np.arange(size, dtype=np.int64)
+        else:
+            gaps = rng.integers(2, 6, size, dtype=np.int64).cumsum() << 16
+            values = np.int64(word) + gaps + rng.integers(-3, 4, size, dtype=np.int64)
+    values = values.astype(dtype)  # wraps into int32
+    if order == "ascending":
+        values.sort()
+    elif order == "descending":
+        values = np.sort(values)[::-1].copy()
+    else:
+        rng.shuffle(values)
+    return values, nbits, shape
+
+
+def _scalar_member(value: int, nbits: int) -> bool:
+    """The low `nbits` bits of value have no negative suffix: with a 1
+    above them, a member of the sequence."""
+    return is_dyck_number(value & (1 << nbits) - 1 | 1 << nbits)
+
+
+@given(kernel_blocks())
+@example((np.array([0x5555], dtype=np.int32), 16, "dense"))
+@example((np.arange(-(1 << 16) - 8, -(1 << 16) + 8, dtype=np.int64), 64, "straddle"))
+@example((np.arange(_BLOCK, dtype=np.int64) | 0xFF0F << 24, 40, "dense"))
+@example((np.arange(_BLOCK, dtype=np.int32) | 0x1F0F << 16, 29, "dense"))
+@settings(max_examples=300, deadline=None)
+def test_class_kernel_agrees_with_passes_and_the_scalar_predicate(case):
+    values, nbits, _ = case
+    expected = _balance_ok_passes(values.astype(np.int64), nbits)
+    assert np.array_equal(_balance_ok(values, nbits), expected)
+    # The kernel's own output: each term against its run's theta, and the
+    # block's verdict from a minimum a run, as `_witness` reads it.
+    ascending = bool(np.all(values[1:] >= values[:-1]))
+    low, heads, theta = levels._class_runs(values, nbits, ascending)
+    if heads is None:
+        per_term, least = low >= theta, low
+    else:
+        assert heads[0] == 0 and np.all(np.diff(heads) > 0)
+        per_term = np.repeat(theta, np.diff(heads, append=len(values)))
+        per_term, least = low >= per_term, np.minimum.reduceat(low, heads)
+    assert np.array_equal(per_term, expected)
+    assert bool(np.all(least >= theta)) == bool(expected.all())
+    for i in {0, len(values) // 2, len(values) - 1} | set(range(min(len(values), 40))):
+        assert expected[i] == _scalar_member(int(values[i]), nbits), (int(values[i]), nbits)
+
+
+def test_class_kernel_reads_a_theta_a_run_of_an_ascending_block():
+    # Level 26's first block spans 15 prefixes of 10 bits; a sparse block,
+    # one term a prefix, and a shuffled one are read a theta a term.
+    block = level_structural(26).arr[:_BLOCK]
+    _, heads, theta = levels._class_runs(block, 26, True)
+    runs = np.unique(block >> 16, return_index=True)[1]
+    assert np.array_equal(heads, runs) and len(theta) == len(runs) == 15
+    sparse = (np.arange(1, _BLOCK + 1, dtype=np.int64) << 17) | 0x5555
+    assert levels._class_runs(sparse, 40, True)[1] is None
+    assert levels._class_runs(block[::-1], 26, False)[1] is None
+
+
 def test_chunk_tables_match_their_definition():
     lowest, balance, carry = _chunk_tables()
     chunks = np.arange(1 << 16)
@@ -569,10 +653,17 @@ def test_level_blocks_check_ascent_inside_a_block_and_across_a_seam(monkeypatch)
         next(blocks)
 
 
-@pytest.mark.parametrize("nbits", [16, 26, 40])
-def test_table_predicate_allocates_only_its_result(nbits):
-    block = (level_structural(26).arr[:_BLOCK] if nbits == 26
-             else np.arange(1, 2 * _BLOCK, 2, dtype=np.int64) | (1 << (nbits - 1)))
+# A sparse block, one term a prefix, and a shuffled one are read a theta
+# a term, through the buffers of `_work` too.
+@pytest.mark.parametrize("nbits,block", [
+    (16, lambda: np.arange(1, 2 * _BLOCK, 2, dtype=np.int64) | (1 << 15)),
+    (26, lambda: level_structural(26).arr[:_BLOCK]),
+    (40, lambda: np.arange(1, 2 * _BLOCK, 2, dtype=np.int64) | (1 << 39)),
+    (40, lambda: (np.arange(1, _BLOCK + 1, dtype=np.int64) << 17) | 0x5555 | (1 << 39)),
+    (26, lambda: np.random.default_rng(26).permutation(level_structural(26).arr[:_BLOCK])),
+], ids=["16", "26", "40", "40_sparse", "26_shuffled"])
+def test_table_predicate_allocates_only_its_result(nbits, block):
+    block = block()
     expected = _balance_ok(block, nbits)  # warm-up: tables and buffers
     tracemalloc.start()
     try:
