@@ -173,11 +173,11 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     its `_witness`, is read once, on first use.  Its ends name a class
     (P, m, theta) (`_class_of`), so each term is P * 2**m + z, z of m
     bits, a member iff z has no negative suffix and bal(z) >= theta(P):
-    the class lemma, proven at `levels._class_runs`, where membership is
-    tested by it at m = 16.  So each
-    copy is proven in O(1): an offset = 0 (mod 2**m) whose image ends
-    name the prefix P + (offset >> m), of nbits - m bits, with the same
-    theta makes the witnessed members members of nbits bits.  Each
+    the class lemma, proven at `levels._class_runs`, which tests
+    membership by it at m = 16.  So each copy is proven in O(1): an
+    offset = 0 (mod 2**m) whose image ends name the prefix P + (offset
+    >> m), of nbits - m bits, with the same theta makes the witnessed
+    members members of nbits bits.  Each
     copy's first term must lie above lo or the copy before it, the last
     top at or below hi, and the copies must hold as many terms as
     `_rank` counts in (lo, hi]: ascending members there, as many as

@@ -272,7 +272,7 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     its run's theta.  An ascending block costs one gather a term and one
     comparison a term, a run at a time; any other block one more gather
     a term for each 16 bits above the lowest 16.  Only the result is
-    allocated, and what is small."""
+    allocated, beside a few bytes a run."""
     if not 0 <= nbits <= 64:
         raise ValueError(f"nbits must be in 0..64, got {nbits}")
     flat = values.reshape(-1)
