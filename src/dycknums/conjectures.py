@@ -14,33 +14,32 @@ identities tying level and core cardinalities to central binomial
 coefficients and Catalan numbers.
 Every copy claim is certified by `_certify_copies` as exactly the
 members between two bounds: each distinct copy source is read once, as
-blocks, and each copy is proven in O(1) a translate of the class that
-its source's ends name.  eq1 and eq2 then check in O(1) that the parts
-the construction builds level n from are those copies.  No check
-builds an odd level or keeps a copy.
-The construction applies the fragment-00 rule without checking it;
+blocks (`levels._witness`), and each copy is proven in O(1) a translate
+of the class (`dyck_core._class_of`) that its source's ends name.  eq1
+and eq2 then check in O(1) that the parts the construction builds
+level n from are those copies.  No check builds an odd level or keeps
+a copy.  The construction applies the fragment-00 rule without checking it;
 the rejection check alone compares it, term by term, with the
 membership of each 00 image.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .cores import _class_of, core_size
-from .dyck_core import _rank, is_dyck_number
+from .cores import core_size
+from .dyck_core import _class_of, _rank, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
     _BLOCK,
+    _Witness,
     _balance_ok,
-    _class_runs,
     _f00_keep,
     _level_array,
     _level_blocks,
     _level_parts,
+    _witness,
     _work,
     core_top,
     level_size,
@@ -114,75 +113,21 @@ def check_prop12(n: int) -> Counterexample | None:
     return None
 
 
-class _Witness(NamedTuple):
-    """A run read once: its ends, its size, and its first fault as
-    (term, the term before it, kind, width), or None."""
-
-    first: int
-    top: int
-    read: int
-    fault: tuple[int, int, str, int] | None
-
-
-def _witness(src) -> _Witness:
-    """Read a run, an array or a stream of blocks, once, up to its first
-    fault.  A block passes when it ascends strictly from the term before
-    it, its two ends have the first term's width, and the least `low` of
-    each run of `_class_runs` is at least the run's theta; every
-    temporary of a block is then a buffer of `_work`, or a few bytes a
-    run.  A block that does not is searched for its first fault: a term
-    of other than the first term's width ("width", from the block's
-    extremes, as membership reads the low bits of that width only), else
-    a term that is no member ("member"), else one not above the term
-    before it ("ascent").  A `_Witness` is returned as it is."""
-    if isinstance(src, _Witness):
-        return src
-    first = prev = read = 0
-    # Read in blocks of at most `_BLOCK` terms, the size of `_work`'s buffers.
-    parts = [src] if isinstance(src, np.ndarray) else src
-    for block in (part[s : s + _BLOCK] for part in parts for s in range(0, len(part), _BLOCK)):
-        if not read:
-            first, prev = int(block[0]), int(block[0]) - 1
-            nbits = first.bit_length() or 1  # the term 0 fails its width
-            lo, hi = mersenne(nbits - 1), mersenne(nbits)
-        up = _work.passed[: len(block)]
-        up[0] = int(block[0]) > prev
-        np.greater(block[1:], block[:-1], out=up[1:])
-        if up.all() and lo < int(block[0]) and int(block[-1]) <= hi:
-            low, heads, theta = _class_runs(block, nbits, True)
-            least = low if heads is None else np.minimum.reduceat(low, heads)
-            if np.greater_equal(least, theta, out=_work.passed[: len(least)]).all():
-                prev, read = int(block[-1]), read + len(block)
-                continue
-        if block.min() <= lo or block.max() > hi:
-            i, kind = int(np.argmax((block <= lo) | (block > hi))), "width"
-        elif not (member := _balance_ok(block, nbits)).all():
-            i, kind = int(np.argmin(member)), "member"
-        else:  # of width and members, so it failed on its ascent
-            i, kind = int(np.argmin(block > np.concatenate([[prev], block[:-1]]))), "ascent"
-        below = int(block[i - 1]) if i else prev
-        return _Witness(first, prev, read, (int(block[i]), below, kind, nbits))
-    return _Witness(first, prev, read, None)
-
-
 def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | None:
     """Check that the copies, (source, offset) pairs in order, are exactly
     the members in (lo, hi] of nbits bits.
 
     Each distinct source (by identity), an array, a stream of blocks or
     its `_witness`, is read once, on first use.  Its ends name a class
-    (P, m, theta) (`_class_of`), so each term is P * 2**m + z, z of m
-    bits, a member iff z has no negative suffix and bal(z) >= theta(P):
-    the class lemma, proven at `levels._class_runs`, which tests
-    membership by it at m = 16.  So each copy is proven in O(1): an
-    offset = 0 (mod 2**m) whose image ends name the prefix P + (offset
-    >> m), of nbits - m bits, with the same theta makes the witnessed
-    members members of nbits bits.  Each
-    copy's first term must lie above lo or the copy before it, the last
-    top at or below hi, and the copies must hold as many terms as
-    `_rank` counts in (lo, hi]: ascending members there, as many as
-    there are, are all of them.  A source need not be its whole class:
-    none of these steps uses it.
+    (P, m, theta) (`_class_of`), and by the class lemma
+    (`dyck_core._class_ends`) each copy is proven in O(1): an offset = 0
+    (mod 2**m) whose image ends name the prefix P + (offset >> m), of
+    nbits - m bits, with the same theta makes the witnessed members
+    members of nbits bits.  Each copy's first term must lie above lo or
+    the copy before it, the last top at or below hi, and the copies must
+    hold as many terms as `_rank` counts in (lo, hi]: ascending members
+    there, as many as there are, are all of them.  A source need not be
+    its whole class: none of these steps uses it.
 
     A bound that is no member, or a pair that cannot be drawn, fails the
     construction up front.  Then, copy by copy: a fault of its source,

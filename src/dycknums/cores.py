@@ -12,9 +12,9 @@ Runs of terms are decomposed against a library of named shapes
 (triplet, level and core patterns), each one class of terms with a
 fixed prefix and m free low bits, by descent over the classes of the
 run's level; the pieces of a whole class are memoized, as a class of
-equal key is their translate.  The result is an expression tree of
-joins, powers, named pattern copies and leftover singletons that
-evaluates back to the input exactly.
+equal key is their translate (the class lemma, `dyck_core._class_ends`).
+The result is an expression tree of joins, powers, named pattern copies
+and leftover singletons that evaluates back to the input exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck_core import _lowest, dynamics, is_dyck_number
+from .dyck_core import _class_ends, _class_of, dynamics, is_dyck_number
 from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
     Fragment,
@@ -139,33 +139,6 @@ def core_subsequence(max_n: int) -> tuple[int, ...]:
 
 
 # -- decomposition ----------------------------------------------------------
-
-
-def _class_ends(base: int, m: int, theta: int) -> tuple[int, int]:
-    """First and top term of the class (P, m, theta), base = P * 2**m.
-
-    By the class lemma (proven at `levels._class_runs`), the class holds
-    the terms P * 2**m + z, z of m bits with no negative suffix and
-    bal(z) >= theta, theta being minus P's lowest suffix balance,
-    floored at 0 and raised by 1 to m's parity: C(m, (m + theta) / 2)
-    terms, the least with its (m + theta) / 2 ones at the bottom.
-    Classes of equal (m, theta) are translates.  The 1-child (P1, m - 1)
-    has theta' = |theta - 1|, the 0-child theta + 1.  A class of two or more terms (theta <= m - 2)
-    spans 2**m: P * 2**m - 1 is a term, so it is the first term's
-    predecessor.  For P = Q10^r, P - 1 = Q01^r, whose suffix balances
-    past its r low bits are P's plus 2r - 2 >= -theta - 2 >= -m, and m
-    ones lie below them."""
-    return base + (1 << (m + theta) // 2) - 1, base + (1 << m) - 1
-
-
-def _class_of(first: int, top: int) -> tuple[int, int, int]:
-    """The class (P, m, theta) that the two ends of a run name: m the bit
-    length of first ^ top, so that both ends share the prefix P = top >>
-    m, and theta as `_class_ends` reads it off P.  The one place the
-    parity rule is written."""
-    m = (first ^ top).bit_length()
-    low = -_lowest(top >> m)
-    return top >> m, m, low + ((low ^ m) & 1)
 
 
 @dataclass(frozen=True, eq=False)

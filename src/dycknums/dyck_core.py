@@ -8,10 +8,12 @@ minus zeros) of its low j bits: t is a term iff S(j) >= 0 for j = 1..L.
 Every scalar question reads t once, a byte at a time, by `_lowest`; the
 answers, classification included, follow in closed form from the lowest
 S(j) above t's trailing ones (`_tail`).  `classify` scans one more value
-for a triplet end, the far end it asserts.  All functions work on plain
-ints with exact arithmetic, so values beyond 2**64 are handled
-correctly; the queries also take numpy integers, through
-`operator.index`.
+for a triplet end, the far end it asserts.  The class lemma, proven
+once at `_class_ends`, makes membership under a prefix P depend on the
+free low bits and theta(P) = -`_lowest`(P) alone; classes (P, m, theta)
+are named by `_class_of`.  All functions work on plain ints with exact
+arithmetic, so values beyond 2**64 are handled correctly; the queries
+also take numpy integers, through `operator.index`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,38 @@ def _lowest(v: int) -> int:
             low = bal + _LOWEST[c]
         bal += _BALANCE[c]
     return low
+
+
+def _class_ends(base: int, m: int, theta: int) -> tuple[int, int]:
+    """First and top term of the class (P, m, theta), base = P * 2**m.
+
+    The class lemma: a word P * 2**m + z of L > m bits, z its low m bits
+    (leading zeros counted), is a term iff z has no negative suffix and
+    bal(z) >= theta(P) = -`_lowest`(P).  Its low j <= m bits are z's,
+    and above them S(j) = bal(z) + S_P(j - m), so all are >= 0 iff z has
+    no negative suffix and bal(z) >= -S_P(k) for every k; bal(z) = S(m)
+    >= 0 already.  As bal(z) has the parity of m, theta may be raised to
+    that parity (`_class_of`), and classes of equal (m, theta) are
+    translates.
+
+    So the class holds C(m, (m + theta) / 2) terms, the least with its
+    (m + theta) / 2 ones at the bottom.  The 1-child (P1, m - 1) has
+    theta' = |theta - 1|, the 0-child theta + 1.  A class of two or more
+    terms (theta <= m - 2) spans 2**m: P * 2**m - 1 is a term, so it is
+    the first term's predecessor.  For P = Q10^r, P - 1 = Q01^r, whose
+    suffix balances past its r low bits are P's plus 2r - 2 >= -theta -
+    2 >= -m, and m ones lie below them."""
+    return base + (1 << (m + theta) // 2) - 1, base + (1 << m) - 1
+
+
+def _class_of(first: int, top: int) -> tuple[int, int, int]:
+    """The class (P, m, theta) that the two ends of a run name: m the bit
+    length of first ^ top, so that both ends share the prefix P = top >>
+    m, and theta as `_class_ends` reads it off P.  The one place the
+    parity rule is written."""
+    m = (first ^ top).bit_length()
+    low = -_lowest(top >> m)
+    return top >> m, m, low + ((low ^ m) & 1)
 
 
 def is_dyck_number(v: int) -> bool:

@@ -20,7 +20,11 @@ materialized only as the source of another level, and never above
 `MAX_MATERIALIZED_LEVEL` (30), the one bound on levels: levels up to 32
 stream, and cores up to the 32-core are made.  Materialized levels and
 cores are stored in int32 (`TERM_DTYPE`), but for the 32-core; blocks
-in flight and every operation on a stored term are int64.
+in flight and every operation on a stored term are int64.  One kernel,
+`_class_runs`, tests membership a block at a time by the class lemma of
+`dyck_core` at m = 16, and only this module reads its buffers and runs:
+`_balance_ok` answers for any array, and `_witness` reads a run once,
+as blocks, up to its first fault.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,21 +194,13 @@ def _class_runs(terms: np.ndarray, nbits: int, ascending: bool):
     `low` is at least the `theta` of its run.  Each array is a view of a
     buffer of `_work`, or small, and valid until the next call.
 
-    It rests on the class lemma, at m = 16 here.  Write a word of L > m
-    bits as P * 2**m + z, z its low m bits (leading zeros counted), P
-    the rest, and let S(j) be the balance (ones minus zeros) of its low
-    j bits.  Lemma: the word is a member iff z has no negative suffix
-    and bal(z) >= theta(P), theta(P) = max(0, -min over k of S_P(k)).
-    Its low j <= m bits are z's, and above them S(j) = bal(z) +
-    S_P(j - m), so all are >= 0 iff z has no negative suffix and bal(z)
-    >= -S_P(k) for every k; bal(z) = S(m) >= 0 already.  As bal(z) has
-    the parity of m, the bound may be raised to that parity, which is
-    the theta of a class (P, m, theta) (`cores._class_of`).
-
-    So `low` is `carry[z]` of each term, one gather: bal(z), or -128
-    where z has a negative suffix, which fails every theta (the bits
-    from `nbits` up to 16 are set to 1 first; that changes no suffix of
-    `nbits` bits or fewer, and only raises the balance of longer ones).
+    It rests on the class lemma (`dyck_core._class_ends`) at m = 16: a
+    word P * 2**16 + z is a member iff z has no negative suffix and
+    bal(z) >= theta(P).  So `low` is `carry[z]` of each term, one
+    gather: bal(z), or -128 where z has a negative suffix, which fails
+    every theta (the bits from `nbits` up to 16 are set to 1 first; that
+    changes no suffix of `nbits` bits or fewer, and only raises the
+    balance of longer ones).
     A run is a stretch of terms of equal bits from 16 up, so of one P,
     and its theta is read once (`_thetas`).  For an ascending block
     (`ascending` vouches for it), `heads` holds the index of the first
@@ -289,6 +286,57 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
         for s, e, t in zip(heads, np.append(heads[1:], m), theta):
             np.greater_equal(low[s:e], t, out=ok_m[s:e])
     return ok.reshape(values.shape)
+
+
+class _Witness(NamedTuple):
+    """A run read once: its ends, its size, and its first fault as
+    (term, the term before it, kind, width), or None."""
+
+    first: int
+    top: int
+    read: int
+    fault: tuple[int, int, str, int] | None
+
+
+def _witness(src) -> _Witness:
+    """Read a run, an array or a stream of blocks, once, up to its first
+    fault.  A block passes when it ascends strictly from the term before
+    it, its two ends have the first term's width, and the least `low` of
+    each run of `_class_runs` is at least the run's theta; every
+    temporary of a block is then a buffer of `_work`, or a few bytes a
+    run.  A block that does not is searched for its first fault: a term
+    of other than the first term's width ("width", from the block's
+    extremes, as membership reads the low bits of that width only), else
+    a term that is no member ("member"), else one not above the term
+    before it ("ascent").  A `_Witness` is returned as it is."""
+    if isinstance(src, _Witness):
+        return src
+    first = prev = read = 0
+    # Read in blocks of at most `_BLOCK` terms, the size of `_work`'s buffers.
+    parts = [src] if isinstance(src, np.ndarray) else src
+    for block in (part[s : s + _BLOCK] for part in parts for s in range(0, len(part), _BLOCK)):
+        if not read:
+            first, prev = int(block[0]), int(block[0]) - 1
+            nbits = first.bit_length() or 1  # the term 0 fails its width
+            lo, hi = mersenne(nbits - 1), mersenne(nbits)
+        up = _work.passed[: len(block)]
+        up[0] = int(block[0]) > prev
+        np.greater(block[1:], block[:-1], out=up[1:])
+        if up.all() and lo < int(block[0]) and int(block[-1]) <= hi:
+            low, heads, theta = _class_runs(block, nbits, True)
+            least = low if heads is None else np.minimum.reduceat(low, heads)
+            if np.greater_equal(least, theta, out=_work.passed[: len(least)]).all():
+                prev, read = int(block[-1]), read + len(block)
+                continue
+        if block.min() <= lo or block.max() > hi:
+            i, kind = int(np.argmax((block <= lo) | (block > hi))), "width"
+        elif not (member := _balance_ok(block, nbits)).all():
+            i, kind = int(np.argmin(member)), "member"
+        else:  # of width and members, so it failed on its ascent
+            i, kind = int(np.argmin(block > np.concatenate([[prev], block[:-1]]))), "ascent"
+        below = int(block[i - 1]) if i else prev
+        return _Witness(first, prev, read, (int(block[i]), below, kind, nbits))
+    return _Witness(first, prev, read, None)
 
 
 class Fragment(enum.Enum):

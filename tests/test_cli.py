@@ -39,6 +39,9 @@ def test_gen_count(capsys):
     code, out, _ = run(capsys, "gen", "--count", "5")
     assert code == 0
     assert out.strip() == "0 1 3 5 7"
+    code, out, err = run(capsys, "gen", "--count", "5", "--check")
+    assert code == 0 and out.strip() == "0 1 3 5 7"
+    assert err == "check: not applicable to --count output\n"
 
 
 def test_gen_core(capsys):
@@ -175,6 +178,16 @@ def test_decompose_level(capsys):
     code, out, _ = run(capsys, "decompose", "--level", "8")
     assert code == 0
     assert out.strip() == "μ8(159) ⊕ π6(255)^3"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--core", "7"), "cores exist for even n >= 6"),
+    (("--level", "0"), "n must be >= 1"),
+])
+def test_decompose_outside_its_domain_is_a_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, "decompose", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 # sha256 of the output of `decompose --core 20` and `--level 12`

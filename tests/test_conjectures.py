@@ -207,7 +207,7 @@ def _fault_in_block(n, block, t, below, kind, nbits):
     level = levels._level_array(n)
     start = block * levels._BLOCK
     top = int(level[start - 1]) if start else int(level[0]) - 1
-    return conjectures._Witness(int(level[0]), top, start, (t, below, kind, nbits))
+    return levels._Witness(int(level[0]), top, start, (t, below, kind, nbits))
 
 
 # Level 8 starts 143, 151, 155, 157, 159, 167, 171, 173, 175, 179, 181;
@@ -232,7 +232,7 @@ def _level_20(i):
     # The term 0 has no width of its own: first, it fails its width of
     # one bit; later, the width of the first term.
     (lambda: np.concatenate([[0], levels._level_array(8)]),
-     lambda: conjectures._Witness(0, -1, 0, (0, -1, "width", 1))),
+     lambda: levels._Witness(0, -1, 0, (0, -1, "width", 1))),
     (lambda: _changed(8, (1, 153), (3, 0)),
      lambda: _fault_in_block(8, 0, 0, 155, "width", 8)),
     # A descent at a block seam is an ascent fault of the second block,
@@ -251,7 +251,7 @@ def _level_20(i):
         "term_0_first", "term_0_after_member", "seam_descent_then_member",
         "seam_descent_then_width", "seam_descent", "member_ending_a_block"])
 def test_witness_reports_the_first_fault_of_the_first_faulty_block(terms, expected):
-    assert conjectures._witness(terms()) == expected()
+    assert levels._witness(terms()) == expected()
 
 
 # Each copy check passes each distinct source through the membership
@@ -268,13 +268,13 @@ def test_witness_reports_the_first_fault_of_the_first_faulty_block(terms, expect
 def test_a_copy_check_reads_each_source_once(monkeypatch, checker, n, size):
     assert checker(n).passed  # builds the levels it reads
     read = []
-    class_runs, balance_ok = conjectures._class_runs, conjectures._balance_ok
+    class_runs, balance_ok = levels._class_runs, levels._balance_ok
 
     def counted(kernel):
         return lambda terms, *args: (read.append(len(terms)), kernel(terms, *args))[1]
 
-    monkeypatch.setattr(conjectures, "_class_runs", counted(class_runs))
-    monkeypatch.setattr(conjectures, "_balance_ok", counted(balance_ok))
+    monkeypatch.setattr(levels, "_class_runs", counted(class_runs))
+    monkeypatch.setattr(levels, "_balance_ok", counted(balance_ok))
     assert checker(n).passed
     assert sum(read) == size
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -28,7 +29,7 @@ from dycknums.cores import (
     standard_library,
     subsegments,
 )
-from dycknums.dyck_core import _lowest, _rank, dyck_pred, is_dyck_number
+from dycknums.dyck_core import _class_ends, _class_of, _lowest, _rank, dyck_pred, is_dyck_number
 from dycknums.errors import DomainError, LevelMismatch, NotContiguous, NotMember
 from dycknums.levels import level_structural, mersenne, subsegment_bounds
 from dycknums.oeis_ref import a002054, catalan
@@ -165,6 +166,7 @@ def test_core_subsequence_examples(appendix_terms):
 def test_standard_library_contents():
     lib = standard_library(12)
     assert set(lib.names()) == {"π4", "π6", "μ6", "μ8", "μ10", "μ12/1", "μ12/4", "μ12"}
+    assert "μ12/4" in lib and "μ14" not in lib and "μ10/1" not in lib
     with pytest.raises(ValueError):
         lib.register("π4", lib["π4"].source)
 
@@ -257,6 +259,24 @@ def test_decompose_takes_a_pattern_as_it_is(monkeypatch):
 
     monkeypatch.setattr(patterns, "_validate_run", no_validation)
     assert format_expr(decompose(Pattern(core(12).arr), lib)) == expected
+
+
+@pytest.mark.parametrize("terms,message", [
+    (range(143, 160, 2), "a range of terms must ascend by 1 within one binary length"),
+    (range(6, 9), "a range of terms must ascend by 1 within one binary length"),
+    (range(8, 9), r"no term lies in \(7, 8\]"),
+])
+def test_decompose_refuses_a_range_of_no_terms_of_one_level(terms, message):
+    with pytest.raises(ValueError, match=message):
+        decompose(terms, standard_library(8))
+
+
+def test_term_containers_iterate_and_hash_as_their_terms():
+    # Level, Core and Pattern share `TermArray`'s iteration and hash.
+    for run in (level_structural(8), core(10), Pattern(core(10).arr[1:4])):
+        assert list(run) == list(run.terms) == run.arr.tolist()
+        assert hash(run) == hash(run.terms)
+        assert len({run, dataclasses.replace(run, arr=run.arr.copy())}) == 1
 
 
 def test_decompose_validates_any_other_run():
@@ -490,7 +510,7 @@ def _class(prefix: int, m: int) -> tuple[int, int, int]:
     """(theta, first, top) of the class of m free bits under prefix."""
     low = -_lowest(prefix)
     theta = low + ((low ^ m) & 1)
-    return (theta, *cores._class_ends(prefix << m, m, theta))
+    return (theta, *_class_ends(prefix << m, m, theta))
 
 
 @functools.cache
@@ -536,7 +556,7 @@ def test_membership_under_a_prefix_depends_on_theta_alone(case):
     prefix, other, m, z = case
     theta, first, top = _class(prefix, m)
     for p in (prefix, other):
-        assert cores._class_of(p << m, (p + 1 << m) - 1) == (p, m, theta)
+        assert _class_of(p << m, (p + 1 << m) - 1) == (p, m, theta)
     assert is_dyck_number(prefix << m | z) == is_dyck_number(other << m | z)
     if m <= 20:
         members = _rank(top) - _rank(first) + 1 if theta <= m else 0

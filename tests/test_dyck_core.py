@@ -1,3 +1,4 @@
+import math
 import random
 from importlib import resources
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from dycknums import dyck_core
 from dycknums.dyck_core import (
     TermClass,
+    _class_ends,
+    _class_of,
     _rank,
     classify,
     dyck_pred,
@@ -306,6 +309,43 @@ def test_shorter_counts_the_terms_below_each_level():
     # `_rank`'s cached prefix: the term 0 and every level of fewer bits.
     for k in range(0, 40):
         assert dyck_core._shorter(k) == 1 + sum(level_size(n) for n in range(1, k + 1))
+
+
+# -- the class lemma ---------------------------------------------------------
+
+
+def members_under_each_prefix(m: int) -> np.ndarray:
+    """Membership of P * 2**m + z for each prefix P of 1 to 9 bits (row
+    P - 1) and each m-bit z (column z): the running balance of each word
+    from bit 0 up to its top bit never dips below 0."""
+    prefixes = range(1, 1 << 9)
+    words = np.array(prefixes, dtype=np.int64)[:, None] << m | np.arange(1 << m)
+    width = np.array([p.bit_length() + m for p in prefixes])[:, None]
+    balance = np.zeros(words.shape, dtype=np.int8)
+    member = np.ones(words.shape, dtype=bool)
+    for j in range(m + 9):
+        balance += np.where(j < width, 2 * (words >> j & 1) - 1, 0).astype(np.int8)
+        member &= balance >= 0
+    return member
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_class_ends_and_size_are_those_of_the_members_under_each_prefix(m):
+    member = members_under_each_prefix(m)
+    if m <= 6:
+        words = [[is_dyck_number(p << m | z) for z in range(1 << m)] for p in range(1, 1 << 9)]
+        assert np.array_equal(member, words)
+    for p in range(1, 1 << 9):
+        code = bin(p)[2:]
+        theta = max(0, *(code[i:].count("0") - code[i:].count("1") for i in range(len(code))))
+        theta += (theta ^ m) & 1
+        z = np.flatnonzero(member[p - 1])
+        assert len(z) == math.comb(m, (m + theta) // 2), (p, m)
+        if len(z):
+            first, top = p << m | int(z[0]), p << m | int(z[-1])
+            assert _class_ends(p << m, m, theta) == (first, top), (p, m)
+            if theta <= m - 2:
+                assert _class_of(first, top) == (p, m, theta)
 
 
 # -- the chunked suffix scan behind every scalar query ----------------------

@@ -163,8 +163,21 @@ def test_conjectures_takes_only_the_outcome_records_from_report():
     }
 
 
-def test_conjectures_takes_only_the_class_helper_and_core_sizes_from_cores():
-    assert package_imports("conjectures")["cores"] == {"_class_of", "core_size"}
+def test_conjectures_takes_only_the_core_sizes_from_cores():
+    assert package_imports("conjectures")["cores"] == {"core_size"}
+
+
+def test_only_levels_reads_the_membership_kernel():
+    # `_balance_ok` and `_witness` are the kernel's only readers: its
+    # buffers and runs stay behind them.
+    readers = [
+        path.stem for path in MODULES if "_class_runs" in package_imports(path.stem)["levels"]
+    ]
+    assert not readers, f"{readers} import the membership kernel"
+
+
+def test_cores_reads_theta_only_through_the_class_helper():
+    assert "_lowest" not in package_imports("cores")["dyck_core"]
 
 
 def test_every_check_is_defined_in_conjectures():

@@ -10,7 +10,7 @@ from dycknums.conjectures import (
     verify_eq1,
     verify_eq2,
 )
-from dycknums.dyck_core import dyck_pred, dyck_succ, is_dyck_number
+from dycknums.dyck_core import _class_of, dyck_pred, dyck_succ, is_dyck_number
 from dycknums.errors import (
     DomainError,
     InvalidCopy,
@@ -120,6 +120,10 @@ def test_offset_of_examples():
     assert offset_of(mu8(), copy_at(mu8(), 575)) == 416
     with pytest.raises(NotACopy):
         offset_of(a, a)
+    with pytest.raises(NotACopy, match="term-wise offsets are not constant"):
+        offset_of(make_pattern((143, 151, 155)), make_pattern((157, 159, 167)))
+    with pytest.raises(NotACopy, match="offset undefined for patterns starting at 0"):
+        offset_of(make_pattern((0,)), make_pattern((1,)))
     # A stored int32 run at the top of the 30-bit numbers, and its int64
     # and int32 copies at the top of the 31-bit ones.
     low = Pattern(level_structural(12).arr + np.int32(mersenne(30) - mersenne(12)))
@@ -175,6 +179,8 @@ def test_power_properties():
 def test_power_failures():
     with pytest.raises(ValueError):
         power(make_pattern((11, 13, 15)), 1)
+    with pytest.raises(DomainError, match="pattern starting at 0"):
+        power(make_pattern((0,)), 2)
     # dropping one span below 51..55 would need members at 43+8k gaps
     with pytest.raises(InvalidCopy):
         power(make_pattern((51, 53, 55)), 3)
@@ -444,7 +450,7 @@ def claim_copies(name, n):
 
 def source_class(src):
     """The class (P, m, theta) that the ends of a source name."""
-    return cores._class_of(int(src[0]), int(src[-1]))
+    return _class_of(int(src[0]), int(src[-1]))
 
 
 def other_theta(src, offset):
@@ -455,7 +461,7 @@ def other_theta(src, offset):
     moved = next(
         image + j for j in sorted(range(-image, image), key=lambda j: (j < 0, abs(j)))
         if (image + j).bit_length() == image.bit_length()
-        and cores._class_of(image + j << m, (image + j + 1 << m) - 1)[2] != theta
+        and _class_of(image + j << m, (image + j + 1 << m) - 1)[2] != theta
     )
     return offset + (moved - image << m)
 
