@@ -17,18 +17,24 @@ members between two bounds: each distinct copy source is read once, as
 blocks (`levels._witness`), and each copy is proven in O(1) a translate
 of the class (`dyck_core._class_of`) that its source's ends name.  eq1
 and eq2 then check in O(1) that the parts the construction builds
-level n from are those copies.  No check builds an odd level or keeps
-a copy.  The construction applies the fragment-00 rule without checking it;
-the rejection check alone compares it, term by term, with the
-membership of each 00 image.
+level n from are those copies.  Within one `run_all` each region of a
+level is read once (`_Ledger`): eq2(n) takes eq1(n-1)'s witness of
+level n-2, and conj16 and conj18 take their windows of a level that
+prop12 passed in closed form (`_window`); a check called alone reads
+its own sources.  No check builds an odd level or keeps a copy.  The
+construction applies the fragment-00 rule without checking it; the
+rejection check alone compares it, term by term, with the membership
+of each 00 image.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .cores import core_size
-from .dyck_core import _class_of, _rank, is_dyck_number
+from .dyck_core import _class_of, _rank, dyck_succ, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
@@ -68,6 +74,19 @@ CORE_SIZES = (1, 5, 21, 84, 330, 1287, 5005, 19448, 75582, 293930, 1144066, 4457
 
 # Level sizes for n = 1..12.
 LEVEL_SIZES = (1, 1, 2, 3, 6, 10, 20, 35, 70, 126, 252, 462)
+
+
+class _Ledger(threading.local):
+    """What the `run_all` on this thread has read: `sources` maps the id
+    of each read-only array witnessed to the array and its `_Witness`,
+    `levels` each level that prop12 passed to its first term.  None
+    outside a run."""
+
+    sources: dict[int, tuple[np.ndarray, _Witness]] | None = None
+    levels: dict[int, int] | None = None
+
+
+_ledger = _Ledger()
 
 
 @check("prop12")
@@ -110,6 +129,8 @@ def check_prop12(n: int) -> Counterexample | None:
         return Counterexample(t, f"above {below}", "not above")
     if level.read != level_size(n):
         return Counterexample("cardinality", level_size(n), level.read)
+    if _ledger.levels is not None:
+        _ledger.levels[n] = level.first
     return None
 
 
@@ -118,8 +139,8 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     the members in (lo, hi] of nbits bits.
 
     Each distinct source (by identity), an array, a stream of blocks or
-    its `_witness`, is read once, on first use.  Its ends name a class
-    (P, m, theta) (`_class_of`), and by the class lemma
+    its `_witness`, is read once, on first use (`_read`).  Its ends name
+    a class (P, m, theta) (`_class_of`), and by the class lemma
     (`dyck_core._class_ends`) each copy is proven in O(1): an offset = 0
     (mod 2**m) whose image ends name the prefix P + (offset >> m), of
     nbits - m bits, with the same theta makes the witnessed members
@@ -144,7 +165,7 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     for src, offset in copies:
         source = seen.get(id(src))
         if source is None:
-            source = seen[id(src)] = _witness(src)
+            source = seen[id(src)] = _read(src)
             if source.fault:
                 return _construction_failure(_image_fault(*source.fault, offset, hi))
         if source.read:
@@ -156,6 +177,39 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     if made != count:
         return Counterexample("cardinality", count, made)
     return None
+
+
+def _read(src) -> _Witness:
+    """`_witness(src)`, kept in the ledger for a read-only array: in a
+    run, every check that copies the array itself takes one witness."""
+    sources = _ledger.sources
+    if sources is None or not isinstance(src, np.ndarray) or src.flags.writeable:
+        return _witness(src)
+    kept = sources.get(id(src))
+    if kept is None or kept[0] is not src:
+        kept = sources[id(src)] = (src, _witness(src))
+    return kept[1]
+
+
+def _window(n: int, lo: int, hi: int):
+    """The terms of level n in (lo, hi], for members M_{n-1} <= lo < hi
+    <= M_n: as `_level_blocks` reads them, or, once prop12(n) has passed
+    in this run, as their `_Witness` in closed form, reading no term.
+
+    That prop12 read `level_size(n)` strictly ascending members of n
+    bits.  There are exactly that many, so it read level n.  Its terms
+    in (lo, hi] are then the members there: `_rank(hi) - _rank(lo)` of
+    them, the first `dyck_succ(lo)` (the level's first term when lo =
+    M_{n-1}), the top hi.  The bounds used, `core_top` and
+    `subsegment_bounds`, are members, as `_subsegment_copies` already
+    needs through `_rank`.  A prop12 that failed records nothing, and
+    the window is read."""
+    first = (_ledger.levels or {}).get(n)
+    if first is None:
+        return _level_blocks(n, lo, hi)
+    if lo != mersenne(n - 1):
+        first = dyck_succ(lo)
+    return _Witness(first, hi, _rank(hi) - _rank(lo), None)
 
 
 def _image_fault(t: int, below: int, kind: str, nbits: int, offset: int, hi: int) -> str:
@@ -245,8 +299,8 @@ def check_conj16(n: int) -> Counterexample | None:
     at offsets 13*2**(n-3) and 7*2**(n-2)."""
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
-    # The n-core is the leading part of level n, read once as blocks.
-    source = _witness(_level_blocks(n, hi=core_top(n)))
+    # The n-core is the leading part of level n, read once for both copies.
+    source = _witness(_window(n, mersenne(n - 1), core_top(n)))
     for seg, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
         found = _subsegment_copies(n + 2, seg, [(source, offset)], core_size(n))
         if found:
@@ -263,8 +317,8 @@ def check_conj18(n: int) -> Counterexample | None:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
     lo, prev_top = subsegment_bounds(n - 2, 3)
     top, length = core_top(n), prev_top - lo
-    cube = _level_blocks(n - 2, lo, prev_top)  # read once for its three copies
-    copies = [(_level_blocks(n - 4, hi=core_top(n - 4)), top - 3 * length - core_top(n - 4))]
+    cube = _window(n - 2, lo, prev_top)  # read once for its three copies
+    copies = [(_window(n - 4, mersenne(n - 5), core_top(n - 4)), top - 3 * length - core_top(n - 4))]
     copies += [(cube, top - k * length - prev_top) for k in (2, 1, 0)]
     return _subsegment_copies(n, 3, copies, a001405(n - 5))
 
@@ -373,9 +427,11 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
 # level above n - 1 and no core: level n and the copy sources are read
-# as blocks.  The checkers look the check functions up when called,
-# so a wrapper rebound over a module function (as perfbench/spans.py
-# does) sees every call.
+# as blocks.  Listed eq1 before eq2 and prop12 before conj16 and
+# conj18, `run_all` reads each region of a level once; a check called
+# alone reads its own sources.  The checkers look the check functions
+# up when called, so a wrapper rebound over a module function (as
+# perfbench/spans.py does) sees every call.
 CHECKS = {
     "eq1": (lambda n: verify_eq1(n), 5),
     "eq2": (lambda n: verify_eq2(n), 6),
@@ -409,7 +465,11 @@ def run_all(max_n: int) -> list[VerificationOutcome]:
     `MAX_MATERIALIZED_LEVEL` + 2."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    outcomes = [CHECKS[name][0](n) for name, n in planned_checks(CHECKS, max_n)]
+    _ledger.sources, _ledger.levels = {}, {}
+    try:
+        outcomes = [CHECKS[name][0](n) for name, n in planned_checks(CHECKS, max_n)]
+    finally:
+        _ledger.sources = _ledger.levels = None
     if max_n >= 6:
         outcomes.extend(size_identity_checks(max_n))
     outcomes.sort(key=lambda o: (o.name, o.n))

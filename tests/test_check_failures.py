@@ -121,6 +121,61 @@ def test_a_shifted_tail_term_fails_prop12_in_run_all(monkeypatch):
     }
 
 
+def read_only(change):
+    def changed(arr):
+        out = change(arr)
+        out.flags.writeable = False
+        return out
+
+    return changed
+
+
+@pytest.mark.parametrize("change", [None, shift(3), read_only(shift(3))],
+                         ids=["resident", "corrupted", "corrupted_read_only"])
+def test_eq1_and_eq2_witness_level_6_once_a_run_unless_corrupted(monkeypatch, change):
+    # eq1(7) and eq2(8) both copy level 6.  In a run they take one
+    # witness of the resident array.  A corrupted level is a fresh array
+    # on each call, and eq1 and eq2 then each witness their own, and
+    # fail as they do alone.
+    witnessed = []
+    real = conjectures._witness
+
+    def witness(src):
+        if isinstance(src, np.ndarray) and len(src) == levels.level_size(6):
+            witnessed.append(src)
+        return real(src)
+
+    monkeypatch.setattr(conjectures, "_witness", witness)
+    if change is None:
+        assert failures(run_all(8)) == {}
+        assert len(witnessed) == 1 and witnessed[0] is levels._level_array(6)
+        return
+    corrupt_level(monkeypatch, 6, change)
+    assert failures(run_all(8)) == {
+        ("eq1", 7): construction_failure("81 is not a term of the sequence"),
+        ("eq2", 8): construction_failure("177 is not a term of the sequence"),
+    }
+    assert len(witnessed) == 2 and witnessed[0] is not witnessed[1]
+
+
+# Each corruption fails prop12 at the level it changes, and the checks
+# that copy that level read it again: run_all reports what each check
+# reports alone.
+@pytest.mark.parametrize("n,change", [
+    (8, shift(1)),   # a core term of level 8 moved onto a non-member
+    (12, drop(2)),   # a core term of level 12 dropped
+    (14, drop(-1)),  # the last term read of level 14 dropped
+], ids=["shifted_core_term_8", "dropped_core_term_12", "dropped_last_term_14"])
+def test_run_all_fails_as_each_check_alone_on_a_corrupted_level(monkeypatch, n, change):
+    corrupt_level_blocks(monkeypatch, conjectures, n, change)
+    max_n = 18
+    alone = [conjectures.CHECKS[name][0](k)
+             for name, k in conjectures.planned_checks(conjectures.CHECKS, max_n)]
+    expected = failures(alone + size_identity_checks(max_n))
+    assert ("prop12", n) in expected
+    assert failures(run_all(max_n)) == expected
+
+
 def test_eq2_reports_a_broken_construction(monkeypatch):
     # 47 shifted to 49; its lowest copy 177 = 10110001 dips negative
     corrupt_level(monkeypatch, 6, shift(3))
