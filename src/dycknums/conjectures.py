@@ -23,8 +23,10 @@ level n-2, and conj16 and conj18 take their windows of a level that
 prop12 passed in closed form (`_window`); a check called alone reads
 its own sources.  No check builds an odd level or keeps a copy.  The
 construction applies the fragment-00 rule without checking it; the
-rejection check alone compares it, term by term, with the membership
-of each 00 image.
+rejection check compares it with the membership of each 00 image:
+term by term when called alone, as `verify rejection` calls it, and
+within a run from prop12's read of the level the rule built, once that
+passed.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ class _Ledger(threading.local):
     """What the `run_all` on this thread has read: `sources` maps the id
     of each read-only array witnessed to the array and its `_Witness`,
     `levels` each level that prop12 passed to its first term.  None
-    outside a run."""
+    outside a run.  conj16 and conj18 take their windows of a level in
+    `levels` in closed form; rejection takes its membership verdicts from
+    it, for a source in `sources` that read without a fault."""
 
     sources: dict[int, tuple[np.ndarray, _Witness]] | None = None
     levels: dict[int, int] | None = None
@@ -330,27 +334,46 @@ def check_catalan_rejection(n: int) -> Counterexample | None:
     word: total balance 0 with no suffix dipping negative.
 
     The terms are those of the core part level n is built from, level
-    n-2 under the 00 shift, and a term is rejected when `_balance_ok`
-    rejects its image.  The rule the construction applies (`_f00_keep`)
-    must agree term by term: the first term where it does not is
-    reported, expected the verdict of membership, got the rule's."""
+    n-2 under the 00 shift, and a term is rejected when its image is no
+    member.  The rule the construction applies (`_f00_keep`) must agree
+    term by term: the first term where it does not is reported, expected
+    the verdict of membership, got the rule's.  Called alone, each image
+    is tested (`_balance_ok`).
+
+    Within a run, once prop12(n) has passed, the rule's verdicts are
+    the membership verdicts, and only the rejected terms are read.  That
+    prop12 read `level_size(n)` strictly ascending members of n bits:
+    all of level n.  `levels` builds that stream from `_level_parts(n)`,
+    part 0 being src[_f00_keep(src)] + shift with src level n-2.  Every
+    image of a term of n-2 bits lies in (M_{n-1}, core_top(n)]; part 0
+    ends at core_top(n), the kept image of M_{n-2}, and parts 1 to 3 lie
+    above it.  So the kept images are exactly the members in that
+    window: each kept image is a member, and, the shift being injective,
+    no rejected image is one.  The proof needs src to be the array the
+    stream was built from, so it is taken only for a read-only src that
+    this run witnessed without a fault: `_level_array(n - 2)`, which
+    eq1(n-1) and eq2(n) copy.  Any other src, such as a fresh array, is
+    read term by term, as is any src when prop12(n) failed."""
     if n < 6 or n % 2:
         raise ValueError("rejection counts are checked for even n >= 6")
     src, _, shift = _level_parts(n)[0]
+    witnessed = (_ledger.sources or {}).get(id(src))
+    proven = (n in (_ledger.levels or {}) and witnessed is not None and witnessed[0] is src
+              and not src.flags.writeable and witnessed[1].fault is None)
     # Zeroing keeps the code length, so the word has n - 2 bits, half of
     # them ones.  Read a block at a time: nothing level-sized is made.
     rejected, bad = 0, None
     for start in range(0, len(src), _BLOCK):
         block = src[start : start + _BLOCK]
-        image = np.add(block, shift, out=_work.image[: len(block)], dtype=np.int64)
-        member = _balance_ok(image, n)
-        differ = member != _f00_keep(block, n)
-        if differ.any():
-            i = int(np.argmax(differ))
-            kept = bool(member[i])
-            return Counterexample(int(block[i]), "kept" if kept else "rejected",
-                                  "rejected" if kept else "kept")
-        dropped = block[~member]
+        keep = _f00_keep(block, n)
+        if not proven:
+            image = np.add(block, shift, out=_work.image[: len(block)], dtype=np.int64)
+            differ = _balance_ok(image, n) != keep
+            if differ.any():
+                i = int(np.argmax(differ))
+                member, rule = ("rejected", "kept") if keep[i] else ("kept", "rejected")
+                return Counterexample(int(block[i]), member, rule)
+        dropped = block[~keep]
         rejected += len(dropped)
         if bad is None and len(dropped):
             words = dropped - (1 << (n - 3))
@@ -427,11 +450,13 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
 # level above n - 1 and no core: level n and the copy sources are read
-# as blocks.  Listed eq1 before eq2 and prop12 before conj16 and
-# conj18, `run_all` reads each region of a level once; a check called
-# alone reads its own sources.  The checkers look the check functions
-# up when called, so a wrapper rebound over a module function (as
-# perfbench/spans.py does) sees every call.
+# as blocks.  Listed eq1 before eq2 and prop12 before conj16, conj18
+# and rejection, `run_all` reads each region of a level once, and
+# rejection takes its membership verdicts from prop12; a check called
+# alone reads its own sources, and `verify rejection` tests every image.
+# The checkers look the check functions up when called, so a wrapper
+# rebound over a module function (as perfbench/spans.py does) sees
+# every call.
 CHECKS = {
     "eq1": (lambda n: verify_eq1(n), 5),
     "eq2": (lambda n: verify_eq2(n), 6),

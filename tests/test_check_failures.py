@@ -430,6 +430,21 @@ def test_rejection_reports_a_rejected_term_that_is_no_dyck_word(monkeypatch):
     ))
 
 
+# Within a run, rejection takes the rule's verdicts as membership only
+# for the source prop12's level was built from.  Here the core part of
+# level 10 reads a fresh read-only copy of level 8 with 247 = 11110111
+# moved to 249 = 11111001: six ones keep it by the rule, but its image
+# ends in 1001 and is no member, while the rejected count is still
+# Cat(4).  prop12(10) reads the level `levels` builds and passes.
+def test_run_all_reports_a_rejection_source_other_than_the_witnessed_level(monkeypatch):
+    assert levels._level_array(8)[31] == 247
+    mutate_parts(monkeypatch, 10, replace_part(0, lambda src, keep, offset: (
+        read_only(shift(31))(src), keep, offset)))
+    alone = check_catalan_rejection(10)
+    assert alone.detail == Counterexample(249, "rejected", "kept")
+    assert failures(run_all(12)) == {("rejection", 10): alone.detail}
+
+
 def test_appendix_reports_a_shifted_core_term(monkeypatch):
     real = cores.core_subsequence
 

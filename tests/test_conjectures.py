@@ -25,7 +25,7 @@ from dycknums.cores import core, core_size, subsegments
 from dycknums.dyck_core import _rank
 from dycknums.errors import BoundError
 from dycknums.levels import level_structural, mersenne
-from dycknums.oeis_ref import a001405
+from dycknums.oeis_ref import a001405, catalan
 from dycknums.report import Counterexample, VerificationOutcome, check, first_mismatch
 
 
@@ -99,6 +99,23 @@ def test_conj18_base_case_shape():
 def test_catalan_rejection_range():
     for n in range(6, 17, 2):
         assert check_catalan_rejection(n).passed
+
+
+def test_rejection_tests_only_the_rejected_terms_in_a_run(monkeypatch):
+    # In run_all(24) each prop12(n) has passed before rejection(n), which
+    # then tests only the words of the Cat(n/2 - 1) rejected terms:
+    # 2 + 5 + ... + 58786 = 82,498.  Called alone, it tests every 00
+    # image of level n-2 too.
+    tested = []
+    real = conjectures._balance_ok
+    monkeypatch.setattr(conjectures, "_balance_ok",
+                        lambda values, nbits: (tested.append(values.size), real(values, nbits))[1])
+    assert all(o.passed for o in run_all(24))
+    assert sum(tested) == sum(catalan(n // 2 - 1) for n in range(6, 25, 2)) == 82_498
+    for n in range(6, 25, 2):
+        tested.clear()
+        assert check_catalan_rejection(n).passed
+        assert sum(tested) == levels.level_size(n - 2) + catalan(n // 2 - 1)
 
 
 def test_parity_validation():

@@ -170,6 +170,26 @@ def test_fragment_00_image_is_a_member_iff_dynamics_is_at_least_4(source):
     assert (dynamics(t) >= 4) == is_dyck_number(t + Fragment.F00.shift(n))
 
 
+# The invariant `rejection` takes its verdicts from in a run: the part
+# of level n up to its core top, read resident or streamed, is exactly
+# the kept 00 images of level n-2 itself, ending at the core top.
+@pytest.mark.parametrize("n", range(6, 25, 2))
+@pytest.mark.parametrize("resident", [True, False], ids=["resident", "streamed"])
+def test_level_up_to_its_core_top_is_the_kept_00_images(monkeypatch, n, resident):
+    src, _, shift = levels._level_parts(n)[0]
+    assert src is levels._level_array(n - 2)
+    blocks = [src[s : s + _BLOCK] for s in range(0, len(src), _BLOCK)]
+    kept = np.concatenate([b[levels._f00_keep(b, n)] for b in blocks]).astype(np.int64) + shift
+    monkeypatch.setattr(levels, "_array_cache",
+                        {k: v for k, v in levels._array_cache.items() if k != n})
+    if resident:
+        levels._level_array(n)
+    read = np.concatenate([b.copy() for b in levels._level_blocks(n, hi=levels.core_top(n))])
+    assert (n in levels._array_cache) == resident
+    assert np.array_equal(read, kept)
+    assert read[-1] == levels.core_top(n)
+
+
 def test_fragment_00_rule_needs_no_level_sized_temporary(monkeypatch):
     # From a resident level 24 (1.35M terms), the 26-core streams with
     # the rule applied one block at a time: beside the int64 block
