@@ -23,8 +23,8 @@ import numpy as np
 from . import conjectures, cores, oeis_ref
 from .dyck_core import classify, dyck_pred, dyck_succ
 from .errors import BoundError, DomainError, DyckError, UsageError
-from .levels import (DEFAULT_SCAN_BOUND, _level_blocks, _stream_blocks, level_index, level_scan,
-                     level_size, mersenne, subsegment_bounds)
+from .levels import (DEFAULT_SCAN_BOUND, _BLOCK, _blocks, _level_blocks, _stream_blocks,
+                     level_index, level_scan, level_size, mersenne, subsegment_bounds)
 from .report import RECORD_HEADER, Counterexample, VerificationOutcome, check, first_mismatch
 
 DEFAULT_MAX_N = 22
@@ -46,9 +46,6 @@ STANDARD_SEQUENCES = (
 # Every term array leaves the package as text through `_term_text`, which
 # works on whole uint8 digit matrices, never one Python int at a time.
 
-# Terms are formatted this many at a time, so output never holds the
-# text of a whole level at once.
-_CHUNK = 1 << 16
 # Per dtype of a term array, 10**1 .. 10**k in that dtype for the largest
 # power it holds: a nonnegative value below 10**k has at most k digits.
 # An array is searched by probes of its own dtype, or numpy copies it.
@@ -69,16 +66,16 @@ def _digit_groups() -> np.ndarray:
 class _TextWork(threading.local):
     """The buffers of the formatter, one set per thread and reused by
     every chunk (fresh buffers of this size would come from new pages on
-    every call): for `_put_digits` of up to _CHUNK values, three int64
+    every call): for `_put_digits` of up to _BLOCK values, three int64
     rows for the value, quotient and remainder, viewed as int32 when the
     values fit, an intp row for the table index, and room for five
     4-digit groups a value; for `_decimal_rows`, the text of one chunk,
     grown when a chunk needs more."""
 
     def __init__(self) -> None:
-        self.rows = np.empty((3, _CHUNK), dtype=np.int64)
-        self.index = np.empty(_CHUNK, dtype=np.intp)
-        self.digits = np.empty(5 * _CHUNK, dtype="<u4")
+        self.rows = np.empty((3, _BLOCK), dtype=np.int64)
+        self.index = np.empty(_BLOCK, dtype=np.intp)
+        self.digits = np.empty(5 * _BLOCK, dtype="<u4")
         self.text = np.empty(0, dtype=np.uint8)
 
     def text_buffer(self, size: int) -> np.ndarray:
@@ -91,7 +88,7 @@ _text_work = _TextWork()
 
 
 def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
-    """Write values, at most _CHUNK of them, each exactly out.shape[1]
+    """Write values, at most _BLOCK of them, each exactly out.shape[1]
     decimal digits wide, into the uint8 matrix out as ASCII, one value
     per row.  The last axis of out must be contiguous; its rows may be
     strided.
@@ -101,8 +98,8 @@ def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
     four digits, then each group goes into its columns of out."""
     m, width = out.shape
     groups = -(-width // 4)
-    if m > _CHUNK:
-        raise ValueError(f"at most {_CHUNK} values at a time, got {m}")
+    if m > _BLOCK:
+        raise ValueError(f"at most {_BLOCK} values at a time, got {m}")
     # A copy, in 32 bits when the values fit: narrower division is faster.
     rows = _text_work.rows
     v, q, r = (rows.view(np.int32) if width <= 9 else rows)[:, :m]
@@ -183,25 +180,23 @@ def _decimal_rows(*fields) -> np.ndarray:
 
 def _term_chunks(terms, layout: str, prefix: str = "") -> Iterator[memoryview]:
     """The decimal text of strictly ascending terms, one array or a
-    sequence of arrays read as one, as ASCII in chunks of at most _CHUNK
-    terms; each chunk is a view of the text buffer, valid until the next
-    is drawn.  Layouts: "text" is one line of space-separated terms;
-    "records" is one `prefix index term` row per term, tab-separated,
-    indexed from 1."""
+    sequence of arrays read as one, as ASCII in a chunk a block of
+    `_blocks`, so no text of a whole level is held; each chunk is a view
+    of the text buffer, valid until the next is drawn.  Layouts: "text"
+    is one line of space-separated terms; "records" is one `prefix index
+    term` row per term, tab-separated, indexed from 1."""
     start, last = 0, -1
-    for part in [terms] if isinstance(terms, np.ndarray) else terms:
-        for lo in range(0, len(part), _CHUNK):
-            chunk = part[lo : lo + _CHUNK]
-            if chunk[0] <= last:  # across chunks; `_decimal_rows` checks inside one
-                raise ValueError("terms must be strictly ascending and nonnegative")
-            last = chunk[-1]
-            if layout == "records":
-                index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
-                yield memoryview(_decimal_rows(prefix, index, "\t", chunk, "\n"))
-            else:
-                text = memoryview(_decimal_rows(" ", chunk))
-                yield text if start else text[1:]
-            start += len(chunk)
+    for chunk in _blocks(terms):
+        if chunk[0] <= last:  # across chunks; `_decimal_rows` checks inside one
+            raise ValueError("terms must be strictly ascending and nonnegative")
+        last = chunk[-1]
+        if layout == "records":
+            index = np.arange(start + 1, start + 1 + len(chunk), dtype=np.int64)
+            yield memoryview(_decimal_rows(prefix, index, "\t", chunk, "\n"))
+        else:
+            text = memoryview(_decimal_rows(" ", chunk))
+            yield text if start else text[1:]
+        start += len(chunk)
     if layout == "text":
         yield memoryview(b"\n")
 

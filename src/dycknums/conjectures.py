@@ -40,9 +40,9 @@ from .dyck_core import _class_of, _rank, dyck_succ, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
-    _BLOCK,
     _Witness,
     _balance_ok,
+    _blocks,
     _f00_keep,
     _level_array,
     _level_blocks,
@@ -363,8 +363,7 @@ def check_catalan_rejection(n: int) -> Counterexample | None:
     # Zeroing keeps the code length, so the word has n - 2 bits, half of
     # them ones.  Read a block at a time: nothing level-sized is made.
     rejected, bad = 0, None
-    for start in range(0, len(src), _BLOCK):
-        block = src[start : start + _BLOCK]
+    for block in _blocks(src):
         keep = _f00_keep(block, n)
         if not proven:
             image = np.add(block, shift, out=_work.image[: len(block)], dtype=np.int64)

@@ -30,8 +30,8 @@ from .errors import DomainError, LevelMismatch, NotMember
 from .levels import (
     Fragment,
     TermArray,
-    _BLOCK,
     _F00_MIN_DYNAMICS,
+    _blocks,
     _core_array,
     _f00_keep,
     _level_array,
@@ -119,8 +119,7 @@ def rejected_terms(n: int) -> tuple[int, ...]:
     if n < 6 or n % 2:
         raise DomainError("cores exist for even n >= 6")
     src = _level_array(n - 2)
-    blocks = (src[start : start + _BLOCK] for start in range(0, len(src), _BLOCK))
-    return tuple(t for block in blocks for t in block[~_f00_keep(block, n)].tolist())
+    return tuple(t for block in _blocks(src) for t in block[~_f00_keep(block, n)].tolist())
 
 
 def subsegments(c: Core) -> tuple[tuple[int, ...], ...]:

@@ -24,7 +24,7 @@ in flight and every operation on a stored term are int64.  One kernel,
 `_class_runs`, tests membership a block at a time by the class lemma of
 `dyck_core` at m = 16, and only this module reads its buffers and runs:
 `_balance_ok` answers for any array, and `_witness` reads a run once,
-as blocks, up to its first fault.
+up to its first fault, in the blocks `_blocks` slices every run into.
 """
 
 from __future__ import annotations
@@ -288,6 +288,15 @@ def _balance_ok(values: np.ndarray, nbits: int) -> np.ndarray:
     return ok.reshape(values.shape)
 
 
+def _blocks(run):
+    """Views of 1 to `_BLOCK` terms (`_work`'s size) of `run`, an
+    ndarray or an iterable of ndarrays, in order: the one block slicer,
+    but for the loops filling `_balance_ok`'s and `_scan_array`'s results."""
+    for part in [run] if isinstance(run, np.ndarray) else run:
+        for start in range(0, len(part), _BLOCK):
+            yield part[start : start + _BLOCK]
+
+
 class _Witness(NamedTuple):
     """A run read once: its ends, its size, and its first fault as
     (term, the term before it, kind, width), or None."""
@@ -312,9 +321,7 @@ def _witness(src) -> _Witness:
     if isinstance(src, _Witness):
         return src
     first = prev = read = 0
-    # Read in blocks of at most `_BLOCK` terms, the size of `_work`'s buffers.
-    parts = [src] if isinstance(src, np.ndarray) else src
-    for block in (part[s : s + _BLOCK] for part in parts for s in range(0, len(part), _BLOCK)):
+    for block in _blocks(src):
         if not read:
             first, prev = int(block[0]), int(block[0]) - 1
             nbits = first.bit_length() or 1  # the term 0 fails its width
@@ -472,12 +479,12 @@ def _level_array(n: int) -> np.ndarray:
     return arr
 
 
-def _span(arr: np.ndarray, shift: int, lo: int | None, hi: int | None) -> range:
-    """The block starts of the terms of arr + shift in (lo, hi]."""
+def _span(arr: np.ndarray, shift: int, lo: int | None, hi: int | None) -> np.ndarray:
+    """The slice of arr whose terms, plus shift, lie in (lo, hi]."""
     probe = arr.dtype.type
     i = 0 if lo is None else int(np.searchsorted(arr, probe(lo - shift), side="right"))
     j = len(arr) if hi is None else int(np.searchsorted(arr, probe(hi - shift), side="right"))
-    return range(i, j, _BLOCK)
+    return arr[i:j]
 
 
 def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
@@ -491,8 +498,7 @@ def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
     the next."""
     level = _array_cache.get(n)
     if level is not None:
-        span = _span(level, 0, lo, hi)
-        return (level[start : min(start + _BLOCK, span.stop)] for start in span)
+        return _blocks(_span(level, 0, lo, hi))
     return _part_blocks(n, _level_parts(n), lo, hi)
 
 
@@ -508,9 +514,7 @@ def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, ou
     up = np.empty(_BLOCK, dtype=bool)
     prev, pos = None, 0
     for src, f00, shift in parts:
-        span = _span(src, shift, lo, hi)
-        for start in span:
-            block = src[start : min(start + _BLOCK, span.stop)]
+        for block in _blocks(_span(src, shift, lo, hi)):
             if f00:
                 block = block[_f00_keep(block, n)]  # boolean indexing beats np.compress
             m = len(block)

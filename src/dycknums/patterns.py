@@ -26,7 +26,7 @@ from .errors import (
     NotMember,
     PatternError,
 )
-from .levels import TermArray, _balance_ok, mersenne
+from .levels import TermArray, _witness, mersenne
 
 # `_chain` lays its copies out in int64 only below this value, where the
 # sums cannot overflow; above it, in exact Python ints.
@@ -90,8 +90,8 @@ def _run_array(values) -> np.ndarray:
 def _validate_run(arr: np.ndarray) -> None:
     """Raise unless arr is an ascending run of members of one binary
     length that holds every term between its ends: as many terms as
-    `_rank` counts there.  The one validator of every run, at any size;
-    it builds no level."""
+    `_rank` counts there, each length read once by `_witness`.  The one
+    validator of every run, at any size; it builds no level."""
     if arr.size == 0:
         raise ValueError("a pattern needs at least one term")
     if bool(np.any(arr[1:] <= arr[:-1])):
@@ -100,14 +100,13 @@ def _validate_run(arr: np.ndarray) -> None:
     if lo < 0:
         raise ValueError("terms must be nonnegative")
     if arr.dtype == object:
-        member = np.array([is_dyck_number(t) for t in arr.tolist()])
-    else:
-        member = np.ones(arr.shape, dtype=bool)  # the term 0 is a member
-        for nbits in range(max(lo, 1).bit_length(), hi.bit_length() + 1):
-            i, j = np.searchsorted(arr, [mersenne(nbits - 1), mersenne(nbits)], side="right")
-            member[i:j] = _balance_ok(arr[i:j], nbits)
-    if not bool(member.all()):
-        raise NotMember(f"{int(arr[np.argmin(member)])} is not a term of the sequence")
+        bad = (t for t in arr.tolist() if not is_dyck_number(t))
+    else:  # the term 0 is a member; each binary length above it is witnessed alone
+        bounds = (np.searchsorted(arr, [mersenne(k - 1), mersenne(k)], side="right")
+                  for k in range(max(lo, 1).bit_length(), hi.bit_length() + 1))
+        bad = (fault[0] for i, j in bounds if (fault := _witness(arr[i:j]).fault))
+    if (t := next(bad, None)) is not None:
+        raise NotMember(f"{t} is not a term of the sequence")
     if len(arr) != _rank(hi) - _rank(lo) + 1:
         raise NotContiguous(f"run {lo}..{hi} skips intermediate terms")
     if lo.bit_length() != hi.bit_length():

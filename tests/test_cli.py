@@ -551,7 +551,7 @@ def ascending_terms(draw):
     one output chunk."""
     parts = [np.empty(0, dtype=np.int64)]
     for _ in range(draw(st.integers(0, 3))):
-        length = draw(st.one_of(st.integers(1, 40), st.integers(cli._CHUNK - 5, cli._CHUNK + 5)))
+        length = draw(st.one_of(st.integers(1, 40), st.integers(levels._BLOCK - 5, levels._BLOCK + 5)))
         step = draw(st.sampled_from([1, 2, 3, 997]))
         power = draw(st.integers(0, 18))
         below = draw(st.integers(0, length * step))
@@ -806,7 +806,7 @@ def test_put_digits_matches_one_pass_per_column(case):
 def test_put_digits_allocates_nothing(width):
     # 7 digits run in int32, 13 in int64.  A table index of a dtype other
     # than intp would make `take` copy it, 8 bytes a value.
-    values = np.arange(10 ** (width - 1), 10 ** (width - 1) + 7 * cli._CHUNK, 7, dtype=np.int64)
+    values = np.arange(10 ** (width - 1), 10 ** (width - 1) + 7 * levels._BLOCK, 7, dtype=np.int64)
     out = np.empty((len(values), width), dtype=np.uint8)
     cli._put_digits(out, values)  # warm-up: the table and the buffers
     tracemalloc.start()
@@ -831,8 +831,8 @@ def test_put_digits_at_every_edge_value():
 def test_term_text_reads_a_sequence_of_arrays_as_one():
     # Parts that end inside and on a chunk edge, and an empty part: the
     # chunks, the leading space and the record index run on across parts.
-    terms = np.arange(1, 2 * cli._CHUNK + 10, 2, dtype=np.int64)
-    cuts = [0, 1, cli._CHUNK + 1, cli._CHUNK + 1, len(terms)]
+    terms = np.arange(1, 2 * levels._BLOCK + 10, 2, dtype=np.int64)
+    cuts = [0, 1, levels._BLOCK + 1, levels._BLOCK + 1, len(terms)]
     parts = [terms[a:b] for a, b in zip(cuts, cuts[1:])]
     values = terms.tolist()
     assert "".join(cli._term_text(parts, "text")) == text_of(values)
@@ -841,7 +841,7 @@ def test_term_text_reads_a_sequence_of_arrays_as_one():
 
 
 def test_put_digits_takes_at_most_a_chunk():
-    values = np.ones(cli._CHUNK + 1, dtype=np.int64)
+    values = np.ones(levels._BLOCK + 1, dtype=np.int64)
     with pytest.raises(ValueError):
         cli._put_digits(np.zeros((len(values), 1), dtype=np.uint8), values)
 

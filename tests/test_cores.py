@@ -287,6 +287,12 @@ def test_decompose_validates_any_other_run():
         decompose(np.array(gap), standard_library(8))
 
 
+def test_format_expr_renders_a_nested_join_in_place():
+    inner = Join((Power(NamedPattern("μ8", 607), 2), Singleton(639)))
+    expr = Join((Singleton(543), inner, NamedPattern("λ8", 767)))
+    assert format_expr(expr) == "(543) ⊕ μ8(607)^2 ⊕ (639) ⊕ λ8(767)"
+
+
 def test_decompose_singletons_stay_bare():
     # a lone term whose predecessor gap differs from the 6-core span
     # must not be claimed by the single-term core shape

@@ -132,7 +132,13 @@ def package_imports(module: str) -> dict[str, set[str]]:
 def test_patterns_is_the_algebra_alone():
     found = package_imports("patterns")
     assert "report" not in found
-    assert found["levels"] <= {"TermArray", "_balance_ok", "mersenne"}
+    assert found["levels"] <= {"TermArray", "_witness", "mersenne"}
+
+
+@pytest.mark.parametrize("module", ["conjectures", "cores", "patterns"])
+def test_the_block_size_stays_behind_the_block_slicer(module):
+    # Each reads a run in blocks through `levels._blocks` or `_witness`.
+    assert "_BLOCK" not in package_imports(module)["levels"]
 
 
 def test_dyck_core_imports_only_the_standard_library_and_errors():

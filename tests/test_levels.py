@@ -588,6 +588,18 @@ def test_table_predicate_block_seams(size):
         assert np.flatnonzero(~ok).tolist() == [where]
 
 
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("stream", [False, True], ids=["array", "stream"])
+def test_blocks_are_views_of_1_to_a_block_of_terms_in_order(size, stream):
+    run = np.arange(size, dtype=np.int64)
+    cut = size // 3
+    # A stream cut off the block edges, with an empty part first, between and last.
+    src = [run[:0], run[:cut], run[cut:cut], run[cut:], run[size:]] if stream else run
+    blocks = list(levels._blocks(src))
+    assert all(1 <= len(block) <= _BLOCK and np.shares_memory(block, run) for block in blocks)
+    assert np.array_equal(np.concatenate([run[:0], *blocks]), run)
+
+
 def test_table_predicate_keeps_shape_and_strides():
     values = np.arange(1 << 12, dtype=np.int64) * 40503
     for view in (values.reshape(64, 64), values[::3], values.reshape(64, 64).T):

@@ -85,6 +85,17 @@ def test_make_pattern_examples():
         make_pattern((15, 13))
 
 
+@pytest.mark.parametrize("terms,named", [
+    ((13, 17), 17),
+    # three binary lengths, a non-member in each of the upper two
+    ((5, 7, 11, 12, 13, 19, 20, 21), 12),
+])
+def test_the_lowest_non_member_is_named_across_binary_lengths(terms, named):
+    # A run of several lengths is no width fault: each length is read alone.
+    with pytest.raises(NotMember, match=f"^{named} is not a term"):
+        make_pattern(terms)
+
+
 def test_single_term_patterns_are_allowed():
     assert make_pattern((39,)).terms == (39,)
 

@@ -182,7 +182,7 @@ def test_stored_terms_print_as_str_without_a_widened_copy():
     assert "".join(cli._term_text(terms, "text")) == " ".join(map(str, values)) + "\n"
     records = "".join(cli._term_text(terms, "records", "core\t8\t"))
     assert records == "".join(f"core\t8\t{i}\t{t}\n" for i, t in enumerate(values, 1))
-    chunk = level_structural(22).arr[: cli._CHUNK]
+    chunk = level_structural(22).arr[: levels._BLOCK]
     cli._decimal_rows(" ", chunk)  # warm-up: the text buffer
     assert traced_peak(lambda: cli._decimal_rows(" ", chunk)) < chunk.nbytes
 
