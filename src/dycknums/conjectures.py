@@ -18,15 +18,15 @@ blocks (`levels._witness`), and each copy is proven in O(1) a translate
 of the class (`dyck_core._class_of`) that its source's ends name.  eq1
 and eq2 then check in O(1) that the parts the construction builds
 level n from are those copies.  Within one `run_all` each region of a
-level is read once (`_Ledger`): eq2(n) takes eq1(n-1)'s witness of
-level n-2, and conj16 and conj18 take their windows of a level that
-prop12 passed in closed form (`_window`); a check called alone reads
-its own sources.  No check builds an odd level or keeps a copy.  The
-construction applies the fragment-00 rule without checking it; the
-rejection check compares it with the membership of each 00 image:
-term by term when called alone, as `verify rejection` calls it, and
-within a run from prop12's read of the level the rule built, once that
-passed.
+level is read once (`_Ledger`): eq2(n) and prop12(n-2) take
+eq1(n-1)'s witness of level n-2, and conj16 and conj18 take their
+windows of a level that prop12 passed in closed form (`_window`); a
+check called alone reads its own sources.  No check builds an odd
+level or keeps a copy.  The construction applies the fragment-00 rule
+without checking it; the rejection check compares it with the
+membership of each 00 image: term by term when called alone, as
+`verify rejection` calls it, and within a run from prop12's read of
+the level the rule built, once that passed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .dyck_core import _class_of, _rank, dyck_succ, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
+    _Run,
     _Witness,
     _balance_ok,
     _blocks,
@@ -102,7 +103,8 @@ def check_prop12(n: int) -> Counterexample | None:
     Both are proven from level n, which is witnessed: read once, as
     blocks (`_witness`), its first term must have n bits, and its terms
     that width, be members, ascend strictly and number `level_size(n)`,
-    reported in that order.
+    reported in that order.  In a run, a resident level takes eq1(n+1)'s
+    witness (`_read`): its stream is views of that same read-only array.
 
     Read from bit 0 up, the suffix balances of 4t + 1 are 1, 0, then
     t's; those of 4t + 3 are 1, 2, then t's plus 2; and for an odd t,
@@ -119,7 +121,7 @@ def check_prop12(n: int) -> Counterexample | None:
     no member."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    level = _witness(_level_blocks(n))
+    level = _read(_level_blocks(n))
     fault = level.fault
     if (level.read or fault) and level.first.bit_length() != n:
         fault = (level.first, 0, "width", n)
@@ -185,7 +187,10 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
 
 def _read(src) -> _Witness:
     """`_witness(src)`, kept in the ledger for a read-only array: in a
-    run, every check that copies the array itself takes one witness."""
+    run, every check that copies the array itself takes one witness.  A
+    `_Run` of a whole resident level is read as that level's array."""
+    if isinstance(src, _Run) and src.level is not None:
+        src = src.level
     sources = _ledger.sources
     if sources is None or not isinstance(src, np.ndarray) or src.flags.writeable:
         return _witness(src)
@@ -449,10 +454,10 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
 # level above n - 1 and no core: level n and the copy sources are read
-# as blocks.  Listed eq1 before eq2 and prop12 before conj16, conj18
-# and rejection, `run_all` reads each region of a level once, and
-# rejection takes its membership verdicts from prop12; a check called
-# alone reads its own sources, and `verify rejection` tests every image.
+# as blocks.  Listed eq1 before eq2 and prop12, and prop12 before the
+# rest, `run_all` reads each region of a level once, and rejection
+# takes its membership verdicts from prop12; a check called alone reads
+# its own sources, and `verify rejection` tests every image.
 # The checkers look the check functions up when called, so a wrapper
 # rebound over a module function (as perfbench/spans.py does) sees
 # every call.

@@ -25,6 +25,8 @@ in flight and every operation on a stored term are int64.  One kernel,
 `dyck_core` at m = 16, and only this module reads its buffers and runs:
 `_balance_ok` answers for any array, and `_witness` reads a run once,
 up to its first fault, in the blocks `_blocks` slices every run into.
+Strict ascent is tested as a level is made (`_part_blocks`), and by
+`_witness` only in a run that the construction did not make (`_Run`).
 """
 
 from __future__ import annotations
@@ -297,6 +299,23 @@ def _blocks(run):
             yield part[start : start + _BLOCK]
 
 
+class _Run:
+    """A run the construction made, and so ascending: the blocks of
+    `_part_blocks`, which tests the ascent inside each block and across
+    each seam, or views of a read-only level of `_array_cache`, which
+    only `_level_array` fills, from `_part_blocks`.  `level` is that
+    resident level when the run is all of it, else None."""
+
+    def __init__(self, blocks, level: np.ndarray | None = None) -> None:
+        self.blocks, self.level = blocks, level
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        return next(self.blocks)
+
+
 class _Witness(NamedTuple):
     """A run read once: its ends, its size, and its first fault as
     (term, the term before it, kind, width), or None."""
@@ -317,19 +336,21 @@ def _witness(src) -> _Witness:
     of other than the first term's width ("width", from the block's
     extremes, as membership reads the low bits of that width only), else
     a term that is no member ("member"), else one not above the term
-    before it ("ascent").  A `_Witness` is returned as it is."""
+    before it ("ascent"), untested in a `_Run` or a read-only level of
+    `_array_cache`, whose ascent is proven.  A `_Witness` is returned as it is."""
     if isinstance(src, _Witness):
         return src
+    proven = isinstance(src, _Run) or (isinstance(src, np.ndarray) and not src.flags.writeable
+                                       and any(src is level for level in _array_cache.values()))
     first = prev = read = 0
     for block in _blocks(src):
         if not read:
             first, prev = int(block[0]), int(block[0]) - 1
             nbits = first.bit_length() or 1  # the term 0 fails its width
             lo, hi = mersenne(nbits - 1), mersenne(nbits)
-        up = _work.passed[: len(block)]
-        up[0] = int(block[0]) > prev
-        np.greater(block[1:], block[:-1], out=up[1:])
-        if up.all() and lo < int(block[0]) and int(block[-1]) <= hi:
+        up = _work.passed[: len(block) - 1]
+        ascends = proven or (int(block[0]) > prev and np.greater(block[1:], block[:-1], out=up).all())
+        if ascends and lo < int(block[0]) and int(block[-1]) <= hi:
             low, heads, theta = _class_runs(block, nbits, True)
             least = low if heads is None else np.minimum.reduceat(low, heads)
             if np.greater_equal(least, theta, out=_work.passed[: len(least)]).all():
@@ -495,11 +516,14 @@ def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
     would be materialized; the blocks are made as they are drawn.  A
     resident level yields views of itself, any other level the blocks of
     `_part_blocks` in one reused buffer, so no block may be held past
-    the next."""
+    the next.  Both are a `_Run`, but for a writeable resident level."""
     level = _array_cache.get(n)
-    if level is not None:
-        return _blocks(_span(level, 0, lo, hi))
-    return _part_blocks(n, _level_parts(n), lo, hi)
+    if level is None:
+        return _Run(_part_blocks(n, _level_parts(n), lo, hi))
+    span = _span(level, 0, lo, hi)
+    if level.flags.writeable:
+        return _blocks(span)
+    return _Run(_blocks(span), level if len(span) == len(level) else None)
 
 
 def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, out=None):

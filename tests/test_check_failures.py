@@ -133,10 +133,11 @@ def read_only(change):
 @pytest.mark.parametrize("change", [None, shift(3), read_only(shift(3))],
                          ids=["resident", "corrupted", "corrupted_read_only"])
 def test_eq1_and_eq2_witness_level_6_once_a_run_unless_corrupted(monkeypatch, change):
-    # eq1(7) and eq2(8) both copy level 6.  In a run they take one
-    # witness of the resident array.  A corrupted level is a fresh array
-    # on each call, and eq1 and eq2 then each witness their own, and
-    # fail as they do alone.
+    # eq1(7) and eq2(8) both copy level 6, and prop12(6) reads it.  In a
+    # run they take one witness of the resident array.  A corrupted level
+    # is a fresh array on each call, and eq1 and eq2 then each witness
+    # their own, and fail as they do alone; prop12(6) witnesses the
+    # resident level, which neither is.
     witnessed = []
     real = conjectures._witness
 
@@ -155,7 +156,9 @@ def test_eq1_and_eq2_witness_level_6_once_a_run_unless_corrupted(monkeypatch, ch
         ("eq1", 7): construction_failure("81 is not a term of the sequence"),
         ("eq2", 8): construction_failure("177 is not a term of the sequence"),
     }
-    assert len(witnessed) == 2 and witnessed[0] is not witnessed[1]
+    resident = levels._level_array(6)
+    assert len(witnessed) == 3 and witnessed[2] is resident
+    assert witnessed[0] is not witnessed[1] and all(src is not resident for src in witnessed[:2])
 
 
 # Each corruption fails prop12 at the level it changes, and the checks

@@ -438,6 +438,37 @@ def test_run_all_reads_level_n_once_for_prop12(monkeypatch):
     assert all(drawn_of(drawn, m) == levels.level_size(m) for m in range(6, 25, 2))
 
 
+def count_witnessed(monkeypatch):
+    """The reads of `conjectures._witness`, as (level, terms) pairs.  Each
+    run is handed on as it is, so `_witness` sees its type; a `_Witness`
+    handed back is no read."""
+    reads = []
+    real = conjectures._witness
+
+    def witness(src):
+        read = real(src)
+        if not isinstance(src, levels._Witness):
+            reads.append((read.first.bit_length(), read.read))
+        return read
+
+    monkeypatch.setattr(conjectures, "_witness", witness)
+    return reads
+
+
+@pytest.mark.parametrize("max_n,terms", [
+    (24, 1_830_269),
+    pytest.param(28, 27_088_869, marks=pytest.mark.slow),
+])
+def test_run_all_witnesses_each_level_once(monkeypatch, max_n, terms):
+    # eq1(k + 1) witnesses each even level k <= max_n - 2, which it makes
+    # resident, and prop12(k) takes that witness; level 4 is read for
+    # eq1(5) alone and level max_n for prop12(max_n) alone.
+    reads = count_witnessed(monkeypatch)
+    assert all(o.passed for o in run_all(max_n))
+    assert sorted(level for level, _ in reads) == list(range(4, max_n + 1, 2))
+    assert (len(reads), sum(read for _, read in reads)) == (max_n // 2 - 1, terms)
+
+
 def test_run_all_keeps_no_ledger_after_it_returns_or_raises(monkeypatch):
     drawn = count_drawn(monkeypatch)
     assert all(o.passed for o in run_all(10))

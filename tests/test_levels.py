@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dycknums import levels
-from dycknums.conjectures import run_all
+from dycknums import conjectures, levels
+from dycknums.conjectures import check_prop12, run_all, verify_eq1
 from dycknums.dyck_core import dynamics, is_dyck_number
 from dycknums.errors import BoundError, DomainError, NotMember
 from dycknums.levels import (
@@ -683,6 +683,108 @@ def test_level_blocks_check_ascent_inside_a_block_and_across_a_seam(monkeypatch)
     assert next(blocks)[-1] == 135
     with pytest.raises(AssertionError, match="level 7 construction is not strictly ascending"):
         next(blocks)
+
+
+def plain_witness(terms):
+    """`levels._witness` of an array, written plainly: the array in blocks
+    of `_BLOCK`, each term's membership from its suffix balances, and in
+    the first block holding a fault, the first term of another width than
+    the first term's, else the first that is no member, else the first
+    not above the term before it."""
+    first = int(terms[0])
+    nbits = first.bit_length() or 1
+    balance, member = np.zeros(len(terms), dtype=np.int64), np.ones(len(terms), dtype=bool)
+    for bit in range(nbits):
+        balance += 2 * ((terms >> bit) & 1) - 1
+        member &= balance >= 0
+    width = (terms > mersenne(nbits - 1)) & (terms <= mersenne(nbits))
+    below = np.concatenate([[first - 1], terms[:-1]])
+    for start in range(0, len(terms), _BLOCK):
+        for ok, kind in ((width, "width"), (member, "member"), (terms > below, "ascent")):
+            bad = np.flatnonzero(~ok[start : start + _BLOCK])
+            if len(bad):
+                i = start + int(bad[0])
+                fault = (int(terms[i]), int(below[i]), kind, nbits)
+                return levels._Witness(first, int(below[start]), start, fault)
+    return levels._Witness(first, int(terms[-1]), len(terms), None)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_run_the_construction_made_reads_as_a_copy_of_its_terms(data):
+    # `_witness` tests no ascent of a run `_level_blocks` made, resident
+    # or streamed from the parts; a writeable copy of its terms is tested
+    # in full.  The two read alike, and the copy with two neighbours
+    # swapped, a term repeated or a term moved by 2 reads as the plain
+    # witness does.
+    n = data.draw(st.integers(6, 20), label="n")
+    level = levels._level_array(n)
+    i, j = sorted(data.draw(st.lists(st.integers(-1, len(level) - 1), min_size=2, max_size=2,
+                                     unique=True), label="indices"))
+    lo = None if i < 0 else int(level[i])
+    hi = None if j == len(level) - 1 else int(level[j])
+    resident = levels._array_cache
+    if not data.draw(st.booleans(), label="resident"):
+        levels._array_cache = {k: v for k, v in resident.items() if k != n}
+    try:
+        run = levels._level_blocks(n, lo, hi)
+        assert isinstance(run, levels._Run)
+        assert (run.level is level) == (n in levels._array_cache and j - i == len(level))
+        read = levels._witness(run)
+    finally:
+        levels._array_cache = resident
+    terms = level[i + 1 : j + 1].astype(np.int64)
+    assert read == levels._witness(terms) == plain_witness(terms)
+    assert read.fault is None and read.read == j - i
+    k = data.draw(st.integers(0, len(terms) - 1), label="k")
+    change = data.draw(st.sampled_from(["swap", "repeat", "up", "down"]), label="change")
+    if change in ("up", "down"):
+        terms[k] += 2 if change == "up" else -2
+    elif k + 1 < len(terms):
+        terms[[k, k + 1]] = terms[[k + 1, k]] if change == "swap" else terms[[k, k]]
+        assert plain_witness(terms).fault[2] == "ascent"
+    assert levels._witness(terms) == plain_witness(terms)
+
+
+SWAPS = pytest.mark.parametrize("n,i", [(8, 2), (20, _BLOCK - 1)], ids=["in_a_block", "at_a_seam"])
+
+
+def swapped_pair(n, i):
+    """Level n with terms i and i + 1 swapped, a writeable copy, the pair
+    as (term, term before it), and the counterexample eq1(n + 1) gives
+    for the copy: the pair's image in the first copy of it."""
+    swapped = levels._level_array(n).copy()
+    swapped[[i, i + 1]] = swapped[[i + 1, i]]
+    t, below, offset = int(swapped[i + 1]), int(swapped[i]), 1 << (n - 1)
+    eq1 = Counterexample("construction", "a valid pattern",
+                         f"{t + offset} does not ascend from {below + offset}")
+    return swapped, t, below, eq1
+
+
+@SWAPS
+def test_a_writeable_level_in_the_cache_is_tested_for_ascent(monkeypatch, n, i):
+    # Only a read-only level of the cache is taken as ascending: a
+    # writeable one fails prop12, and the eq1 certificate that copies it,
+    # on the pair.
+    swapped, t, below, eq1 = swapped_pair(n, i)
+    monkeypatch.setitem(levels._array_cache, n, swapped)
+    assert not isinstance(levels._level_blocks(n), levels._Run)
+    assert levels._witness(swapped).fault == (t, below, "ascent", n)
+    assert check_prop12(n).detail == Counterexample(t, f"above {below}", "not above")
+    assert verify_eq1(n + 1).detail == eq1
+
+
+@SWAPS
+def test_a_read_only_level_from_another_reader_is_tested_for_ascent(monkeypatch, n, i):
+    # A read-only array that the cache does not hold is tested in full:
+    # eq1 fails on the pair alone and in a run, where prop12(n) reads the
+    # resident level and passes.
+    swapped, _, _, eq1 = swapped_pair(n, i)
+    swapped.flags.writeable = False
+    real = conjectures._level_array
+    monkeypatch.setattr(conjectures, "_level_array", lambda m: swapped if m == n else real(m))
+    assert verify_eq1(n + 1).detail == eq1
+    assert {(o.name, o.n): o.detail for o in run_all(n + 1) if not o.passed} == {("eq1", n + 1): eq1}
 
 
 # A sparse block, one term a prefix, and a shuffled one are read a theta
