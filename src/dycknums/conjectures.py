@@ -17,21 +17,19 @@ members between two bounds: each distinct copy source is read once, as
 blocks (`levels._witness`), and each copy is proven in O(1) a translate
 of the class (`dyck_core._class_of`) that its source's ends name.  eq1
 and eq2 then check in O(1) that the parts the construction builds
-level n from are those copies.  Within one `run_all` each region of a
-level is read once (`_Ledger`): eq2(n) and prop12(n-2) take
-eq1(n-1)'s witness of level n-2, and conj16 and conj18 take their
-windows of a level that prop12 passed in closed form (`_window`); a
-check called alone reads its own sources.  No check builds an odd
-level or keeps a copy.  The construction applies the fragment-00 rule
-without checking it; the rejection check compares it with the
-membership of each 00 image: term by term when called alone, as
-`verify rejection` calls it, and within a run from prop12's read of
-the level the rule built, once that passed.
+level n from are those copies.  A check reads its levels through a
+`_Reads`, which witnesses each level once: `run_all` hands one to every
+check, so eq1(n+1), eq2(n+2) and prop12(n) take one witness of level n,
+and conj16 and conj18 take their windows of a level that prop12 passed
+in closed form (`_window`); a check called alone makes its own, and
+reads its own sources.  No check builds an odd level or keeps a copy.
+The construction applies the fragment-00 rule without checking it; the
+rejection check compares it with the membership of each 00 image: term
+by term when called alone, as `verify rejection` calls it, and within a
+run from prop12's read of the level the rule built, once that passed.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -40,7 +38,6 @@ from .dyck_core import _class_of, _rank, dyck_succ, is_dyck_number
 from .errors import BoundError, DomainError, NotMember
 from .levels import (
     MAX_MATERIALIZED_LEVEL,
-    _Run,
     _Witness,
     _balance_ok,
     _blocks,
@@ -79,23 +76,25 @@ CORE_SIZES = (1, 5, 21, 84, 330, 1287, 5005, 19448, 75582, 293930, 1144066, 4457
 LEVEL_SIZES = (1, 1, 2, 3, 6, 10, 20, 35, 70, 126, 252, 462)
 
 
-class _Ledger(threading.local):
-    """What the `run_all` on this thread has read: `sources` maps the id
-    of each read-only array witnessed to the array and its `_Witness`,
-    `levels` each level that prop12 passed to its first term.  None
-    outside a run.  conj16 and conj18 take their windows of a level in
-    `levels` in closed form; rejection takes its membership verdicts from
-    it, for a source in `sources` that read without a fault."""
+class _Reads:
+    """The levels one run of checks reads, up to level `top`.
+    `level(k)` witnesses level k on its first call, from the resident
+    array below `top` and from its blocks at `top`, and returns (the
+    array, or None at `top`, and its `_Witness`).  `proven` maps each
+    level that prop12 passed to its first term."""
 
-    sources: dict[int, tuple[np.ndarray, _Witness]] | None = None
-    levels: dict[int, int] | None = None
+    def __init__(self, top: int) -> None:
+        self.top, self.proven, self._seen = top, {}, {}
 
-
-_ledger = _Ledger()
+    def level(self, k: int) -> tuple[np.ndarray | None, _Witness]:
+        if k not in self._seen:
+            src = _level_array(k) if k < self.top else None
+            self._seen[k] = src, _witness(_level_blocks(k) if src is None else src)
+        return self._seen[k]
 
 
 @check("prop12")
-def check_prop12(n: int) -> Counterexample | None:
+def check_prop12(n: int, reads: _Reads | None = None) -> Counterexample | None:
     """Every term t of even level n generates the triplet
     (4t-1, 4t+1, 4t+3) in level n+2, landing in the same quarter
     segment of its level interval.
@@ -103,8 +102,8 @@ def check_prop12(n: int) -> Counterexample | None:
     Both are proven from level n, which is witnessed: read once, as
     blocks (`_witness`), its first term must have n bits, and its terms
     that width, be members, ascend strictly and number `level_size(n)`,
-    reported in that order.  In a run, a resident level takes eq1(n+1)'s
-    witness (`_read`): its stream is views of that same read-only array.
+    reported in that order.  In a run, level n below the run's top is
+    its resident array, and the witness of it that eq1(n+1) made.
 
     Read from bit 0 up, the suffix balances of 4t + 1 are 1, 0, then
     t's; those of 4t + 3 are 1, 2, then t's plus 2; and for an odd t,
@@ -121,7 +120,8 @@ def check_prop12(n: int) -> Counterexample | None:
     no member."""
     if n < 6 or n % 2:
         raise ValueError("the triplet lift is checked for even n >= 6")
-    level = _read(_level_blocks(n))
+    reads = reads or _Reads(n)
+    level = reads.level(n)[1]
     fault = level.fault
     if (level.read or fault) and level.first.bit_length() != n:
         fault = (level.first, 0, "width", n)
@@ -135,8 +135,7 @@ def check_prop12(n: int) -> Counterexample | None:
         return Counterexample(t, f"above {below}", "not above")
     if level.read != level_size(n):
         return Counterexample("cardinality", level_size(n), level.read)
-    if _ledger.levels is not None:
-        _ledger.levels[n] = level.first
+    reads.proven[n] = level.first
     return None
 
 
@@ -145,7 +144,7 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     the members in (lo, hi] of nbits bits.
 
     Each distinct source (by identity), an array, a stream of blocks or
-    its `_witness`, is read once, on first use (`_read`).  Its ends name
+    its `_Witness`, is read once, on first use (`_witness`).  Its ends name
     a class (P, m, theta) (`_class_of`), and by the class lemma
     (`dyck_core._class_ends`) each copy is proven in O(1): an offset = 0
     (mod 2**m) whose image ends name the prefix P + (offset >> m), of
@@ -164,14 +163,14 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     of copies other than the members'."""
     try:
         copies, count = list(copies), _rank(hi) - _rank(lo)
-    except (NotMember, DomainError) as exc:
+    except (NotMember, DomainError, ValueError) as exc:
         return _construction_failure(exc)
     seen: dict[int, _Witness] = {}
     prev, made = lo, 0
     for src, offset in copies:
         source = seen.get(id(src))
         if source is None:
-            source = seen[id(src)] = _read(src)
+            source = seen[id(src)] = _witness(src)
             if source.fault:
                 return _construction_failure(_image_fault(*source.fault, offset, hi))
         if source.read:
@@ -185,25 +184,11 @@ def _certify_copies(copies, lo: int, hi: int, nbits: int) -> Counterexample | No
     return None
 
 
-def _read(src) -> _Witness:
-    """`_witness(src)`, kept in the ledger for a read-only array: in a
-    run, every check that copies the array itself takes one witness.  A
-    `_Run` of a whole resident level is read as that level's array."""
-    if isinstance(src, _Run) and src.level is not None:
-        src = src.level
-    sources = _ledger.sources
-    if sources is None or not isinstance(src, np.ndarray) or src.flags.writeable:
-        return _witness(src)
-    kept = sources.get(id(src))
-    if kept is None or kept[0] is not src:
-        kept = sources[id(src)] = (src, _witness(src))
-    return kept[1]
-
-
-def _window(n: int, lo: int, hi: int):
+def _window(reads: _Reads, n: int, lo: int, hi: int):
     """The terms of level n in (lo, hi], for members M_{n-1} <= lo < hi
     <= M_n: as `_level_blocks` reads them, or, once prop12(n) has passed
-    in this run, as their `_Witness` in closed form, reading no term.
+    in the run of `reads`, as their `_Witness` in closed form, reading
+    no term.
 
     That prop12 read `level_size(n)` strictly ascending members of n
     bits.  There are exactly that many, so it read level n.  Its terms
@@ -213,7 +198,7 @@ def _window(n: int, lo: int, hi: int):
     `subsegment_bounds`, are members, as `_subsegment_copies` already
     needs through `_rank`.  A prop12 that failed records nothing, and
     the window is read."""
-    first = (_ledger.levels or {}).get(n)
+    first = reads.proven.get(n)
     if first is None:
         return _level_blocks(n, lo, hi)
     if lo != mersenne(n - 1):
@@ -225,7 +210,7 @@ def _image_fault(t: int, below: int, kind: str, nbits: int, offset: int, hi: int
     image = t + offset
     return (f"{image} does not ascend from {below + offset}" if kind == "ascent"
             else f"{image} lies above {hi}" if image > hi
-            else f"{image} is not a term of the sequence" if not is_dyck_number(image)
+            else f"{image} is not a term of the sequence" if image < 0 or not is_dyck_number(image)
             else f"{t} is not a term of {nbits} bits")
 
 
@@ -246,33 +231,36 @@ def _construction_failure(reason: Exception | str) -> Counterexample:
 
 
 @check("eq1")
-def verify_eq1(n: int) -> Counterexample | None:
+def verify_eq1(n: int, reads: _Reads | None = None) -> Counterexample | None:
     """Check that odd level n, the members in (M_{n-1}, M_n], is two
     copies of level n-1 ending at M_n, the parts level n is built from."""
     if n < 5 or n % 2 == 0:
         raise ValueError("the doubling identity applies to odd n >= 5")
-    return _certify_level(n, _level_array(n - 1), 2, mersenne(n - 1))
+    return _certify_level(n, (reads or _Reads(n)).level(n - 1), 2, mersenne(n - 1))
 
 
 @check("eq2")
-def verify_eq2(n: int) -> Counterexample | None:
+def verify_eq2(n: int, reads: _Reads | None = None) -> Counterexample | None:
     """Check that the tail of even level n, the members in (M_{n-1} +
     2**(n-3), M_n] above the core senior term, is three copies of level
     n-2 ending at M_n, the parts level n's tail is built from."""
     if n < 6 or n % 2:
         raise ValueError("the tail identity applies to even n >= 6")
-    return _certify_level(n, _level_array(n - 2), 3, core_top(n))
+    return _certify_level(n, (reads or _Reads(n)).level(n - 2), 3, core_top(n))
 
 
-def _certify_level(n: int, src: np.ndarray, k: int, lo: int) -> Counterexample | None:
+def _certify_level(n: int, source, k: int, lo: int) -> Counterexample | None:
     """Check that the members in (lo, M_n] are the k copies of src that
-    `_copy_chain` lays out ending at M_n, then, in O(1) and reading no
-    term, that the parts `_level_parts(n)` builds level n from, an even
-    level's core (part 0) aside, are those copies, drawn again: each the
+    `_copy_chain` lays out ending at M_n, source being src and its
+    witness (`_Reads.level`), then, in O(1) and reading no term, that
+    the parts `_level_parts(n)` builds level n from, an even level's
+    core (part 0) aside, are those copies, drawn again: each the
     certified array itself, whole (its f00 flag False), shifted by its
     copy's offset, and as many parts as copies."""
+    src, seen = source
     top = mersenne(n)
-    found = _certify_copies(_copy_chain(src, k, top), lo, top, n)
+    copies = ((seen, offset) for _, offset in _copy_chain(src, k, top))
+    found = _certify_copies(copies, lo, top, n)
     if found:
         return found
     core = 1 - n % 2
@@ -303,13 +291,13 @@ def _subsegment_copies(n: int, seg: int, copies, size: int) -> Counterexample | 
 
 
 @check("conj16")
-def check_conj16(n: int) -> Counterexample | None:
+def check_conj16(n: int, reads: _Reads | None = None) -> Counterexample | None:
     """Subsegments 2 and 3 of the (n+2)-core are copies of the n-core
     at offsets 13*2**(n-3) and 7*2**(n-2)."""
     if n < 8 or n % 2:
         raise ValueError("core copying is checked for even n >= 8")
     # The n-core is the leading part of level n, read once for both copies.
-    source = _witness(_window(n, mersenne(n - 1), core_top(n)))
+    source = _witness(_window(reads or _Reads(n), n, mersenne(n - 1), core_top(n)))
     for seg, offset in ((1, 13 << (n - 3)), (2, 7 << (n - 2))):
         found = _subsegment_copies(n + 2, seg, [(source, offset)], core_size(n))
         if found:
@@ -318,22 +306,24 @@ def check_conj16(n: int) -> Counterexample | None:
 
 
 @check("conj18")
-def check_conj18(n: int) -> Counterexample | None:
+def check_conj18(n: int, reads: _Reads | None = None) -> Counterexample | None:
     """The top subsegment of the n-core is a copy of the (n-4)-core, then
     three copies of the (n-2)-core's top subsegment, each a subsegment
     length of the (n-2)-core long, the last ending at the core top."""
     if n < 12 or n % 2:
         raise ValueError("the top-subsegment recursion is checked for even n >= 12")
+    reads = reads or _Reads(n)
     lo, prev_top = subsegment_bounds(n - 2, 3)
     top, length = core_top(n), prev_top - lo
-    cube = _window(n - 2, lo, prev_top)  # read once for its three copies
-    copies = [(_window(n - 4, mersenne(n - 5), core_top(n - 4)), top - 3 * length - core_top(n - 4))]
+    cube = _window(reads, n - 2, lo, prev_top)  # read once for its three copies
+    lower = _window(reads, n - 4, mersenne(n - 5), core_top(n - 4))
+    copies = [(lower, top - 3 * length - core_top(n - 4))]
     copies += [(cube, top - k * length - prev_top) for k in (2, 1, 0)]
     return _subsegment_copies(n, 3, copies, a001405(n - 5))
 
 
 @check("rejection")
-def check_catalan_rejection(n: int) -> Counterexample | None:
+def check_catalan_rejection(n: int, reads: _Reads | None = None) -> Counterexample | None:
     """The 00 fragment rejects exactly Cat(n/2 - 1) terms of level n-2,
     and zeroing the leading bit of each rejected term leaves a Dyck
     word: total balance 0 with no suffix dipping negative.
@@ -355,16 +345,15 @@ def check_catalan_rejection(n: int) -> Counterexample | None:
     above it.  So the kept images are exactly the members in that
     window: each kept image is a member, and, the shift being injective,
     no rejected image is one.  The proof needs src to be the array the
-    stream was built from, so it is taken only for a read-only src that
-    this run witnessed without a fault: `_level_array(n - 2)`, which
-    eq1(n-1) and eq2(n) copy.  Any other src, such as a fresh array, is
-    read term by term, as is any src when prop12(n) failed."""
+    stream was built from, so it is taken only for the src that the run
+    witnessed without a fault as level n-2, and eq1(n-1) and eq2(n)
+    copy.  Any other src, such as a fresh array, is read term by term,
+    as is any src when prop12(n) failed."""
     if n < 6 or n % 2:
         raise ValueError("rejection counts are checked for even n >= 6")
     src, _, shift = _level_parts(n)[0]
-    witnessed = (_ledger.sources or {}).get(id(src))
-    proven = (n in (_ledger.levels or {}) and witnessed is not None and witnessed[0] is src
-              and not src.flags.writeable and witnessed[1].fault is None)
+    witnessed, seen = reads.level(n - 2) if reads and n in reads.proven else (None, None)
+    proven = witnessed is src and seen.fault is None
     # Zeroing keeps the code length, so the word has n - 2 bits, half of
     # them ones.  Read a block at a time: nothing level-sized is made.
     rejected, bad = 0, None
@@ -454,20 +443,20 @@ def size_identity_checks(max_n: int = 30) -> list[VerificationOutcome]:
 # Every level-parameterized check: name -> (checker, first n).  Each
 # runs at every second n from its first, and the check at n builds no
 # level above n - 1 and no core: level n and the copy sources are read
-# as blocks.  Listed eq1 before eq2 and prop12, and prop12 before the
-# rest, `run_all` reads each region of a level once, and rejection
-# takes its membership verdicts from prop12; a check called alone reads
-# its own sources, and `verify rejection` tests every image.
-# The checkers look the check functions up when called, so a wrapper
-# rebound over a module function (as perfbench/spans.py does) sees
-# every call.
+# as blocks.  A checker takes n and, in a run, the run's `_Reads`, which
+# witnesses each level once; listed prop12 before conj16, conj18 and
+# rejection, `run_all` lets them take their windows and verdicts from
+# prop12's read.  A check called alone reads its own sources, and
+# `verify rejection` tests every image.  The checkers look the check
+# functions up when called, so a wrapper rebound over a module function
+# (as perfbench/spans.py does) sees every call.
 CHECKS = {
-    "eq1": (lambda n: verify_eq1(n), 5),
-    "eq2": (lambda n: verify_eq2(n), 6),
-    "prop12": (lambda n: check_prop12(n), 6),
-    "conj16": (lambda n: check_conj16(n), 8),
-    "conj18": (lambda n: check_conj18(n), 12),
-    "rejection": (lambda n: check_catalan_rejection(n), 6),
+    "eq1": (lambda n, reads=None: verify_eq1(n, reads), 5),
+    "eq2": (lambda n, reads=None: verify_eq2(n, reads), 6),
+    "prop12": (lambda n, reads=None: check_prop12(n, reads), 6),
+    "conj16": (lambda n, reads=None: check_conj16(n, reads), 8),
+    "conj18": (lambda n, reads=None: check_conj18(n, reads), 12),
+    "rejection": (lambda n, reads=None: check_catalan_rejection(n, reads), 6),
 }
 
 
@@ -489,16 +478,14 @@ def planned_checks(names, max_n: int) -> list[tuple[str, int]]:
 
 def run_all(max_n: int) -> list[VerificationOutcome]:
     """Every level-parameterized check at every applicable n <= max_n,
-    ordered by (check name, n).  Size identities run once.  Raise
-    BoundError before any check when a check would need a level above
-    `MAX_MATERIALIZED_LEVEL` + 2."""
+    ordered by (check name, n).  The checks share one `_Reads`, so each
+    level is witnessed once, inside the first check that reads it.  Size
+    identities run once.  Raise BoundError before any check when a check
+    would need a level above `MAX_MATERIALIZED_LEVEL` + 2."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    _ledger.sources, _ledger.levels = {}, {}
-    try:
-        outcomes = [CHECKS[name][0](n) for name, n in planned_checks(CHECKS, max_n)]
-    finally:
-        _ledger.sources = _ledger.levels = None
+    reads = _Reads(max_n)
+    outcomes = [CHECKS[name][0](n, reads) for name, n in planned_checks(CHECKS, max_n)]
     if max_n >= 6:
         outcomes.extend(size_identity_checks(max_n))
     outcomes.sort(key=lambda o: (o.name, o.n))

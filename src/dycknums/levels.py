@@ -303,11 +303,10 @@ class _Run:
     """A run the construction made, and so ascending: the blocks of
     `_part_blocks`, which tests the ascent inside each block and across
     each seam, or views of a read-only level of `_array_cache`, which
-    only `_level_array` fills, from `_part_blocks`.  `level` is that
-    resident level when the run is all of it, else None."""
+    only `_level_array` fills, from `_part_blocks`."""
 
-    def __init__(self, blocks, level: np.ndarray | None = None) -> None:
-        self.blocks, self.level = blocks, level
+    def __init__(self, blocks) -> None:
+        self.blocks = blocks
 
     def __iter__(self):
         return self
@@ -520,10 +519,8 @@ def _level_blocks(n: int, lo: int | None = None, hi: int | None = None):
     level = _array_cache.get(n)
     if level is None:
         return _Run(_part_blocks(n, _level_parts(n), lo, hi))
-    span = _span(level, 0, lo, hi)
-    if level.flags.writeable:
-        return _blocks(span)
-    return _Run(_blocks(span), level if len(span) == len(level) else None)
+    blocks = _blocks(_span(level, 0, lo, hi))
+    return blocks if level.flags.writeable else _Run(blocks)
 
 
 def _part_blocks(n: int, parts, lo: int | None = None, hi: int | None = None, out=None):

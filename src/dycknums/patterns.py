@@ -136,8 +136,8 @@ def _copy_chain(src, k: int, top: int):
     top one ends at top, and each lower one lies a span below the next,
     the span being top minus the predecessor of the top copy's first
     term (a lone copy needs none).  Made as drawn: a first term that has
-    no predecessor raises NotMember or DomainError when the first pair
-    is drawn."""
+    no predecessor raises NotMember or DomainError, or ValueError when
+    it is negative, as the first pair is drawn."""
     shift = top - int(src[-1])
     span = top - dyck_pred(int(src[0]) + shift) if k > 1 else 0
     for j in range(k - 1, -1, -1):

@@ -1,9 +1,10 @@
 """Outcome records shared by every checker, and the one wrapper that
 times a check and packages its result.
 
-A check is written as a function of one parameter n that returns its
-first `Counterexample`, or None when the claim holds; `check(name)`
-turns it into a function returning the timed `VerificationOutcome`.
+A check is written as a function of a parameter n, and of any further
+arguments its caller passes, that returns its first `Counterexample`,
+or None when the claim holds; `check(name)` turns it into a function
+of the same arguments returning the timed `VerificationOutcome`.
 """
 
 from __future__ import annotations
@@ -71,17 +72,18 @@ RECORD_HEADER = "name\tn\tpassed\tterm\texpected\tactual\telapsed_s"
 
 
 def check(name: str) -> Callable[
-    [Callable[[int], Counterexample | None]], Callable[[int], VerificationOutcome]
+    [Callable[..., Counterexample | None]], Callable[..., VerificationOutcome]
 ]:
-    """Decorate a check body of one parameter n, returning its first
-    counterexample or None, into a checker that times the call and
-    returns the outcome `name` at n."""
+    """Decorate a check body of a parameter n and any further arguments,
+    returning its first counterexample or None, into a checker that
+    times the call, forwarding every argument, and returns the outcome
+    `name` at n."""
 
-    def decorate(body: Callable[[int], Counterexample | None]):
+    def decorate(body: Callable[..., Counterexample | None]):
         @functools.wraps(body)
-        def checker(n: int) -> VerificationOutcome:
+        def checker(n: int, *args) -> VerificationOutcome:
             t0 = time.perf_counter()
-            detail = body(n)
+            detail = body(n, *args)
             return VerificationOutcome(
                 name, n, detail is None, detail, time.perf_counter() - t0
             )

@@ -2,17 +2,24 @@
 level or core it reads is corrupted, and `gen` prints no corrupted
 level with exit code 0.
 
-Each test swaps the function a checker reads its input through for one
+Most tests swap the function a checker reads its input through for one
 that drops or shifts a single term; the memoized levels and cores
 themselves are never touched.  A reader of blocks is swapped for one
-that changes the terms it reads and yields them again as blocks.
+that changes the terms it reads and yields them again as blocks.  Most
+tests that compare `run_all` with the checks called alone place the
+corrupted level in the level cache instead, which every reader shares.
 """
+
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dycknums import cli, conjectures, cores, levels
 from dycknums.cli import main
+from dycknums.dyck_core import dyck_succ, is_dyck_number
 from dycknums.conjectures import (
     check_catalan_rejection,
     check_conj16,
@@ -68,6 +75,23 @@ def corrupt_level_blocks(monkeypatch, module, n, change):
         return changed_blocks(blocks, change) if m == n else blocks
 
     monkeypatch.setattr(module, "_level_blocks", level_blocks)
+
+
+def corrupt_cached_level(monkeypatch, k, change):
+    """`levels._array_cache[k]`, the resident level k that every reader
+    shares, returns level k changed, and no level above k is cached: one
+    built from the unchanged level k would not be built from the cache,
+    which rejection's shortcut in a run takes as given."""
+    level = change(levels._level_array(k).copy())
+    cache = {m: arr for m, arr in levels._array_cache.items() if m < k}
+    monkeypatch.setattr(levels, "_array_cache", {**cache, k: level})
+
+
+def each_alone(max_n):
+    """The outcomes of `run_all(max_n)`, each check called alone."""
+    return [conjectures.CHECKS[name][0](k)
+            for name, k in conjectures.planned_checks(conjectures.CHECKS, max_n)
+            ] + size_identity_checks(max_n)
 
 
 def construction_failure(message):
@@ -132,12 +156,12 @@ def read_only(change):
 
 @pytest.mark.parametrize("change", [None, shift(3), read_only(shift(3))],
                          ids=["resident", "corrupted", "corrupted_read_only"])
-def test_eq1_and_eq2_witness_level_6_once_a_run_unless_corrupted(monkeypatch, change):
+def test_eq1_eq2_and_prop12_witness_level_6_once_a_run(monkeypatch, change):
     # eq1(7) and eq2(8) both copy level 6, and prop12(6) reads it.  In a
-    # run they take one witness of the resident array.  A corrupted level
-    # is a fresh array on each call, and eq1 and eq2 then each witness
-    # their own, and fail as they do alone; prop12(6) witnesses the
-    # resident level, which neither is.
+    # run they take one witness of the resident array, corrupted or not,
+    # and fail as they do alone.
+    if change is not None:
+        corrupt_cached_level(monkeypatch, 6, change)
     witnessed = []
     real = conjectures._witness
 
@@ -147,36 +171,158 @@ def test_eq1_and_eq2_witness_level_6_once_a_run_unless_corrupted(monkeypatch, ch
         return real(src)
 
     monkeypatch.setattr(conjectures, "_witness", witness)
+    alone = failures(each_alone(8))
+    witnessed.clear()
+    assert failures(run_all(8)) == alone
+    assert len(witnessed) == 1 and witnessed[0] is levels._level_array(6)
     if change is None:
-        assert failures(run_all(8)) == {}
-        assert len(witnessed) == 1 and witnessed[0] is levels._level_array(6)
+        assert alone == {}
         return
-    corrupt_level(monkeypatch, 6, change)
-    assert failures(run_all(8)) == {
+    assert {key: alone[key] for key in (("eq1", 7), ("eq2", 8), ("prop12", 6))} == {
         ("eq1", 7): construction_failure("81 is not a term of the sequence"),
         ("eq2", 8): construction_failure("177 is not a term of the sequence"),
+        ("prop12", 6): Counterexample(49, "195 in level 8", "absent"),
     }
-    resident = levels._level_array(6)
-    assert len(witnessed) == 3 and witnessed[2] is resident
-    assert witnessed[0] is not witnessed[1] and all(src is not resident for src in witnessed[:2])
 
 
-# Each corruption fails prop12 at the level it changes, and the checks
-# that copy that level read it again: run_all reports what each check
-# reports alone.
+# Each corruption of the resident level n fails prop12(n), and eq1(n+1),
+# which copies that level, reads it too: run_all reports what each check
+# reports alone.  A run to n + 1 builds no level from the corrupted one.
 @pytest.mark.parametrize("n,change", [
     (8, shift(1)),   # a core term of level 8 moved onto a non-member
     (12, drop(2)),   # a core term of level 12 dropped
-    (14, drop(-1)),  # the last term read of level 14 dropped
+    (14, drop(-1)),  # the last term of level 14 dropped
 ], ids=["shifted_core_term_8", "dropped_core_term_12", "dropped_last_term_14"])
 def test_run_all_fails_as_each_check_alone_on_a_corrupted_level(monkeypatch, n, change):
-    corrupt_level_blocks(monkeypatch, conjectures, n, change)
-    max_n = 18
-    alone = [conjectures.CHECKS[name][0](k)
-             for name, k in conjectures.planned_checks(conjectures.CHECKS, max_n)]
-    expected = failures(alone + size_identity_checks(max_n))
-    assert ("prop12", n) in expected
-    assert failures(run_all(max_n)) == expected
+    corrupt_cached_level(monkeypatch, n, read_only(change))
+    expected = failures(each_alone(n + 1))
+    assert {("prop12", n), ("eq1", n + 1)} <= set(expected)
+    assert failures(run_all(n + 1)) == expected
+
+
+CORRUPTIONS = ("up", "down", "dropped", "repeated", "swapped", "non_member", "other_width")
+
+
+@st.composite
+def corruptions(draw, top):
+    """(k, kind, i, value): an even level k in 6..top, as no check reads
+    an odd one, and a corruption of its
+    term i, drawn anywhere or at a seam of two blocks of `_BLOCK`: the
+    term moved by 2 up or down, dropped, repeated, swapped with its
+    neighbour, or replaced by `value`, a non-member of its width or a
+    member of another width."""
+    k = 2 * draw(st.integers(3, top // 2))
+    size = levels.level_size(k)
+    seams = [s + d for s in range(levels._BLOCK, size, levels._BLOCK) for d in (-1, 0)]
+    anywhere = st.integers(0, size - 1)
+    i = draw(st.one_of(anywhere, st.sampled_from(seams)) if seams else anywhere)
+    kind, value = draw(st.sampled_from(CORRUPTIONS)), None
+    if kind == "non_member":
+        value = draw(st.integers(levels.mersenne(k - 1) + 1, levels.mersenne(k))
+                     .filter(lambda v: not is_dyck_number(v)))
+    elif kind == "other_width":
+        j = draw(st.integers(2, 30).filter(lambda j: j != k))
+        value = levels.mersenne(j - 1)
+        for _ in range(draw(st.integers(1, 40))):
+            value = min(dyck_succ(value), levels.mersenne(j))
+    return k, kind, i, value
+
+
+def corruption(kind, i, value):
+    """The change of a level's terms that `corruptions` draws."""
+    def corrupted(arr):
+        out = arr.copy()
+        if kind in ("up", "down"):
+            out[i] += 2 if kind == "up" else -2
+        elif kind in ("dropped", "repeated"):
+            out = np.delete(out, i) if kind == "dropped" else np.insert(out, i, out[i])
+        elif kind == "swapped":
+            j = min(i + 1, len(out) - 1)
+            out[[j - 1, j]] = out[[j, j - 1]]
+        else:
+            out[i] = value
+        return out
+
+    return corrupted
+
+
+def corrupt_streamed_level(monkeypatch, k, change):
+    """`conjectures._level_blocks(k, lo, hi)`, the reader of level k as
+    blocks, yields the terms of level k changed that lie in (lo, hi]."""
+    terms = change(np.concatenate([block.copy() for block in levels._level_blocks(k)]))
+    real = conjectures._level_blocks
+
+    def level_blocks(m, lo=None, hi=None):
+        if m != k:
+            return real(m, lo, hi)
+        inside = (terms > (-1 if lo is None else lo)) & (terms <= (terms.max() if hi is None else hi))
+        return levels._blocks(terms[inside])
+
+    monkeypatch.setattr(conjectures, "_level_blocks", level_blocks)
+
+
+def failures_or_construction_error(run):
+    """`failures(run())`, or the message of the construction error it raises."""
+    try:
+        return failures(run())
+    except AssertionError as exc:
+        assert "construction" in str(exc)
+        return str(exc)
+
+
+def assert_run_all_fails_as_each_check_alone(top, drawn, read_only_level):
+    # A corruption below top goes into the level cache, writeable or
+    # read-only, and level top streams, so a corruption of level top
+    # goes into the blocks the checks read it as.  Runs to top and to
+    # k + 2 are compared, each from the same cache: in a run to top,
+    # levels above k + 2 are made from the corrupted level, and most
+    # corruptions raise there; in a run to k + 2, level k + 2 streams
+    # and the checks that read level k fail.  A run that shares a read
+    # it should not, such as rejection's shortcut with no binding to its
+    # source, is caught by
+    # test_run_all_reports_a_rejection_source_other_than_the_witnessed_level.
+    k, corrupted = drawn[0], corruption(*drawn[1:])
+    with pytest.MonkeyPatch.context() as mp:
+        if k < top:
+            corrupt_cached_level(mp, k, read_only(corrupted) if read_only_level else corrupted)
+        else:
+            corrupt_streamed_level(mp, k, corrupted)
+        cache = levels._array_cache
+        for max_n in sorted({min(k + 2, top), top}):
+            found = []
+            for run in (each_alone, run_all):
+                mp.setattr(levels, "_array_cache", dict(cache))
+                found.append(failures_or_construction_error(lambda: run(max_n)))
+            assert found[0] == found[1]
+
+
+@given(corruptions(18), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_run_all_fails_as_each_check_alone_on_any_corrupted_level(drawn, read_only_level):
+    assert_run_all_fails_as_each_check_alone(18, drawn, read_only_level)
+
+
+# Level 18 is one block; levels 20 and 22 span 2 and 6, so a corruption
+# lands at a seam of two.
+@pytest.mark.slow
+@given(corruptions(22), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_run_all_fails_as_each_check_alone_on_any_corrupted_level_to_22(drawn, read_only_level):
+    assert_run_all_fails_as_each_check_alone(22, drawn, read_only_level)
+
+
+# A last term of level 6 replaced by a wider member lays the copies out
+# below the target: eq2's lowest copy takes 151 to -1, and with 2**20 - 1
+# the copies of 39 fall below 0, where no predecessor is defined.  Each
+# is reported as a construction failure, not raised.
+@pytest.mark.parametrize("top,eq1,eq2", [
+    (151, "151 is not a term of 6 bits", "-1 is not a term of the sequence"),
+    ((1 << 20) - 1, "expected a nonnegative integer", "expected a nonnegative integer"),
+], ids=["151", "2**20-1"])
+def test_eq1_and_eq2_report_copies_below_zero(monkeypatch, top, eq1, eq2):
+    corrupt_level(monkeypatch, 6, shift(-1, top - 63))
+    assert_fails(verify_eq1(7), "eq1", 7, construction_failure(eq1))
+    assert_fails(verify_eq2(8), "eq2", 8, construction_failure(eq2))
 
 
 def test_eq2_reports_a_broken_construction(monkeypatch):
@@ -492,6 +638,16 @@ def test_verify_conj16_exits_1_on_a_corrupted_core(monkeypatch, capsys):
 def test_run_all_times_every_outcome():
     outcomes = run_all(12)
     assert outcomes and all(o.elapsed > 0 for o in outcomes)
+
+
+def test_run_all_reads_every_level_inside_a_timed_check(monkeypatch):
+    # Each level is built and read inside the check that first needs
+    # it, so the outcomes' times cover nearly all of the run.
+    monkeypatch.setattr(levels, "_array_cache", {})
+    t0 = time.perf_counter()
+    outcomes = run_all(24)
+    wall = time.perf_counter() - t0
+    assert sum(o.elapsed for o in outcomes) >= 0.8 * wall
 
 
 # -- gen ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import collections
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -279,7 +278,7 @@ def test_a_window_of_a_level_prop12_passed_is_its_witness_in_closed_form(data):
     # Member bounds M_{n-1} <= lo < hi in level n: the closed form that
     # `_window` takes once prop12(n) has passed in a run equals the
     # witness of the window read, from the resident level and from the
-    # level's parts.
+    # level's parts; before that, the window is read.
     n = data.draw(st.integers(4, 20), label="n")
     level = levels._level_array(n)
     i, j = sorted(data.draw(st.lists(st.integers(-1, len(level) - 1), min_size=2, max_size=2,
@@ -289,12 +288,10 @@ def test_a_window_of_a_level_prop12_passed_is_its_witness_in_closed_form(data):
     read = levels._witness(levels._part_blocks(n, levels._level_parts(n), lo, hi))
     assert levels._witness(levels._level_blocks(n, lo, hi)) == read
     assert read.read == j - i and read.fault is None
-    ledger = conjectures._ledger
-    ledger.levels = {n: int(level[0])}
-    try:
-        assert conjectures._window(n, lo, hi) == read
-    finally:
-        ledger.levels = None
+    reads = conjectures._Reads(n)
+    assert levels._witness(conjectures._window(reads, n, lo, hi)) == read
+    reads.proven[n] = int(level[0])
+    assert conjectures._window(reads, n, lo, hi) == read
 
 
 # Each copy check passes each distinct source through the membership
@@ -409,33 +406,29 @@ def test_run_all_validates_no_pattern(monkeypatch):
 
 def count_drawn(monkeypatch):
     """Count the terms `conjectures._level_blocks` draws, as
-    {(thread ident, level): terms}."""
+    {level: terms}."""
     drawn = collections.Counter()
     real = conjectures._level_blocks
 
     def level_blocks(m, *args, **kwargs):
         for block in real(m, *args, **kwargs):
-            drawn[threading.get_ident(), m] += len(block)
+            drawn[m] += len(block)
             yield block
 
     monkeypatch.setattr(conjectures, "_level_blocks", level_blocks)
     return drawn
 
 
-def drawn_of(drawn, m, thread=None):
-    return drawn[thread or threading.get_ident(), m]
-
-
 def test_run_all_reads_level_n_once_for_prop12(monkeypatch):
-    # prop12(24) reads level 24 whole; conj16(24) takes its core from
-    # that read, and eq2(24) reads none of it, which spares the three
-    # images of level 22.
+    # prop12(24) reads level 24 whole, as blocks; conj16(24) takes its
+    # core from that read, and eq2(24) reads none of it, which spares
+    # the three images of level 22.  Each lower level prop12 reads is
+    # the resident array that eq1 witnessed, and conj16 and conj18 take
+    # their windows of every level prop12 passed in closed form: no
+    # other block is drawn.
     drawn = count_drawn(monkeypatch)
     assert all(o.passed for o in run_all(24))
-    assert drawn_of(drawn, 24) == levels.level_size(24)
-    # Each level prop12 passed is read by it alone: conj16 and conj18
-    # take their windows of it in closed form.
-    assert all(drawn_of(drawn, m) == levels.level_size(m) for m in range(6, 25, 2))
+    assert dict(drawn) == {24: levels.level_size(24)}
 
 
 def count_witnessed(monkeypatch):
@@ -470,54 +463,25 @@ def test_run_all_witnesses_each_level_once(monkeypatch, max_n, terms):
 
 
 def test_run_all_keeps_no_ledger_after_it_returns_or_raises(monkeypatch):
+    # A run's reads (`_Reads`) end with it: a lone check after a run that
+    # returned or raised reads its own sources.  Within run_all(10),
+    # prop12(8) reads the resident level 8 and conj16(8) no block of it.
     drawn = count_drawn(monkeypatch)
     assert all(o.passed for o in run_all(10))
-    assert drawn_of(drawn, 8) == levels.level_size(8)
+    assert drawn[8] == 0
     assert check_conj16(8).passed
-    assert drawn_of(drawn, 8) == levels.level_size(8) + core_size(8)
+    assert drawn[8] == core_size(8)
 
-    def broken(n):
+    def broken(n, reads):
         raise RuntimeError("a check raised")
 
     # rejection runs last, after prop12(8) has passed
     monkeypatch.setattr(conjectures, "check_catalan_rejection", broken)
     with pytest.raises(RuntimeError, match="a check raised"):
         run_all(10)
-    assert (conjectures._ledger.sources, conjectures._ledger.levels) == (None, None)
-    before = drawn_of(drawn, 8)
+    assert drawn[8] == core_size(8)
     assert check_conj16(8).passed
-    assert drawn_of(drawn, 8) == before + core_size(8)
-
-
-def test_run_all_on_another_thread_shares_no_ledger(monkeypatch):
-    # While a run on this thread is at conj16(8), after its prop12(8), a
-    # second thread checks conj16(8) alone, then runs run_all(10) whole:
-    # the first reads the 8-core, the run level 8 once.  Back on this
-    # thread the run's ledger is intact: conj16(8) reads no term.
-    drawn = count_drawn(monkeypatch)
-    real = conjectures.check_conj16
-    other = []
-
-    def on_other_thread():
-        other.append(threading.get_ident())
-        other.append((real(8).passed, drawn_of(drawn, 8)))
-        other.append(all(o.passed for o in run_all(10)))
-
-    def conj16(n):
-        if n == 8 and not other:  # once: the second thread's run comes here too
-            thread = threading.Thread(target=on_other_thread)
-            thread.start()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-        return real(n)
-
-    monkeypatch.setattr(conjectures, "check_conj16", conj16)
-    assert all(o.passed for o in run_all(10))
-    ident, (alone, after_alone), run_passed = other
-    assert alone and after_alone == core_size(8) and run_passed
-    assert drawn_of(drawn, 8, ident) == core_size(8) + levels.level_size(8)
-    assert drawn_of(drawn, 8) == levels.level_size(8)
-    assert conjectures._ledger.sources is None
+    assert drawn[8] == 2 * core_size(8)
 
 
 def test_planned_checks_refuses_a_huge_max_n_before_listing_the_plan():

@@ -729,7 +729,6 @@ def test_a_run_the_construction_made_reads_as_a_copy_of_its_terms(data):
     try:
         run = levels._level_blocks(n, lo, hi)
         assert isinstance(run, levels._Run)
-        assert (run.level is level) == (n in levels._array_cache and j - i == len(level))
         read = levels._witness(run)
     finally:
         levels._array_cache = resident
@@ -777,14 +776,15 @@ def test_a_writeable_level_in_the_cache_is_tested_for_ascent(monkeypatch, n, i):
 @SWAPS
 def test_a_read_only_level_from_another_reader_is_tested_for_ascent(monkeypatch, n, i):
     # A read-only array that the cache does not hold is tested in full:
-    # eq1 fails on the pair alone and in a run, where prop12(n) reads the
-    # resident level and passes.
-    swapped, _, _, eq1 = swapped_pair(n, i)
+    # eq1 fails on the pair alone and in a run, where the run's one read
+    # of level n is that array, so prop12(n) fails on the pair too.
+    swapped, t, below, eq1 = swapped_pair(n, i)
     swapped.flags.writeable = False
     real = conjectures._level_array
     monkeypatch.setattr(conjectures, "_level_array", lambda m: swapped if m == n else real(m))
     assert verify_eq1(n + 1).detail == eq1
-    assert {(o.name, o.n): o.detail for o in run_all(n + 1) if not o.passed} == {("eq1", n + 1): eq1}
+    assert {(o.name, o.n): o.detail for o in run_all(n + 1) if not o.passed} == {
+        ("eq1", n + 1): eq1, ("prop12", n): Counterexample(t, f"above {below}", "not above")}
 
 
 # A sparse block, one term a prefix, and a shuffled one are read a theta
